@@ -46,6 +46,7 @@ from .predict import (
     predict_log_Dn,
     predict_log_Zn,
     predict_quotient,
+    predict_range,
     quadratic_form,
     zn_beta_circle,
 )
@@ -57,6 +58,7 @@ from .direct import (
     convexity_check,
     finite_energy,
     log_det_Dn,
+    log_det_range,
     quotient_ratio,
 )
 from .mcbeta import (

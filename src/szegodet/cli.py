@@ -9,9 +9,7 @@ significant digits.  Exit codes: 0 success, 2 parse/validation error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 
 import numpy as np
@@ -118,39 +116,24 @@ def _emit(text: str, path: str | None):
             f.write(text)
 
 
-def _workers() -> int:
-    raw = os.environ.get("SZEGO_THREADS", "1")
+def _positive_int(spec: str) -> int:
+    """argparse type for --n: an integer >= 1."""
+    n = int(spec)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def _parse_range(spec: str) -> tuple[int, int]:
+    """'8..40' inclusive, or a single integer; bounds >= 1."""
     try:
-        k = int(raw)
+        lo, hi = spec.split("..") if ".." in spec else (spec, spec)
+        lo, hi = int(lo), int(hi)
+        if not 1 <= lo <= hi:
+            raise ValueError
+        return lo, hi
     except ValueError as exc:
-        raise CLIInputError(f"SZEGO_THREADS must be a positive integer, got {raw!r}") from exc
-    if k < 1:
-        raise CLIInputError(f"SZEGO_THREADS must be a positive integer, got {raw!r}")
-    return k
-
-
-def _map_ordered(fn, items):
-    """Apply fn preserving order, optionally across SZEGO_THREADS workers."""
-    k = _workers()
-    items = list(items)
-    if k == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=k) as ex:
-        return list(ex.map(fn, items))
-
-
-def _parse_range(spec: str) -> list[int]:
-    """'8..40' inclusive, or a single integer."""
-    try:
-        if ".." in spec:
-            lo, hi = spec.split("..")
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(spec)]
-    except ValueError as exc:
-        raise CLIInputError(f"bad range {spec!r}; expected e.g. 8..40") from exc
+        raise CLIInputError(f"bad range {spec!r}; expected e.g. 8..40 with bounds >= 1") from exc
 
 
 def _parse_rgrid(spec: str) -> np.ndarray:
@@ -231,40 +214,46 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _direct_row(mp, sym, n, N, m):
-    res = direct.log_det_Dn(mp, sym, n, N)
-    pred = predict.predict_log_Dn(mp, sym, n, m)
-    residual = abs(res.log_Dn - pred.total_log)
-    return (
-        f"{n},{res.N_nodes},{_fmt(res.log_Dn.real)},{_fmt(res.log_Dn.imag)},"
-        f"{_fmt(pred.total_log.real)},{_fmt(residual)},{int(res.converged)}"
-    )
-
-
 _DIRECT_HEADER = "n,N_nodes,log_Dn_re,log_Dn_im,predicted,residual,converged"
+
+
+def _direct_rows(mp, sym, n_lo, n_hi, N, m) -> list[str]:
+    """CSV rows for n_lo..n_hi: one direct range call, one prediction table."""
+    results = direct.log_det_range(mp, sym, n_lo, n_hi, N)
+    preds = predict.predict_range(mp, sym, n_lo, n_hi, m)
+    rows = []
+    for res, pred in zip(results, preds):
+        residual = abs(res.log_Dn - pred.total_log)
+        rows.append(
+            f"{res.n},{res.N_nodes},{_fmt(res.log_Dn.real)},{_fmt(res.log_Dn.imag)},"
+            f"{_fmt(pred.total_log.real)},{_fmt(residual)},{int(res.converged)}"
+        )
+    return rows
 
 
 def _cmd_direct(args) -> int:
     mp = load_curve(args.curve)
     sym = load_symbol(args.symbol)
     N = None if args.N == "auto" else int(args.N)
+    if N is not None and N < 4 * args.n:
+        raise CLIInputError(f"--N must be >= 4n = {4 * args.n}, got {N}")
     m = None if args.m == "auto" else int(args.m)
-    row = _direct_row(mp, sym, args.n, N, m)
-    _emit(_DIRECT_HEADER + "\n" + row + "\n", args.out)
+    rows = _direct_rows(mp, sym, args.n, args.n, N, m)
+    _emit(_DIRECT_HEADER + "\n" + rows[0] + "\n", args.out)
     return 0
 
 
 def _cmd_convergence(args) -> int:
     mp = load_curve(args.curve)
     sym = load_symbol(args.symbol)
-    ns = _parse_range(args.n)
+    n_lo, n_hi = _parse_range(args.n)
     m = None if args.m == "auto" else int(args.m)
-    rows = _map_ordered(lambda n: _direct_row(mp, sym, n, None, m), ns)
+    rows = _direct_rows(mp, sym, n_lo, n_hi, None, m)
     _emit(_DIRECT_HEADER + "\n" + "\n".join(rows) + "\n", args.out)
     if args.svg:
         residuals = [float(r.split(",")[5]) for r in rows]
         ys = np.log10(np.maximum(residuals, 1e-300))
-        _emit(_svg_polyline(ns, ys, "log10 residual vs n"), args.svg)
+        _emit(_svg_polyline(range(n_lo, n_hi + 1), ys, "log10 residual vs n"), args.svg)
     return 0
 
 
@@ -365,13 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("predict", help="asymptotic prediction for log D_n")
     add_common(sp)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--m", default="auto")
     sp.set_defaults(fn=_cmd_predict)
 
     sp = sub.add_parser("direct", help="direct quadrature log D_n at one n")
     add_common(sp)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--N", default="auto")
     sp.add_argument("--m", default="auto")
     sp.set_defaults(fn=_cmd_direct)
@@ -385,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("energy", help="dilation energy sweep E_n(r)")
     add_common(sp, with_symbol=False)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--r", required=True, help="'1.05,1.2,2' or log grid 'lo:hi:count'")
     sp.add_argument("--report-out", default="-")
     sp.add_argument("--svg", default=None)
@@ -400,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("beta-mc", help="Monte Carlo beta-ensemble estimate")
     add_common(sp)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--beta", type=float, default=2.0)
     sp.add_argument("--steps", type=int, default=200000)
     sp.add_argument("--burn-in", type=int, default=10000)

@@ -10,9 +10,23 @@ where R is the triangular factor.  The factorization runs as a Gram-
 Schmidt recurrence in the Krylov style (multiply the latest orthonormal
 column pointwise by zeta, orthogonalize twice, normalize), which produces
 exactly the triangular diagonal of A = Q R without ever propagating the
-exponentially ill-conditioned monomial coefficients.  Complex symbols
-lose the positive structure and fall back to a pivoted LU of the
-explicit Gram matrix with a condition estimate attached.
+exponentially ill-conditioned monomial coefficients.  The norm h_k
+removed at step k is R_kk / R_{k-1,k-1}, and step k does not depend on
+the final degree, so one pass to n gives the prefix vector
+
+    log D_j = 2 sum_{i<j} log R_ii = 2 sum_{i<j} sum_{k<=i} log h_k,
+    j = 1..n,
+
+that is every determinant of a range at the cost of its largest one
+(Brubeck, Nakatsukasa & Trefethen, "Vandermonde with Arnoldi", SIAM
+Rev. 63, 2021).  Complex symbols lose the positive structure and fall
+back to a pivoted LU of each leading block of the explicit Gram matrix,
+with a condition estimate attached.
+
+``log_det_range`` refines the grid until the whole requested range
+agrees between two consecutive node counts, so every row of a range
+carries the same ``N_nodes``; a row below the top of the range may sit
+on a finer grid than it would alone.  ``log_det_Dn`` is the one-row case.
 
 All quadrature runs on the cap-normalized curve; n**2 log cap is added
 analytically at the end.
@@ -88,77 +102,123 @@ def _nodes_and_gvals(mp: ExteriorMap, sym: FourierSymbol, N: int):
     return pts, w, theta_values(sym, theta)
 
 
-def _logdet_qr(z: np.ndarray, u: np.ndarray, n: int) -> tuple[float, float]:
-    """2 sum log R_jj for the weighted monomial array, plus a cond estimate.
+def _qr_prefix(z: np.ndarray, s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """log D_j for j = 1..n from one Gram-Schmidt pass, and the basis Q.
 
-    u must be positive.  The orthonormal columns q_j are s*p_j(zeta) for
-    monic-normalizable polynomials p_j, and R_jj equals the norm of the
-    column of s*zeta^j orthogonal to all lower degrees, which is what the
-    determinant needs.  One reorthogonalization pass keeps Q close to
-    unitary regardless of the conditioning of the monomial basis.
+    Row j of Q (shape (n, N)) is s*p_j(zeta) for the orthonormal
+    polynomial p_j of degree j.  The norm h_j removed at step j is
+    R_jj / R_{j-1,j-1}, so log R_jj is the running sum of log h and
+    log D_j = 2 sum_{i<j} log R_ii is the running sum of that.
+    One reorthogonalization pass keeps Q close to unitary regardless of
+    the conditioning of the monomial basis.  Q is row-major so the
+    projections read the basis in place instead of copying its adjoint.
     """
     N = len(z)
-    s = np.sqrt(u)
     v = s.astype(complex)
     nrm = float(np.linalg.norm(v))
     if not nrm > 0:
         raise ZeroDeterminant("zero total weight")
-    Q = np.empty((N, n), dtype=complex)
-    Q[:, 0] = v / nrm
-    log_cum = np.log(nrm)
-    total = 2.0 * log_cum
+    Q = np.empty((n, N), dtype=complex)
+    Q[0] = v / nrm
+    log_h = np.empty(n)
+    log_h[0] = np.log(nrm)
     for j in range(1, n):
-        v = z * Q[:, j - 1]
-        h1 = Q[:, :j].conj().T @ v
-        v = v - Q[:, :j] @ h1
-        h2 = Q[:, :j].conj().T @ v
-        v = v - Q[:, :j] @ h2
+        B = Q[:j]
+        v = z * Q[j - 1]
+        for _ in range(2):
+            v -= (B @ v.conj()).conj() @ B
         h = float(np.linalg.norm(v))
         if not (h > 0 and np.isfinite(h)):
             raise ZeroDeterminant("quadrature nodes do not support this degree")
-        Q[:, j] = v / h
-        log_cum += np.log(h)
-        total += 2.0 * log_cum
-    # condition estimate of the monomial Gram matrix: cond(R)^2 with R = Q^H A
-    powers = np.empty((N, n), dtype=complex)
-    powers[:, 0] = s
+        Q[j] = v / h
+        log_h[j] = np.log(h)
+    return 2.0 * np.cumsum(np.cumsum(log_h)), Q
+
+
+def _qr_conds(z: np.ndarray, s: np.ndarray, Q: np.ndarray, j_lo: int) -> np.ndarray:
+    """cond of the monomial Gram matrix of each degree j = j_lo..n.
+
+    The Gram matrix of degree j is R_j^H R_j with R_j the leading block
+    of R = Q^H A, so its condition number is cond(R_j)**2.
+    """
+    n = len(Q)
+    powers = np.empty_like(Q)
+    powers[0] = s
     for j in range(1, n):
-        powers[:, j] = powers[:, j - 1] * z
-    R = np.triu(Q.conj().T @ powers)
-    sv = np.linalg.svd(R, compute_uv=False)
-    cond = float((sv[0] / sv[-1]) ** 2) if sv[-1] > 0 else float("inf")
-    return total, cond
+        powers[j] = powers[j - 1] * z
+    R = np.triu(Q.conj() @ powers.T)
+    conds = []
+    for j in range(j_lo, n + 1):
+        sv = np.linalg.svd(R[:j, :j], compute_uv=False)
+        conds.append((sv[0] / sv[-1]) ** 2 if sv[-1] > 0 else np.inf)
+    return np.array(conds)
 
 
-def _logdet_lu(z: np.ndarray, w: np.ndarray, g: np.ndarray, n: int) -> tuple[complex, float]:
-    """Pivoted LU of the explicit Gram matrix, for complex symbols."""
+def _logdet_qr(z: np.ndarray, u: np.ndarray, n: int) -> tuple[float, float]:
+    """2 sum log R_jj for the weighted monomial array, plus a cond estimate.
+
+    u must be positive.  R_jj equals the norm of the column of s*zeta^j
+    orthogonal to all lower degrees, which is what the determinant needs.
+    """
+    s = np.sqrt(u)
+    logdets, Q = _qr_prefix(z, s, n)
+    return float(logdets[-1]), float(_qr_conds(z, s, Q, n)[0])
+
+
+def _gram(z: np.ndarray, w: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """Explicit moment matrix M_jk = sum_i w_i e^{g_i} z_i^j conj(z_i)^k."""
     N = len(z)
     V = np.empty((N, n), dtype=complex)
     V[:, 0] = 1.0
     for j in range(1, n):
         V[:, j] = V[:, j - 1] * z
-    u = w * np.exp(g)
-    M = (V * u[:, None]).T @ V.conj()
+    Vu = V * (w * np.exp(g))[:, None]
+    np.conj(V, out=V)
+    return Vu.T @ V
+
+
+def _lu_logdet(M: np.ndarray) -> complex:
     lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
     diag = np.diag(lu)
     if np.any(diag == 0):
         raise ZeroDeterminant("determinant vanished in the pivoted factorization")
-    swaps = int(np.sum(piv != np.arange(n)))
+    swaps = int(np.sum(piv != np.arange(len(M))))
     val = complex(np.sum(np.log(diag.astype(complex))))
     if swaps % 2:
         val += 1j * np.pi
-    cond = float(np.linalg.cond(M))
-    return val, cond
+    return val
 
 
-def _logdet_at(mp: ExteriorMap, sym: FourierSymbol, n: int, N: int):
+def _logdet_lu(z: np.ndarray, w: np.ndarray, g: np.ndarray, n: int) -> tuple[complex, float]:
+    """Pivoted LU of the explicit Gram matrix, for complex symbols."""
+    M = _gram(z, w, g, n)
+    return _lu_logdet(M), float(np.linalg.cond(M))
+
+
+def _range_at(mp: ExteriorMap, sym: FourierSymbol, n_lo: int, n_hi: int, N: int):
+    """log D_n for n = n_lo..n_hi on one N-node grid.
+
+    Returns the values, the method, and a function giving the condition
+    estimates, so the caller pays for them on the accepted grid only.
+    """
     pts, w, g = _nodes_and_gvals(mp, sym, N)
     gscale = float(np.max(np.abs(g))) if len(g) else 0.0
     if float(np.max(np.abs(g.imag))) <= _REAL_TOL * max(1.0, gscale):
-        val, cond = _logdet_qr(pts, w * np.exp(g.real), n)
-        return complex(val), cond, "qr_positive"
-    val, cond = _logdet_lu(pts, w, g, n)
-    return val, cond, "lu_general"
+        s = np.sqrt(w * np.exp(g.real))
+        logdets, Q = _qr_prefix(pts, s, n_hi)
+        conds = lambda: _qr_conds(pts, s, Q, n_lo)
+        return logdets[n_lo - 1 :].astype(complex), "qr_positive", conds
+    M = _gram(pts, w, g, n_hi)
+    ns = range(n_lo, n_hi + 1)
+    vals = np.array([_lu_logdet(M[:n, :n]) for n in ns])
+    conds = lambda: np.array([np.linalg.cond(M[:n, :n]) for n in ns])
+    return vals, "lu_general", conds
+
+
+def _logdet_at(mp: ExteriorMap, sym: FourierSymbol, n: int, N: int):
+    """(value, cond, method) of one n on one grid."""
+    vals, method, conds = _range_at(mp, sym, n, n, N)
+    return complex(vals[0]), float(conds()[0]), method
 
 
 def _start_N(n: int) -> int:
@@ -166,57 +226,75 @@ def _start_N(n: int) -> int:
     return 1 << int(np.ceil(np.log2(N)))
 
 
+def log_det_range(
+    mp: ExteriorMap, sym: FourierSymbol, n_lo: int, n_hi: int, N: int | None = None
+) -> list[DirectResult]:
+    """log D_n[e^g] for every n in n_lo..n_hi, all on one grid.
+
+    With N omitted the node count starts at max(512, 8 n_hi) and doubles
+    until two consecutive grids agree to 1e-8 on every n of the range
+    (error NotConverged past 2**20 nodes).  An explicit N (at least
+    4 n_hi) is honored as stated and each row's N vs 2N agreement only
+    sets its ``converged`` flag.  On the complex-symbol path a condition
+    estimate above 1e12 also clears the flag.
+    """
+    if n_lo < 1:
+        raise ValueError("n must be >= 1")
+    if n_hi < n_lo:
+        raise ValueError(f"empty range {n_lo}..{n_hi}")
+    ns = np.arange(n_lo, n_hi + 1)
+    cap_terms = ns * ns * float(np.log(mp.cap))
+    capless = _unchecked_map(1.0, mp.phi0, mp.tail)
+    if N is not None:
+        if N < 4 * n_hi:
+            raise ValueError(f"N must be >= 4n = {4 * n_hi}")
+        size = N
+        vals, method, conds = _range_at(capless, sym, n_lo, n_hi, N)
+        conds = conds()  # before the check grid, so this grid's basis is freed
+        # refinement check halves instead of doubling once N hits the cap
+        N_check = 2 * N if 2 * N <= N_CAP else N // 2
+        vals2, _, _ = _range_at(capless, sym, n_lo, n_hi, N_check)
+        agree = np.abs(vals2 - vals) <= REFINE_TOL
+    else:
+        size = _start_N(n_hi)
+        vals, _, _ = _range_at(capless, sym, n_lo, n_hi, size)
+        while True:
+            size *= 2
+            prev = vals
+            vals, method, conds = _range_at(capless, sym, n_lo, n_hi, size)
+            if np.max(np.abs(vals - prev)) <= REFINE_TOL:
+                break
+            if 2 * size > N_CAP:
+                raise NotConverged(f"no convergence up to N = {N_CAP}")
+        conds = conds()
+        agree = np.ones(len(ns), dtype=bool)
+    flagged = (method == "lu_general") & (conds > COND_FLAG)
+    return [
+        DirectResult(int(n), size, complex(v + c), method, float(k), bool(a and not f))
+        for n, v, c, k, a, f in zip(ns, vals, cap_terms, conds, agree, flagged)
+    ]
+
+
 def log_det_Dn(
     mp: ExteriorMap, sym: FourierSymbol, n: int, N: int | None = None
 ) -> DirectResult:
     """log D_n[e^g] at finite n with a grid-refinement convergence check.
 
-    With N omitted the node count starts at max(512, 8n) and doubles until
-    two consecutive grids agree to 1e-8 (error NotConverged past 2**20
-    nodes).  An explicit N is honored as stated and the N vs 2N agreement
-    only sets the ``converged`` flag.  On the complex-symbol path a
-    condition estimate above 1e12 also clears the flag.
+    The one-row case of ``log_det_range``: the node count starts at
+    max(512, 8n) and doubles until two consecutive grids agree to 1e-8;
+    an explicit N >= 4n is honored and only sets ``converged``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cap_term = n * n * float(np.log(mp.cap))
-    capless = _unchecked_map(1.0, mp.phi0, mp.tail)
-    if N is not None:
-        if N < 4 * n:
-            raise ValueError(f"N must be >= 4n = {4 * n}")
-        val, cond, method = _logdet_at(capless, sym, n, N)
-        # refinement check halves instead of doubling once N hits the cap
-        N_check = 2 * N if 2 * N <= N_CAP else N // 2
-        val2, _, _ = _logdet_at(capless, sym, n, N_check)
-        converged = abs(val2 - val) <= REFINE_TOL and not (
-            method == "lu_general" and cond > COND_FLAG
-        )
-        return DirectResult(n, N, val + cap_term, method, cond, converged)
-    size = _start_N(n)
-    val, cond, method = _logdet_at(capless, sym, n, size)
-    while True:
-        val2, cond2, method2 = _logdet_at(capless, sym, n, 2 * size)
-        if abs(val2 - val) <= REFINE_TOL:
-            size, val, cond, method = 2 * size, val2, cond2, method2
-            break
-        size, val, cond, method = 2 * size, val2, cond2, method2
-        if 2 * size > N_CAP:
-            raise NotConverged(f"no convergence up to N = {N_CAP}")
-    converged = not (method == "lu_general" and cond > COND_FLAG)
-    return DirectResult(n, size, val + cap_term, method, cond, converged)
+    return log_det_range(mp, sym, n, n, N)[0]
 
 
 def quotient_ratio(mp: ExteriorMap, sym: FourierSymbol, n: int):
-    """cap**(-2n-1) D_{n+1}/D_n from two direct evaluations.
+    """cap**(-2n-1) D_{n+1}/D_n from one direct evaluation of both.
 
     For real symbols this is the reciprocal square of the leading
     orthonormal-polynomial coefficient, and it approaches 2*pi*e^{a0/2}.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    a = log_det_Dn(mp, sym, n + 1).log_Dn
-    b = log_det_Dn(mp, sym, n).log_Dn
-    val = np.exp(a - b - (2 * n + 1) * np.log(mp.cap))
+    b, a = log_det_range(mp, sym, n, n + 1)
+    val = np.exp(a.log_Dn - b.log_Dn - (2 * n + 1) * np.log(mp.cap))
     if abs(val.imag) <= 1e-12 * max(1.0, abs(val.real)):
         return float(val.real)
     return complex(val)

@@ -324,6 +324,23 @@ def takagi(B: np.ndarray) -> TakagiFactor:
     return TakagiFactor(U, lam, residual)
 
 
+def delta_m_tail(B: np.ndarray) -> float:
+    """Weighted norm of the last row and column of B: the truncation tail.
+
+    sqrt(sum over the edge entries of (k l)**(2 + eps) |B_kl|**2), which
+    is small once the table has resolved the decay of the coefficients.
+    """
+    msize = len(B)
+    if not msize:
+        return 0.0
+    k = np.arange(1, msize + 1, dtype=float)
+    kl = np.outer(k, k) ** (2.0 + _DELTA_EPS)
+    edge = np.zeros((msize, msize), dtype=bool)
+    edge[-1, :] = True
+    edge[:, -1] = True
+    return float(np.sqrt(np.sum(kl[edge] * np.abs(B[edge]) ** 2)))
+
+
 def spectral_report(pair: OperatorPair, mp: ExteriorMap | None = None) -> SpectralReport:
     """Determinant, energy and truncation diagnostics for one table.
 
@@ -341,21 +358,12 @@ def spectral_report(pair: OperatorPair, mp: ExteriorMap | None = None) -> Spectr
     wk = np.linalg.eigvalsh(pair.K)
     log_det_IplusK = float(np.sum(np.log1p(wk)))
     log_det_ImBB = float(np.sum(np.log1p(-tak.lam**2)))
-    msize = pair.m
-    delta = 0.0
-    if msize:
-        k = np.arange(1, msize + 1, dtype=float)
-        kl = np.outer(k, k) ** (2.0 + _DELTA_EPS)
-        edge = np.zeros((msize, msize), dtype=bool)
-        edge[-1, :] = True
-        edge[:, -1] = True
-        delta = float(np.sqrt(np.sum(kl[edge] * np.abs(pair.B[edge]) ** 2)))
     return SpectralReport(
         log_det_IplusK=log_det_IplusK,
         log_det_IminusBstarB=log_det_ImBB,
         szego_energy=-0.5 * log_det_ImBB + 0.0,
         hs_norm_sq=float(np.sum(np.abs(pair.B) ** 2)),
-        delta_m_tail=delta,
+        delta_m_tail=delta_m_tail(pair.B),
         kappa_hat=kappa,
     )
 

@@ -25,9 +25,9 @@ from .grunsky import (
     M_AUTO_TOL,
     GrunskyTable,
     OperatorPair,
+    delta_m_tail,
     grunsky_coefficients,
     operators,
-    spectral_report,
 )
 from .series import ExteriorMap
 from .symbol import FourierSymbol, GVector, d_vector, padded_g_vector, zero_symbol
@@ -105,43 +105,83 @@ def quadratic_form(pair: OperatorPair, v: GVector) -> complex:
     return complex(re, im)
 
 
-def _halflogdet(pair: OperatorPair) -> float:
+def _halflogdet(pair: OperatorPair) -> tuple[float, float]:
+    """-0.5 log det(I+K), and kappa_hat: the largest eigenvalue of K.
+
+    The eigenvalues of K are +/- the Takagi values of B, so the largest
+    one is the Grunsky norm estimate without a Takagi factorization.
+    """
     w = np.linalg.eigvalsh(pair.K)
     if len(w) and (w[-1] >= 1.0 - 1e-10 or w[0] <= -1.0 + 1e-10):
         raise SingularValueAtOne("spectrum of K reaches 1; determinant diverges")
-    return -0.5 * float(np.sum(np.log1p(w))) + 0.0
+    kappa = float(w[-1]) if len(w) else 0.0
+    return -0.5 * float(np.sum(np.log1p(w))) + 0.0, kappa
 
 
-def _terms_at(m_table: GrunskyTable, sym: FourierSymbol) -> tuple[complex, float, OperatorPair]:
+def _terms_at(m_table: GrunskyTable, sym: FourierSymbol):
+    """(quad, half, kappa_hat, pair) for one table."""
     pair = operators(m_table)
     quad = quadratic_form(pair, padded_g_vector(sym, m_table.m))
-    return quad, _halflogdet(pair), pair
+    return (quad, *_halflogdet(pair), pair)
 
 
 def _resolve_table(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
     """Fixed-m table, or doubling until the two m-dependent terms settle."""
     if m is not None:
         table = grunsky_coefficients(mp, m)
-        quad, half, pair = _terms_at(table, sym)
+        quad, half, _, pair = _terms_at(table, sym)
         return table, pair, quad, half
     size = 8
     table = grunsky_coefficients(mp, size)
-    quad, half, pair = _terms_at(table, sym)
+    quad, half, kappa, pair = _terms_at(table, sym)
+    gaps = (float("nan"), float("nan"))
     while size < M_AUTO_CAP:
         size2 = 2 * size
         table2 = grunsky_coefficients(mp, size2)
-        quad2, half2, pair2 = _terms_at(table2, sym)
+        quad2, half2, kappa, pair2 = _terms_at(table2, sym)
         size, table, pair = size2, table2, pair2
-        done = abs(quad2 - quad) < M_AUTO_TOL and abs(half2 - half) < M_AUTO_TOL
+        gaps = (abs(quad2 - quad), abs(half2 - half))
         quad, half = quad2, half2
-        if done:
+        if all(gap < M_AUTO_TOL for gap in gaps):
             break
-    report = spectral_report(pair)
     log.info(
-        "auto truncation m=%d: delta_m_tail=%.3e kappa_hat=%.6f",
-        size, report.delta_m_tail, report.kappa_hat,
+        "auto truncation m=%d: gaps quadform=%.3e halflogdet=%.3e "
+        "kappa_hat=%.6f delta_m_tail=%.3e",
+        size, *gaps, kappa, delta_m_tail(pair.B),
     )
     return table, pair, quad, half
+
+
+def predict_range(
+    mp: ExteriorMap, sym: FourierSymbol, n_lo: int, n_hi: int, m: int | None = None
+) -> list[PredictionBreakdown]:
+    """``predict_log_Dn`` for every n in n_lo..n_hi from one table.
+
+    The m-dependent terms do not depend on n, so the table (and with
+    m = None its doubling ladder) is resolved once for the whole range.
+    """
+    if n_lo < 1:
+        raise ValueError("n must be >= 1")
+    if n_hi < n_lo:
+        raise ValueError(f"empty range {n_lo}..{n_hi}")
+    table, _, quad, half = _resolve_table(mp, sym, m)
+    log_cap = float(np.log(mp.cap))
+    out = []
+    for n in range(n_lo, n_hi + 1):
+        term_cap = n * n * log_cap
+        term_2pi = n * LOG_2PI
+        term_a0 = n * complex(sym.a0) / 2.0
+        out.append(PredictionBreakdown(
+            n=n,
+            m_used=table.m,
+            term_cap=term_cap,
+            term_2pi=term_2pi,
+            term_a0=term_a0,
+            term_quadform=quad,
+            term_halflogdet=half,
+            total_log=term_cap + term_2pi + term_a0 + quad + half,
+        ))
+    return out
 
 
 def predict_log_Dn(
@@ -153,23 +193,7 @@ def predict_log_Dn(
     automatic doubling policy (m = 8, 16, ... capped at 512, threshold
     1e-9 on the two m-dependent terms) works for short symbols too.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    table, pair, quad, half = _resolve_table(mp, sym, m)
-    term_cap = n * n * float(np.log(mp.cap))
-    term_2pi = n * LOG_2PI
-    term_a0 = n * complex(sym.a0) / 2.0
-    total = term_cap + term_2pi + term_a0 + quad + half
-    return PredictionBreakdown(
-        n=n,
-        m_used=table.m,
-        term_cap=term_cap,
-        term_2pi=term_2pi,
-        term_a0=term_a0,
-        term_quadform=quad,
-        term_halflogdet=half,
-        total_log=total,
-    )
+    return predict_range(mp, sym, n, n, m)[0]
 
 
 def predict_log_Zn(mp: ExteriorMap, n: int, m: int | None = None) -> PredictionBreakdown:

@@ -143,6 +143,25 @@ class TestDirectAndConvergence:
         assert residuals[-1] < residuals[0]
         assert svg.read_text().startswith("<svg")
 
+    def test_convergence_rows_match_direct(self, capsys, curve_file, symbol_file):
+        # the wobbly test curve at the sizes sweeps reach
+        path = curve_file("wobbly.json", cap=1.3, phi0=(0.2, 0.1),
+                          tail=((0.3, 0.0), (0.0, 0.1), (-0.05, 0.0), (0.02, 0.02)))
+        code, out, _ = run(capsys, "convergence", "--curve", path,
+                           "--symbol", symbol_file, "--n", "8..100")
+        assert code == 0
+        rows = {int(r.split(",")[0]): r.split(",") for r in out.strip().split("\n")[1:]}
+        assert sorted(rows) == list(range(8, 101))
+        for n in (8, 57, 100):
+            code, out, _ = run(capsys, "direct", "--curve", path,
+                               "--symbol", symbol_file, "--n", str(n))
+            assert code == 0
+            one = out.strip().split("\n")[1].split(",")
+            assert one[6] == rows[n][6] == "1"
+            for col in (2, 3, 4, 5):  # log_Dn_re, log_Dn_im, predicted, residual
+                a, b = float(one[col]), float(rows[n][col])
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(float(one[2])))
+
     def test_threads_env(self, capsys, curve_file, monkeypatch):
         path = curve_file("q.json")
         monkeypatch.setenv("SZEGO_THREADS", "2")
@@ -218,3 +237,23 @@ class TestExitCodes:
         path = curve_file("q.json")
         code, _, _ = run(capsys, "convergence", "--curve", path, "--n", "9..3")
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["0..3", "-2..4", "0", "8..", "3..x"])
+    def test_range_bounds(self, capsys, curve_file, spec):
+        path = curve_file("q.json")
+        code, _, _ = run(capsys, "convergence", "--curve", path, "--n", spec)
+        assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["direct", "--n", "0"],
+        ["direct", "--n", "-3"],
+        ["direct", "--n", "8", "--N", "16"],
+        ["predict", "--n", "0"],
+        ["energy", "--n", "0", "--r", "1.5,2"],
+        ["beta-mc", "--n", "0", "--steps", "100"],
+    ])
+    def test_bad_n_and_N(self, capsys, curve_file, argv):
+        path = curve_file("q.json")
+        code, _, err = run(capsys, *argv[:1], "--curve", path, *argv[1:])
+        assert code == 2
+        assert "failure" not in err

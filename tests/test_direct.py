@@ -8,6 +8,7 @@ from szegodet import (
     curve_samples,
     finite_energy,
     log_det_Dn,
+    log_det_range,
     make_map,
     predict_log_Dn,
     quotient_ratio,
@@ -272,3 +273,93 @@ class TestConvexity:
         bad = EnergyCurve(2, np.array([1.1, 1.2, 1.5, 3.0, 8.0]), np.zeros(5))
         with pytest.raises(GridTooCoarse):
             convexity_check(bad)
+
+
+def _logdet_columns(z, u, n):
+    """log D_1..log D_n by the column-major Gram-Schmidt loop, as a reference."""
+    N = len(z)
+    v = np.sqrt(u).astype(complex)
+    nrm = float(np.linalg.norm(v))
+    Q = np.empty((N, n), dtype=complex)
+    Q[:, 0] = v / nrm
+    log_cum = np.log(nrm)
+    totals = [2.0 * log_cum]
+    for j in range(1, n):
+        v = z * Q[:, j - 1]
+        v = v - Q[:, :j] @ (Q[:, :j].conj().T @ v)
+        v = v - Q[:, :j] @ (Q[:, :j].conj().T @ v)
+        h = float(np.linalg.norm(v))
+        Q[:, j] = v / h
+        log_cum += np.log(h)
+        totals.append(totals[-1] + 2.0 * log_cum)
+    return np.array(totals)
+
+
+class TestRange:
+    """One Gram-Schmidt pass per grid for a whole n range, at sweep sizes."""
+
+    SYM = symbol_from_coefficients(0.3, [0.4, 0.1], [0.2])
+
+    def test_prefix_matches_per_n(self, wobbly):
+        from szegodet.direct import _nodes_and_gvals
+        from szegodet.series import _unchecked_map
+
+        rows = log_det_range(wobbly, self.SYM, 8, 100)
+        assert [r.n for r in rows] == list(range(8, 101))
+        N = rows[0].N_nodes
+        assert all(r.N_nodes == N and r.converged for r in rows)
+        capless = _unchecked_map(1.0, wobbly.phi0, wobbly.tail)
+        pts, w, g = _nodes_and_gvals(capless, self.SYM, N)
+        u = w * np.exp(g.real)
+        ref = _logdet_columns(pts, u, 100)
+        log_cap = np.log(wobbly.cap)
+        for r in rows:
+            val = r.log_Dn.real - r.n**2 * log_cap
+            tol = 1e-12 * max(1.0, abs(r.log_Dn.real))
+            assert r.log_Dn.imag == 0.0
+            assert abs(val - ref[r.n - 1]) <= tol
+            one, cond = _logdet_qr(pts, u, r.n)
+            assert abs(val - one) <= tol
+            # past 1/eps the smallest singular value is rounding noise
+            if cond < 1e16:
+                assert r.cond_estimate == pytest.approx(cond, rel=1e-9)
+
+    def test_refines_until_every_row_agrees(self, wobbly, monkeypatch):
+        import szegodet.direct as direct_mod
+
+        assert log_det_range(wobbly, self.SYM, 4, 12)[0].N_nodes == 1024
+        real = direct_mod._range_at
+
+        def lowest_row_settles_late(mp, sym, n_lo, n_hi, N):
+            vals, method, conds = real(mp, sym, n_lo, n_hi, N)
+            if N < 2048:
+                vals = vals.copy()
+                vals[0] += 1.0 / N
+            return vals, method, conds
+
+        monkeypatch.setattr(direct_mod, "_range_at", lowest_row_settles_late)
+        rows = log_det_range(wobbly, self.SYM, 4, 12)
+        assert all(r.N_nodes == 4096 for r in rows)
+
+    def test_not_converged_at_node_cap(self, wobbly, monkeypatch):
+        import szegodet.direct as direct_mod
+        from szegodet.errors import NotConverged
+
+        rough = symbol_from_coefficients(0.0, 0.3 / np.arange(1, 4000) ** 1.01)
+        monkeypatch.setattr(direct_mod, "N_CAP", 1024)
+        with pytest.raises(NotConverged):
+            direct_mod.log_det_range(wobbly, rough, 4, 12)
+
+    def test_explicit_N_flags_each_row(self, wobbly):
+        # N = 80 resolves the low rows and not the high ones; each row's
+        # flag is its own N vs 2N check, as for a one-row call
+        rows = log_det_range(wobbly, self.SYM, 4, 20, N=80)
+        flags = [r.converged for r in rows]
+        assert flags[0] and not flags[-1]
+        for r in rows:
+            one = log_det_Dn(wobbly, self.SYM, r.n, N=80)
+            assert r.N_nodes == one.N_nodes == 80
+            assert r.converged == one.converged
+            assert abs(r.log_Dn - one.log_Dn) <= 1e-12 * max(1.0, abs(one.log_Dn))
+        with pytest.raises(ValueError):
+            log_det_range(wobbly, self.SYM, 8, 21, N=80)

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from szegodet import (
     grunsky_coefficients,
     g_vector,
+    log_det_Dn,
     make_map,
     operators,
     predict_beta_log,
@@ -93,6 +95,28 @@ class TestPredictLogDn:
         deltas = [abs(b - a) for a, b in zip(totals, totals[1:])]
         for (a, b) in zip(deltas, deltas[1:]):
             assert b <= 0.25 * a + 1e-15  # ratio well under q**2
+
+    def test_auto_ladder_log_line(self, qcurve, caplog):
+        # kappa_hat comes from the eigenvalues of K, not a Takagi factor
+        with caplog.at_level(logging.INFO, logger="szegodet.predict"):
+            predict_log_Zn(qcurve, 4)
+        assert "kappa_hat=0.500000" in caplog.text
+        assert "gaps quadform=" in caplog.text and "delta_m_tail=" in caplog.text
+
+    def test_auto_ladder_needs_no_takagi(self, zero_sym):
+        # a valid curve on which takagi splits a +/- pair across its zero
+        # threshold at m = 32 and raises PairingFailed; the prediction
+        # needs only the symmetric eigenproblem of K
+        mp = make_map(
+            1.122395134169683,
+            0.12927163977988496 - 0.0626620189631375j,
+            [0.000415769300650514 - 0.0014260872854523709j,
+             -0.0007243788516635403 + 0.0010639525807065267j,
+             0.009987687957441876 + 0.025154596756418783j],
+        )
+        b = predict_log_Dn(mp, zero_sym, 14)
+        assert b.m_used == 32
+        assert abs(log_det_Dn(mp, zero_sym, 14).log_Dn - b.total_log) <= 1e-9
 
     def test_json_fields(self, qcurve):
         b = predict_log_Zn(qcurve, 4)
