@@ -117,11 +117,16 @@ def _emit(text: str, path: str | None):
 
 
 def _positive_int(spec: str) -> int:
-    """argparse type for --n: an integer >= 1."""
+    """argparse type for --n and a fixed --m: an integer >= 1."""
     n = int(spec)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
+
+
+def _auto_or_positive_int(spec: str) -> int | None:
+    """argparse type for --m and --N: 'auto' (None) or an integer >= 1."""
+    return None if spec == "auto" else _positive_int(spec)
 
 
 def _parse_range(spec: str) -> tuple[int, int]:
@@ -208,8 +213,7 @@ def _breakdown_json(b) -> str:
 def _cmd_predict(args) -> int:
     mp = load_curve(args.curve)
     sym = load_symbol(args.symbol)
-    m = None if args.m == "auto" else int(args.m)
-    b = predict.predict_log_Dn(mp, sym, args.n, m)
+    b = predict.predict_log_Dn(mp, sym, args.n, args.m)
     _emit(_breakdown_json(b), args.out)
     return 0
 
@@ -234,11 +238,9 @@ def _direct_rows(mp, sym, n_lo, n_hi, N, m) -> list[str]:
 def _cmd_direct(args) -> int:
     mp = load_curve(args.curve)
     sym = load_symbol(args.symbol)
-    N = None if args.N == "auto" else int(args.N)
-    if N is not None and N < 4 * args.n:
-        raise CLIInputError(f"--N must be >= 4n = {4 * args.n}, got {N}")
-    m = None if args.m == "auto" else int(args.m)
-    rows = _direct_rows(mp, sym, args.n, args.n, N, m)
+    if args.N is not None and args.N < 4 * args.n:
+        raise CLIInputError(f"--N must be >= 4n = {4 * args.n}, got {args.N}")
+    rows = _direct_rows(mp, sym, args.n, args.n, args.N, args.m)
     _emit(_DIRECT_HEADER + "\n" + rows[0] + "\n", args.out)
     return 0
 
@@ -247,8 +249,7 @@ def _cmd_convergence(args) -> int:
     mp = load_curve(args.curve)
     sym = load_symbol(args.symbol)
     n_lo, n_hi = _parse_range(args.n)
-    m = None if args.m == "auto" else int(args.m)
-    rows = _direct_rows(mp, sym, n_lo, n_hi, None, m)
+    rows = _direct_rows(mp, sym, n_lo, n_hi, None, args.m)
     _emit(_DIRECT_HEADER + "\n" + "\n".join(rows) + "\n", args.out)
     if args.svg:
         residuals = [float(r.split(",")[5]) for r in rows]
@@ -321,8 +322,7 @@ def _cmd_beta_mc(args) -> int:
         n=args.n, beta=args.beta, steps=args.steps, burn_in=args.burn_in,
         proposal_width=args.width, seed=args.seed,
     )
-    m = None if args.m == "auto" else int(args.m)
-    est = mcbeta.estimate_ratio(mp, sym, cfg, m)
+    est = mcbeta.estimate_ratio(mp, sym, cfg, args.m)
     _emit(
         "seed,mean_log,std_error,ess,acceptance\n"
         f"{args.seed},{_fmt(est.mean_log)},{_fmt(est.std_error)},"
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("grunsky", help="dump the Grunsky table and spectral report")
     sp.add_argument("--curve", required=True)
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", type=_positive_int, required=True)
     sp.add_argument("--table-out", default="-")
     sp.add_argument("--report-out", default="-")
     sp.set_defaults(fn=_cmd_grunsky)
@@ -355,20 +355,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("predict", help="asymptotic prediction for log D_n")
     add_common(sp)
     sp.add_argument("--n", type=_positive_int, required=True)
-    sp.add_argument("--m", default="auto")
+    sp.add_argument("--m", type=_auto_or_positive_int, default="auto")
     sp.set_defaults(fn=_cmd_predict)
 
     sp = sub.add_parser("direct", help="direct quadrature log D_n at one n")
     add_common(sp)
     sp.add_argument("--n", type=_positive_int, required=True)
-    sp.add_argument("--N", default="auto")
-    sp.add_argument("--m", default="auto")
+    sp.add_argument("--N", type=_auto_or_positive_int, default="auto")
+    sp.add_argument("--m", type=_auto_or_positive_int, default="auto")
     sp.set_defaults(fn=_cmd_direct)
 
     sp = sub.add_parser("convergence", help="residual sweep over a range of n")
     add_common(sp)
     sp.add_argument("--n", required=True, help="range like 8..40")
-    sp.add_argument("--m", default="auto")
+    sp.add_argument("--m", type=_auto_or_positive_int, default="auto")
     sp.add_argument("--svg", default=None, help="write an SVG residual plot")
     sp.set_defaults(fn=_cmd_convergence)
 
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("wp-check", help="Hilbert-Schmidt boundedness across dilations")
     add_common(sp, with_symbol=False)
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", type=_positive_int, required=True)
     sp.add_argument("--r", default="1.01:2:8")
     sp.add_argument("--report-out", default="-")
     sp.set_defaults(fn=_cmd_wp_check)
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--burn-in", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--width", type=float, default=0.8)
-    sp.add_argument("--m", default="auto")
+    sp.add_argument("--m", type=_auto_or_positive_int, default="auto")
     sp.set_defaults(fn=_cmd_beta_mc)
 
     return p

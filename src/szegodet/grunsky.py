@@ -18,8 +18,11 @@ B is the matrix sqrt(k*l) a_{kl}; K is the real symmetric doubling
 
     K = [[B1, B2], [B2, -B1]],   B = B1 + i B2,
 
-whose eigenvalues are +/- the singular values of B.  The Takagi
-factorization B = U Lambda U^t is recovered from the K eigenproblem.
+whose eigenvalues are +/- the singular values of B.  The spectral report
+takes the singular values from one complex SVD of B and checks them
+against the eigenvalues of K through the determinant identity.  The
+Takagi factorization B = U Lambda U^t, recovered from the K
+eigenproblem, is a standalone routine that no report path calls.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .errors import (
     SingularValueAtOne,
     TruncationTooSmall,
 )
-from .series import ExteriorMap, LaurentSeries, _laurent_axpy, _phi_norm, laurent_mul
+from .series import ExteriorMap, _phi_norm
 
 _DELTA_EPS = 0.1  # fixed exponent offset in the tail diagnostic
 
@@ -138,11 +141,17 @@ def grunsky_coefficients(mp: ExteriorMap, size: int, work_order: int | None = No
     which is the triangular system expressing z**k in powers of phi in
     recurrence form.  Eliminating against explicitly expanded powers
     phi**j is mathematically identical but subtracts exponentially large
-    multiples, so it loses digits beyond size ~ 64 on generic curves
-    (see _faber_elimination_table); the recurrence keeps every
-    intermediate the size of the answer.  The known structure of u_k
-    (monic top coefficient, no other nonnegative powers) is reimposed
-    after each step.
+    multiples, so it loses digits beyond size ~ 64 on generic curves;
+    the recurrence keeps every intermediate the size of the answer.  The
+    known structure of u_k (monic top coefficient, no other nonnegative
+    powers) is reimposed after each step.
+
+    Each u_n is one row of size + W + 1 complex entries, column c the
+    power size - c down to z**(-W).  Multiplying by phi - phi0 = z
+    + sum t_k z**(-k) is a one-column shift plus one shifted add per
+    nonzero tail term, so each step costs O(d (size + W)) for d nonzero
+    terms instead of a full convolution, and only the last d + 2 rows
+    are kept.
 
     The working Laurent truncation defaults to 3*size; anything smaller
     cannot resolve z**(-size) reliably and is rejected.
@@ -150,59 +159,33 @@ def grunsky_coefficients(mp: ExteriorMap, size: int, work_order: int | None = No
     if size < 1:
         raise ValueError("table size must be >= 1")
     W = _work_order(mp, size, work_order)
-    tail = np.zeros(W, dtype=complex)
-    tail[: mp.trunc_order] = mp.tail
-    phi_c = np.zeros(W + 2, dtype=complex)  # phi - phi0, lead degree 1
-    phi_c[0] = 1.0
-    phi_c[2:] = tail
-    phi_m0 = LaurentSeries(1, phi_c, W)
-    a = np.zeros((size, size), dtype=complex)
-    u_list = [phi_m0]
-    for n in range(1, size + 1):
-        u_n = u_list[n - 1]
-        for el in range(1, size + 1):
-            a[n - 1, el - 1] = u_n.coeff(-el) / n
-        if n == size:
-            break
-        nxt = laurent_mul(phi_m0, u_n)
-        for j in range(1, n):
-            tj = tail[j - 1]
-            if tj != 0.0:
-                nxt = _laurent_axpy(nxt, tj, u_list[n - j - 1])
-        coeffs = np.array(nxt.coeffs)
+    width = size + W + 1
+    terms = [(k, t) for k, t in enumerate(mp.tail.tolist(), start=1) if t != 0.0]
+    # u_n sits in row (n - 1) % depth: a step reaches back to u_{n-d} for
+    # the deepest nonzero tail term t_d, so d + 2 rows suffice
+    depth = min(size, terms[-1][0] + 2) if terms else 1
+    u = np.zeros((depth, width), dtype=complex)
+    u[0, size - 1] = 1.0  # u_1 = phi - phi0
+    for k, t in terms:
+        u[0, size + k] = t
+    a = np.empty((size, size), dtype=complex)
+    a[0] = u[0, size + 1:2 * size + 1]
+    for n in range(1, size):
+        prev, nxt = u[(n - 1) % depth], u[n % depth]
+        nxt[:-1] = prev[1:]
+        nxt[-1] = 0.0
+        for k, t in terms:
+            nxt[k:] += t * prev[:-k]
+            if k < n:
+                nxt -= t * u[(n - 1 - k) % depth]
         # zeroing z**0 performs the -(n+1) phi_{-n} subtraction, since that
         # is exactly the constant the product leaves behind; z**n .. z**1
         # vanish identically and only hold rounding junk
-        coeffs[: n + 2] = 0.0
-        coeffs[0] = 1.0
-        u_list.append(LaurentSeries(n + 1, coeffs, W))
+        nxt[size - n:size + 1] = 0.0
+        nxt[size - n - 1] = 1.0
+        a[n] = nxt[size + 1:2 * size + 1] / (n + 1)
     sym, defect = _symmetrize(a)
     return GrunskyTable(size, sym, mp.label(), defect)
-
-
-def _faber_elimination_table(mp: ExteriorMap, size: int) -> np.ndarray:
-    """Unit-triangular elimination against expanded powers of phi.
-
-    Kept as an independent small-size cross-check of the recurrence; the
-    Faber coefficients it subtracts grow exponentially with the degree,
-    so this variant is unreliable past size ~ 64 on generic curves.
-    """
-    W = 3 * size
-    phi = mp.as_series(W)
-    one = LaurentSeries(0, np.r_[1.0 + 0j, np.zeros(W, dtype=complex)], W)
-    powers = [one]
-    for _ in range(size):
-        powers.append(laurent_mul(powers[-1], phi))
-    a = np.zeros((size, size), dtype=complex)
-    for k in range(1, size + 1):
-        s = powers[k]
-        for j in range(k - 1, -1, -1):
-            c = s.coeff(j)
-            if c != 0.0:
-                s = _laurent_axpy(s, c, powers[j])
-        for el in range(1, size + 1):
-            a[k - 1, el - 1] = s.coeff(-el) / k
-    return a
 
 
 def grunsky_coefficients_sampled(
@@ -344,20 +327,23 @@ def delta_m_tail(B: np.ndarray) -> float:
 def spectral_report(pair: OperatorPair, mp: ExteriorMap | None = None) -> SpectralReport:
     """Determinant, energy and truncation diagnostics for one table.
 
-    log det(I+K) comes from the symmetric eigendecomposition of K and
-    log det(I - B*B) from the Takagi singular values, so their agreement
-    exercises the determinant identity det(I+K) = prod(1 - lam_j**2).
-    The map argument is accepted only as provenance and is unused.
+    The singular values of B come from one complex SVD (values only) and
+    give kappa_hat, log det(I - B*B) and the energy; log det(I+K) comes
+    from the symmetric eigenvalues of K.  The two are independent LAPACK
+    routines, so their agreement exercises the determinant identity
+    det(I+K) = prod(1 - lam_j**2).  No Takagi vectors are needed (see
+    ``takagi`` for the full factorization).  The map argument is accepted
+    only as provenance and is unused.
     """
-    tak = takagi(pair.B)
-    kappa = float(tak.lam[0]) if len(tak.lam) else 0.0
+    lam = np.linalg.svd(pair.B, compute_uv=False)
+    kappa = float(lam[0]) if len(lam) else 0.0
     if kappa >= 1.0 - 1e-10:
         raise SingularValueAtOne(
             f"largest singular value {kappa!r} reaches 1; determinant diverges"
         )
     wk = np.linalg.eigvalsh(pair.K)
     log_det_IplusK = float(np.sum(np.log1p(wk)))
-    log_det_ImBB = float(np.sum(np.log1p(-tak.lam**2)))
+    log_det_ImBB = float(np.sum(np.log1p(-lam**2)))
     return SpectralReport(
         log_det_IplusK=log_det_IplusK,
         log_det_IminusBstarB=log_det_ImBB,
@@ -392,9 +378,9 @@ def suggest_truncation(mp: ExteriorMap, tol: float = M_AUTO_TOL, cap: int = M_AU
 
 def table_to_csv(table: GrunskyTable) -> str:
     """Row-major CSV dump with header k,l,re_a,im_a at 17 significant digits."""
-    lines = ["k,l,re_a,im_a"]
-    for k in range(table.m):
-        for el in range(table.m):
-            v = table.a[k, el]
-            lines.append(f"{k + 1},{el + 1},{v.real:.17g},{v.imag:.17g}")
-    return "\n".join(lines) + "\n"
+    idx = np.arange(1, table.m + 1)
+    k = np.repeat(idx, table.m).tolist()
+    el = np.tile(idx, table.m).tolist()
+    a = table.a.ravel()
+    rows = zip(k, el, a.real.tolist(), a.imag.tolist())
+    return "k,l,re_a,im_a\n" + "".join(map("%d,%d,%.17g,%.17g\n".__mod__, rows))

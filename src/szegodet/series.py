@@ -83,14 +83,6 @@ def laurent_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(lead, full[:keep], a.trunc_order)
 
 
-def _laurent_axpy(s: LaurentSeries, c: complex, p: LaurentSeries) -> LaurentSeries:
-    """s - c * p for p.lead_degree <= s.lead_degree (shared truncation)."""
-    out = np.array(s.coeffs, dtype=complex)
-    off = s.lead_degree - p.lead_degree
-    out[off:off + len(p.coeffs)] -= c * np.asarray(p.coeffs)
-    return LaurentSeries(s.lead_degree, out, s.trunc_order)
-
-
 @dataclass(frozen=True)
 class ExteriorMap:
     """Validated Laurent data (cap, phi0, tail) of an exterior map."""
@@ -105,21 +97,6 @@ class ExteriorMap:
     @property
     def trunc_order(self) -> int:
         return len(self.tail)
-
-    def as_series(self, trunc_order: int | None = None) -> LaurentSeries:
-        """phi (without the cap factor) as a LaurentSeries.
-
-        Extending the truncation pads with zeros, which is exact because
-        the stored tail already is the complete map.
-        """
-        M = self.trunc_order if trunc_order is None else trunc_order
-        if M < self.trunc_order:
-            raise ValueError("cannot truncate below the stored tail length")
-        coeffs = np.zeros(M + 2, dtype=complex)
-        coeffs[0] = 1.0
-        coeffs[1] = self.phi0
-        coeffs[2:2 + len(self.tail)] = self.tail
-        return LaurentSeries(1, coeffs, M)
 
     def label(self) -> str:
         """Short opaque identifier used as table provenance."""

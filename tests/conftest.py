@@ -22,6 +22,30 @@ def wobbly():
     return make_map(1.3, 0.2 + 0.1j, [0.3, 0.1j, -0.05, 0.02 + 0.02j])
 
 
+@pytest.fixture(scope="session")
+def slow():
+    """A curve whose Grunsky coefficients decay slowly: critical radius ~0.94."""
+    return make_map(1.1, 0.05 - 0.02j,
+                    [0.01 + 0.005j, -0.008j, 0.94**4 / 3 * np.exp(0.7j)])
+
+
+# (cap, phi0, tail) of a valid curve on which ``takagi`` splits a +/- pair
+# of K eigenvalues across its zero threshold at m = 32 and raises
+# PairingFailed ("21 positive, 20 negative, 23 near zero")
+PAIRING_CURVE = (
+    1.122395134169683,
+    0.12927163977988496 - 0.0626620189631375j,
+    [0.000415769300650514 - 0.0014260872854523709j,
+     -0.0007243788516635403 + 0.0010639525807065267j,
+     0.009987687957441876 + 0.025154596756418783j],
+)
+
+
+@pytest.fixture(scope="session")
+def pairing():
+    return make_map(*PAIRING_CURVE)
+
+
 @pytest.fixture
 def zero_sym():
     return zero_symbol()

@@ -6,6 +6,8 @@ import pytest
 from szegodet.cli import main
 from szegodet.predict import LOG_2PI
 
+from conftest import PAIRING_CURVE
+
 
 @pytest.fixture
 def curve_file(tmp_path):
@@ -116,6 +118,18 @@ class TestGrunsky:
         parsed = SpectralReport(**fields)
         direct = spectral_report(operators(grunsky_coefficients(load_curve(path), 8)))
         assert parsed == direct
+
+    def test_curve_where_takagi_pairing_fails(self, capsys, curve_file, tmp_path):
+        cap, phi0, tail = PAIRING_CURVE
+        path = curve_file("pairing.json", cap=cap, phi0=(phi0.real, phi0.imag),
+                          tail=[(t.real, t.imag) for t in tail])
+        report = tmp_path / "rep.json"
+        code, out, err = run(capsys, "grunsky", "--curve", path, "--m", "32",
+                             "--report-out", str(report))
+        assert code == 0, err
+        assert len(out.strip().split("\n")) == 1 + 32 * 32
+        doc = json.loads(report.read_text())
+        assert abs(doc["log_det_IplusK"] - doc["log_det_IminusBstarB"]) <= 1e-12
 
 
 class TestDirectAndConvergence:
@@ -257,3 +271,32 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv[:1], "--curve", path, *argv[1:])
         assert code == 2
         assert "failure" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--n", "8", "--m", "x"],
+        ["predict", "--n", "8", "--m", "0"],
+        ["predict", "--n", "8", "--m", "2.5"],
+        ["direct", "--n", "8", "--N", "abc"],
+        ["direct", "--n", "8", "--N", "0"],
+        ["direct", "--n", "8", "--m", "-1"],
+        ["convergence", "--n", "4..6", "--m", "auto16"],
+        ["grunsky", "--m", "0"],
+        ["grunsky", "--m", "-4"],
+        ["wp-check", "--m", "0"],
+        ["beta-mc", "--n", "3", "--m", "0", "--steps", "100"],
+    ])
+    def test_bad_m_and_N(self, capsys, curve_file, argv):
+        path = curve_file("q.json")
+        code, _, err = run(capsys, *argv[:1], "--curve", path, *argv[1:])
+        assert code == 2
+        assert "failure" not in err
+
+    def test_explicit_m_and_N(self, capsys, curve_file):
+        path = curve_file("q.json")
+        code, out, _ = run(capsys, "direct", "--curve", path, "--n", "8",
+                           "--N", "64", "--m", "16")
+        assert code == 0
+        assert out.strip().split("\n")[1].split(",")[1] == "64"
+        code, out, _ = run(capsys, "predict", "--curve", path, "--n", "8", "--m", "16")
+        assert code == 0
+        assert json.loads(out)["m_used"] == 16

@@ -20,6 +20,7 @@ from szegodet.errors import (
     TruncationTooSmall,
 )
 from szegodet.grunsky import table_to_csv
+from szegodet.series import LaurentSeries, laurent_mul
 
 from conftest import q_energy_limit
 
@@ -44,6 +45,43 @@ def rotated_symbol(sym, omega):
     return symbol_from_coefficients(
         sym.a0, c * sym.a - s * sym.b, s * sym.a + c * sym.b
     )
+
+
+def faber_reference(mp, size):
+    """The Faber recurrence on truncated Laurent products, O(size**3).
+
+    Each step convolves u_n with phi - phi0 in full, subtracts
+    t_j u_{n-j} for every j < n and reimposes the monic top and the zero
+    powers; an independent layout of the recurrence in the library.
+    """
+    W = max(3 * size, mp.trunc_order)
+    tail = np.zeros(W, dtype=complex)
+    tail[: mp.trunc_order] = mp.tail
+    phi_m0 = LaurentSeries(1, np.r_[1.0, 0.0, tail].astype(complex), W)
+    a = np.zeros((size, size), dtype=complex)
+    u_list = [phi_m0]
+    for n in range(1, size + 1):
+        u_n = u_list[-1]
+        a[n - 1] = u_n.coeffs[n + 1:n + 1 + size] / n  # z**-1 .. z**-size
+        if n == size:
+            break
+        nxt = np.array(laurent_mul(phi_m0, u_n).coeffs)
+        for j in range(1, n):
+            p = u_list[n - j - 1].coeffs
+            nxt[j + 1:j + 1 + len(p)] -= tail[j - 1] * p
+        nxt[: n + 2] = 0.0
+        nxt[0] = 1.0
+        u_list.append(LaurentSeries(n + 1, nxt, W))
+    return 0.5 * (a + a.T)
+
+
+def table_to_csv_reference(table):
+    lines = ["k,l,re_a,im_a"]
+    for k in range(table.m):
+        for el in range(table.m):
+            v = table.a[k, el]
+            lines.append(f"{k + 1},{el + 1},{v.real:.17g},{v.imag:.17g}")
+    return "\n".join(lines) + "\n"
 
 
 def random_symmetric_contraction(rng, m, norm=0.9):
@@ -75,6 +113,31 @@ class TestGrunskyCoefficients:
     def test_truncation_guard(self, qcurve):
         with pytest.raises(TruncationTooSmall):
             grunsky_coefficients(qcurve, 8, work_order=20)
+
+    @pytest.mark.parametrize("curve", ["wobbly", "slow"])
+    @pytest.mark.parametrize("m", [12, 256, 512])
+    def test_matches_reference_recurrence(self, request, curve, m):
+        mp = request.getfixturevalue(curve)
+        t = grunsky_coefficients(mp, m)
+        ref = faber_reference(mp, m)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(t.a - ref)) <= 1e-14 * scale
+        assert t.asym_defect <= 1e-14
+
+    def test_long_tail_and_explicit_work_order(self):
+        # a tail longer than 3 * size sets the working truncation
+        mp = make_map(1.0, 0.1j, [0.2, 0.0, 0.05j] + [0.0] * 40 + [1e-4])
+        ref = faber_reference(mp, 8)
+        assert np.max(np.abs(grunsky_coefficients(mp, 8).a - ref)) <= 1e-15
+        t = grunsky_coefficients(make_map(1.0, 0.0, [0.3, 0.1j]), 16, work_order=200)
+        ref = faber_reference(make_map(1.0, 0.0, [0.3, 0.1j] + [0.0] * 198), 16)
+        assert np.max(np.abs(t.a - ref)) <= 1e-15
+
+    def test_q_closed_form_m512(self):
+        q = 0.93
+        t = grunsky_coefficients(make_map(1.0, 0.0, [q]), 512)
+        k = np.arange(1, 513)
+        assert np.max(np.abs(t.a - np.diag(q**k / k))) <= 1e-14
 
 
 class TestSampledRoute:
@@ -224,6 +287,23 @@ class TestSpectralReport:
         assert rep0.kappa_hat == pytest.approx(rep1.kappa_hat, abs=1e-10)
         assert rep0.szego_energy == pytest.approx(rep1.szego_energy, abs=1e-10)
 
+    @pytest.mark.parametrize("curve", ["wobbly", "slow"])
+    def test_against_k_eigenvalues_m256(self, request, curve):
+        # the singular values of B are the upper half of the spectrum of K
+        pair = operators(grunsky_coefficients(request.getfixturevalue(curve), 256))
+        rep = spectral_report(pair)
+        lam = np.linalg.eigvalsh(pair.K)[256:]
+        assert rep.kappa_hat == pytest.approx(lam[-1], abs=1e-12)
+        assert rep.log_det_IminusBstarB == pytest.approx(np.sum(np.log1p(-lam**2)), abs=1e-12)
+        assert abs(rep.log_det_IplusK - rep.log_det_IminusBstarB) <= 1e-10
+        assert rep.szego_energy == -0.5 * rep.log_det_IminusBstarB
+
+    def test_curve_where_takagi_pairing_fails(self, pairing):
+        pair = operators(grunsky_coefficients(pairing, 32))
+        rep = spectral_report(pair)
+        assert rep.kappa_hat == pytest.approx(np.linalg.eigvalsh(pair.K)[-1], abs=1e-12)
+        assert abs(rep.log_det_IplusK - rep.log_det_IminusBstarB) <= 1e-12
+
     def test_energy_monotone_in_m(self, qcurve):
         energies = [
             spectral_report(operators(grunsky_coefficients(qcurve, m))).szego_energy
@@ -262,9 +342,29 @@ def test_suggest_truncation(qcurve, circle):
     assert 16 <= m <= 64
 
 
+def test_suggest_truncation_where_takagi_pairing_fails(pairing):
+    m = suggest_truncation(pairing)
+    assert 16 <= m <= 64
+
+
 def test_table_csv_format(qcurve):
     text = table_to_csv(grunsky_coefficients(qcurve, 2))
     lines = text.strip().split("\n")
     assert lines[0] == "k,l,re_a,im_a"
     assert len(lines) == 5
     assert lines[1].startswith("1,1,0.5,")
+
+
+@pytest.mark.parametrize("curve", ["qcurve", "wobbly", "slow"])
+def test_table_csv_matches_reference(request, curve):
+    table = grunsky_coefficients(request.getfixturevalue(curve), 64)
+    assert table_to_csv(table) == table_to_csv_reference(table)
+
+
+def test_table_csv_special_values():
+    from szegodet.grunsky import GrunskyTable
+
+    a = np.array([[-0.0, 1e-300 - 2.5j], [1e-300 - 2.5j, 0.1 + 1j / 3]])
+    table = GrunskyTable(2, a, "test")
+    assert table_to_csv(table) == table_to_csv_reference(table)
+    assert table_to_csv(table).split("\n")[1] == "1,1,-0,0"
