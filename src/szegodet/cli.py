@@ -190,7 +190,7 @@ def _svg_polyline(xs, ys, title: str) -> str:
 def _cmd_grunsky(args) -> int:
     mp = load_curve(args.curve)
     table = grunsky.grunsky_coefficients(mp, args.m)
-    report = grunsky.spectral_report(grunsky.operators(table), mp)
+    report = grunsky.spectral_report(grunsky.operators(table))
     _emit(grunsky.table_to_csv(table), args.table_out)
     doc = {
         "m": table.m,
@@ -295,7 +295,7 @@ def _cmd_wp_check(args) -> int:
         hs.append(float(np.sum(np.abs(pair.B) ** 2)))
         lines.append(f"{_fmt(r)},{_fmt(hs[-1])}")
     _emit("\n".join(lines) + "\n", args.out)
-    base = grunsky.spectral_report(grunsky.operators(table), mp)
+    base = grunsky.spectral_report(grunsky.operators(table))
     # the truncated norms increase to the base-table norm as r drops to 1;
     # boundedness is about the tail in the table size, so compare against
     # a doubled table
@@ -318,10 +318,13 @@ def _cmd_wp_check(args) -> int:
 def _cmd_beta_mc(args) -> int:
     mp = load_curve(args.curve)
     sym = load_symbol(args.symbol)
-    cfg = mcbeta.ChainConfig(
-        n=args.n, beta=args.beta, steps=args.steps, burn_in=args.burn_in,
-        proposal_width=args.width, seed=args.seed,
-    )
+    try:
+        cfg = mcbeta.ChainConfig(
+            n=args.n, beta=args.beta, steps=args.steps, burn_in=args.burn_in,
+            proposal_width=args.width, seed=args.seed,
+        )
+    except ValueError as exc:
+        raise CLIInputError(str(exc)) from exc
     est = mcbeta.estimate_ratio(mp, sym, cfg, args.m)
     _emit(
         "seed,mean_log,std_error,ess,acceptance\n"

@@ -1,27 +1,40 @@
 """Finite-n determinants from the definition, by spectral quadrature.
 
 The moment matrix M_{jk} = int zeta^j conj(zeta)^k e^g |dzeta| is never
-formed on the real-symbol path.  Instead the weighted node-by-monomial
-array A[i, j] = sqrt(w_i e^{g_i}) zeta_i^j is factored orthogonally and
+formed.  The weight splits into its positive part w e^{Re g} and the
+phase e^{i Im g}.  The positive node-by-monomial array
+A[i, j] = sqrt(w_i e^{Re g_i}) zeta_i^j is factored orthogonally,
+A = Q^t R with Q row-major, and
 
-    log det M = 2 sum_j log R_jj,
+    log det M = 2 sum_j log R_jj + log det C,    C = Q diag(e^{i Im g}) Q^H.
 
-where R is the triangular factor.  The factorization runs as a Gram-
-Schmidt recurrence in the Krylov style (multiply the latest orthonormal
-column pointwise by zeta, orthogonalize twice, normalize), which produces
-exactly the triangular diagonal of A = Q R without ever propagating the
-exponentially ill-conditioned monomial coefficients.  The norm h_k
-removed at step k is R_kk / R_{k-1,k-1}, and step k does not depend on
-the final degree, so one pass to n gives the prefix vector
+The factorization runs as a Gram-Schmidt recurrence in the Krylov style
+(multiply the latest orthonormal column pointwise by zeta, orthogonalize
+twice, normalize), which produces exactly the triangular diagonal of R
+without ever propagating the exponentially ill-conditioned monomial
+coefficients.  The norm h_k removed at step k is R_kk / R_{k-1,k-1}, and
+step k does not depend on the final degree, so one pass to n gives the
+prefix vector
 
-    log D_j = 2 sum_{i<j} log R_ii = 2 sum_{i<j} sum_{k<=i} log h_k,
-    j = 1..n,
+    2 sum_{i<j} log R_ii = 2 sum_{i<j} sum_{k<=i} log h_k,    j = 1..n,
 
 that is every determinant of a range at the cost of its largest one
 (Brubeck, Nakatsukasa & Trefethen, "Vandermonde with Arnoldi", SIAM
-Rev. 63, 2021).  Complex symbols lose the positive structure and fall
-back to a pivoted LU of each leading block of the explicit Gram matrix,
-with a condition estimate attached.
+Rev. 63, 2021).
+
+For a real symbol C = I and the phase term is skipped.  Otherwise C is
+an n-by-n compression of a unitary diagonal, so ||C|| <= 1 however badly
+the monomials are conditioned, and the leading j-block of M only sees
+the leading j-block of C.  Gaussian elimination without pivoting gives
+log det C_j for every j as a running sum of pivot logs, again one pass
+for the whole range.  When max |Im g| < pi/2 the Hermitian part of C is
+positive definite, so every pivot has positive real part, elimination
+without pivoting is stable, and the sum of principal pivot logs is the
+branch of log D_n that is continuous along t -> t Im g from the real
+symbol at t = 0; the asymptotic prediction takes the same branch.  Past
+pi/2 the same formula runs unchanged without that guarantee: a zero
+pivot raises ZeroDeterminant, and grid refinement still gates
+convergence.
 
 ``log_det_range`` refines the grid until the whole requested range
 agrees between two consecutive node counts, so every row of a range
@@ -37,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     GridTooCoarse,
@@ -51,7 +63,6 @@ from .symbol import FourierSymbol, theta_values, zero_symbol
 LOG_2PI = float(np.log(2.0 * np.pi))
 N_CAP = 1 << 20
 REFINE_TOL = 1e-8
-COND_FLAG = 1e12
 _REAL_TOL = 1e-13
 
 
@@ -60,7 +71,7 @@ class DirectResult:
     n: int
     N_nodes: int
     log_Dn: complex
-    method: str  # "qr_positive" or "lu_general"
+    method: str  # "qr_positive" (real symbol) or "qr_phase" (complex symbol)
     cond_estimate: float
     converged: bool
 
@@ -103,7 +114,7 @@ def _nodes_and_gvals(mp: ExteriorMap, sym: FourierSymbol, N: int):
 
 
 def _qr_prefix(z: np.ndarray, s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """log D_j for j = 1..n from one Gram-Schmidt pass, and the basis Q.
+    """log D_j of the weight s**2, j = 1..n, from one Gram-Schmidt pass, and Q.
 
     Row j of Q (shape (n, N)) is s*p_j(zeta) for the orthonormal
     polynomial p_j of degree j.  The norm h_j removed at step j is
@@ -165,34 +176,25 @@ def _logdet_qr(z: np.ndarray, u: np.ndarray, n: int) -> tuple[float, float]:
     return float(logdets[-1]), float(_qr_conds(z, s, Q, n)[0])
 
 
-def _gram(z: np.ndarray, w: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    """Explicit moment matrix M_jk = sum_i w_i e^{g_i} z_i^j conj(z_i)^k."""
-    N = len(z)
-    V = np.empty((N, n), dtype=complex)
-    V[:, 0] = 1.0
-    for j in range(1, n):
-        V[:, j] = V[:, j - 1] * z
-    Vu = V * (w * np.exp(g))[:, None]
-    np.conj(V, out=V)
-    return Vu.T @ V
+def _phase_prefix(Q: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """log det C_j for j = 1..n, where C = Q diag(phase) Q^H.
 
-
-def _lu_logdet(M: np.ndarray) -> complex:
-    lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    diag = np.diag(lu)
-    if np.any(diag == 0):
-        raise ZeroDeterminant("determinant vanished in the pivoted factorization")
-    swaps = int(np.sum(piv != np.arange(len(M))))
-    val = complex(np.sum(np.log(diag.astype(complex))))
-    if swaps % 2:
-        val += 1j * np.pi
-    return val
-
-
-def _logdet_lu(z: np.ndarray, w: np.ndarray, g: np.ndarray, n: int) -> tuple[complex, float]:
-    """Pivoted LU of the explicit Gram matrix, for complex symbols."""
-    M = _gram(z, w, g, n)
-    return _lu_logdet(M), float(np.linalg.cond(M))
+    Gaussian elimination without pivoting makes pivot k the ratio
+    det C_{k+1} / det C_k, so the running sum of the principal pivot logs
+    is every leading log det at once.  The module docstring gives the
+    condition |arg phase| < pi/2 under which this is stable and follows
+    the continuous branch.
+    """
+    C = (Q * phase) @ Q.conj().T
+    n = len(C)
+    piv = np.empty(n, dtype=complex)
+    for k in range(n):
+        p = C[k, k]
+        if not abs(p) > 0:
+            raise ZeroDeterminant("a leading minor of the phase factor vanished")
+        piv[k] = p
+        C[k + 1 :, k + 1 :] -= np.outer(C[k + 1 :, k] / p, C[k, k + 1 :])
+    return np.cumsum(np.log(piv))
 
 
 def _range_at(mp: ExteriorMap, sym: FourierSymbol, n_lo: int, n_hi: int, N: int):
@@ -202,23 +204,15 @@ def _range_at(mp: ExteriorMap, sym: FourierSymbol, n_lo: int, n_hi: int, N: int)
     estimates, so the caller pays for them on the accepted grid only.
     """
     pts, w, g = _nodes_and_gvals(mp, sym, N)
+    s = np.sqrt(w * np.exp(g.real))
+    logdets, Q = _qr_prefix(pts, s, n_hi)
+    vals, method = logdets.astype(complex), "qr_positive"
     gscale = float(np.max(np.abs(g))) if len(g) else 0.0
-    if float(np.max(np.abs(g.imag))) <= _REAL_TOL * max(1.0, gscale):
-        s = np.sqrt(w * np.exp(g.real))
-        logdets, Q = _qr_prefix(pts, s, n_hi)
-        conds = lambda: _qr_conds(pts, s, Q, n_lo)
-        return logdets[n_lo - 1 :].astype(complex), "qr_positive", conds
-    M = _gram(pts, w, g, n_hi)
-    ns = range(n_lo, n_hi + 1)
-    vals = np.array([_lu_logdet(M[:n, :n]) for n in ns])
-    conds = lambda: np.array([np.linalg.cond(M[:n, :n]) for n in ns])
-    return vals, "lu_general", conds
-
-
-def _logdet_at(mp: ExteriorMap, sym: FourierSymbol, n: int, N: int):
-    """(value, cond, method) of one n on one grid."""
-    vals, method, conds = _range_at(mp, sym, n, n, N)
-    return complex(vals[0]), float(conds()[0]), method
+    if float(np.max(np.abs(g.imag))) > _REAL_TOL * max(1.0, gscale):
+        vals += _phase_prefix(Q, np.exp(1j * g.imag))
+        method = "qr_phase"
+    conds = lambda: _qr_conds(pts, s, Q, n_lo)
+    return vals[n_lo - 1 :], method, conds
 
 
 def _start_N(n: int) -> int:
@@ -235,8 +229,8 @@ def log_det_range(
     until two consecutive grids agree to 1e-8 on every n of the range
     (error NotConverged past 2**20 nodes).  An explicit N (at least
     4 n_hi) is honored as stated and each row's N vs 2N agreement only
-    sets its ``converged`` flag.  On the complex-symbol path a condition
-    estimate above 1e12 also clears the flag.
+    sets its ``converged`` flag.  ``cond_estimate`` is the condition
+    number of the monomial Gram matrix of the positive weight w e^{Re g}.
     """
     if n_lo < 1:
         raise ValueError("n must be >= 1")
@@ -268,10 +262,9 @@ def log_det_range(
                 raise NotConverged(f"no convergence up to N = {N_CAP}")
         conds = conds()
         agree = np.ones(len(ns), dtype=bool)
-    flagged = (method == "lu_general") & (conds > COND_FLAG)
     return [
-        DirectResult(int(n), size, complex(v + c), method, float(k), bool(a and not f))
-        for n, v, c, k, a, f in zip(ns, vals, cap_terms, conds, agree, flagged)
+        DirectResult(int(n), size, complex(v + c), method, float(k), bool(a))
+        for n, v, c, k, a in zip(ns, vals, cap_terms, conds, agree)
     ]
 
 

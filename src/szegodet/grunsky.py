@@ -64,7 +64,6 @@ class GrunskyTable:
 
     m: int
     a: np.ndarray
-    source_map_id: str
     asym_defect: float = 0.0
 
     def __post_init__(self):
@@ -185,7 +184,7 @@ def grunsky_coefficients(mp: ExteriorMap, size: int, work_order: int | None = No
         nxt[size - n - 1] = 1.0
         a[n] = nxt[size + 1:2 * size + 1] / (n + 1)
     sym, defect = _symmetrize(a)
-    return GrunskyTable(size, sym, mp.label(), defect)
+    return GrunskyTable(size, sym, defect)
 
 
 def grunsky_coefficients_sampled(
@@ -237,7 +236,7 @@ def grunsky_coefficients_sampled(
     k = np.arange(1, size + 1)
     a = -C[np.ix_((-k) % grid, (-k) % grid)] * radius ** (k[:, None] + k[None, :]).astype(float)
     sym, defect = _symmetrize(a)
-    return GrunskyTable(size, sym, mp.label(), defect)
+    return GrunskyTable(size, sym, defect)
 
 
 def operators(table: GrunskyTable) -> OperatorPair:
@@ -324,7 +323,7 @@ def delta_m_tail(B: np.ndarray) -> float:
     return float(np.sqrt(np.sum(kl[edge] * np.abs(B[edge]) ** 2)))
 
 
-def spectral_report(pair: OperatorPair, mp: ExteriorMap | None = None) -> SpectralReport:
+def spectral_report(pair: OperatorPair) -> SpectralReport:
     """Determinant, energy and truncation diagnostics for one table.
 
     The singular values of B come from one complex SVD (values only) and
@@ -332,8 +331,7 @@ def spectral_report(pair: OperatorPair, mp: ExteriorMap | None = None) -> Spectr
     from the symmetric eigenvalues of K.  The two are independent LAPACK
     routines, so their agreement exercises the determinant identity
     det(I+K) = prod(1 - lam_j**2).  No Takagi vectors are needed (see
-    ``takagi`` for the full factorization).  The map argument is accepted
-    only as provenance and is unused.
+    ``takagi`` for the full factorization).
     """
     lam = np.linalg.svd(pair.B, compute_uv=False)
     kappa = float(lam[0]) if len(lam) else 0.0
@@ -360,7 +358,7 @@ def dilated_table(table: GrunskyTable, r: float) -> GrunskyTable:
         raise DilationNotGreaterThanOne(f"r must be > 1, got {r}")
     k = np.arange(1, table.m + 1, dtype=float)
     scale = r ** (-(k[:, None] + k[None, :]))
-    return GrunskyTable(table.m, table.a * scale, table.source_map_id, 0.0)
+    return GrunskyTable(table.m, table.a * scale)
 
 
 def suggest_truncation(mp: ExteriorMap, tol: float = M_AUTO_TOL, cap: int = M_AUTO_CAP) -> int:

@@ -98,11 +98,6 @@ class ExteriorMap:
     def trunc_order(self) -> int:
         return len(self.tail)
 
-    def label(self) -> str:
-        """Short opaque identifier used as table provenance."""
-        h = hash((round(self.cap, 15), complex(self.phi0), self.tail.tobytes()))
-        return f"map:{h & 0xFFFFFFFF:08x}"
-
 
 def _phi_norm(mp: ExteriorMap, z, deriv_order: int = 0):
     """phi or a derivative at z, without the cap factor.  Vectorized in z."""

@@ -176,6 +176,22 @@ class TestDirectAndConvergence:
                 a, b = float(one[col]), float(rows[n][col])
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(float(one[2])))
 
+    def test_complex_symbol_sweep(self, capsys, curve_file, tmp_path):
+        # the wobbly curve with g = cos t + 0.3 cos 2t + 0.1i cos 3t
+        path = curve_file("wobbly.json", cap=1.3, phi0=(0.2, 0.1),
+                          tail=((0.3, 0.0), (0.0, 0.1), (-0.05, 0.0), (0.02, 0.02)))
+        sym = tmp_path / "complex.json"
+        sym.write_text(json.dumps(
+            {"a0": [0.0, 0.0], "a": [[1.0, 0.0], [0.3, 0.0], [0.0, 0.1]], "b": []}
+        ))
+        code, out, err = run(capsys, "convergence", "--curve", path,
+                             "--symbol", str(sym), "--n", "18..21")
+        assert code == 0, err
+        rows = [r.split(",") for r in out.strip().split("\n")[1:]]
+        assert [int(r[0]) for r in rows] == [18, 19, 20, 21]
+        assert float(rows[-1][5]) <= 1e-6
+        assert rows[-1][6] == "1"
+
     def test_threads_env(self, capsys, curve_file, monkeypatch):
         path = curve_file("q.json")
         monkeypatch.setenv("SZEGO_THREADS", "2")
@@ -288,6 +304,18 @@ class TestExitCodes:
     def test_bad_m_and_N(self, capsys, curve_file, argv):
         path = curve_file("q.json")
         code, _, err = run(capsys, *argv[:1], "--curve", path, *argv[1:])
+        assert code == 2
+        assert "failure" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--steps", "100", "--burn-in", "200"],
+        ["--width", "5"],
+        ["--beta", "0"],
+    ])
+    def test_bad_chain_flags(self, capsys, curve_file, flags):
+        path = curve_file("q.json")
+        code, _, err = run(capsys, "beta-mc", "--curve", path, "--n", "3",
+                           "--m", "8", *flags)
         assert code == 2
         assert "failure" not in err
 

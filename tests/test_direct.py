@@ -54,25 +54,34 @@ class TestLogDetDn:
     def test_complex_symbol_path(self, qcurve):
         sym = symbol_from_coefficients(0.0, [0.5j])
         res = log_det_Dn(qcurve, sym, 3)
-        assert res.method == "lu_general"
+        assert res.method == "qr_phase"
         assert res.converged
         # conjugating the symbol conjugates the determinant
         res_c = log_det_Dn(qcurve, symbol_from_coefficients(0.0, [-0.5j]), 3)
         assert res_c.log_Dn.real == pytest.approx(res.log_Dn.real, abs=1e-9)
         assert res_c.log_Dn.imag == pytest.approx(-res.log_Dn.imag, abs=1e-9)
 
-    def test_real_complex_paths_agree(self, qcurve):
-        # a real symbol forced down the LU path must match the QR path
-        from szegodet.direct import _logdet_at, _nodes_and_gvals, _logdet_lu
+    def test_real_complex_paths_agree(self, qcurve, monkeypatch):
+        import szegodet.direct as direct_mod
+        from szegodet.direct import _nodes_and_gvals, _phase_prefix, _qr_prefix
         from szegodet.series import _unchecked_map
 
+        # a unit phase compresses to the identity: log det C_j = 0 for all j
         sym = symbol_from_coefficients(0.0, [0.3], [0.1])
         capless = _unchecked_map(1.0, qcurve.phi0, qcurve.tail)
         pts, w, g = _nodes_and_gvals(capless, sym, 512)
-        qr_val, _, _ = _logdet_at(capless, sym, 4, 512)
-        lu_val, _ = _logdet_lu(pts, w, g, 4)
-        assert lu_val.real == pytest.approx(qr_val.real, abs=1e-9)
-        assert abs(lu_val.imag) <= 1e-9
+        _, Q = _qr_prefix(pts, np.sqrt(w * np.exp(g.real)), 24)
+        assert np.max(np.abs(_phase_prefix(Q, np.ones(512)))) <= 1e-14
+        # Im g = 1e-20 forced down the phase path matches the real result;
+        # a constant phase e^{i eps} multiplies D_n by e^{i n eps}
+        tiny = symbol_from_coefficients(2e-20j, [0.3], [0.1])
+        real = log_det_Dn(qcurve, sym, 12)
+        monkeypatch.setattr(direct_mod, "_REAL_TOL", 0.0)
+        res = log_det_Dn(qcurve, tiny, 12)
+        assert res.method == "qr_phase" and real.method == "qr_positive"
+        assert res.N_nodes == real.N_nodes
+        assert abs(res.log_Dn.real - real.log_Dn.real) <= 1e-12 * abs(real.log_Dn.real)
+        assert abs(res.log_Dn.imag) <= 1e-14
 
     def test_not_converged_at_node_cap(self, qcurve, monkeypatch):
         import szegodet.direct as direct_mod
@@ -86,17 +95,17 @@ class TestLogDetDn:
             direct_mod.log_det_Dn(qcurve, rough, 4)
 
     def test_zero_determinant_guard(self):
-        import warnings
-
-        from szegodet.direct import _logdet_lu
+        from szegodet.direct import _phase_prefix, _qr_prefix
         from szegodet.errors import ZeroDeterminant
 
         z = np.array([1.0 + 0j, 1.0 + 0j, 2.0 + 0j])
-        w = np.array([1.0, -1.0, 0.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ZeroDeterminant):
-                _logdet_lu(z, w, np.zeros(3, dtype=complex), 2)
+        with pytest.raises(ZeroDeterminant):
+            _qr_prefix(z, np.zeros(3), 2)
+        # the phase sums to zero against the first row, so C_11 = 0 exactly
+        # although C itself is the (nonsingular) exchange matrix
+        Q = np.array([[1, 1, 1, 1], [1, -1, 1, -1]], dtype=complex) / 2
+        with pytest.raises(ZeroDeterminant):
+            _phase_prefix(Q, np.array([1, -1, 1, -1], dtype=complex))
 
     def test_triangular_diagonal_positive(self, wobbly, zero_sym):
         # positive weights force a positive triangular diagonal; the value
@@ -106,30 +115,61 @@ class TestLogDetDn:
         assert res.log_Dn.imag == 0.0
 
 
+def _mp_logdet(mpm, q, N, n, g):
+    """log det of the explicit moment matrix on the z + q/z curve in mpmath."""
+    pts, wts = [], []
+    for j in range(N):
+        th = 2 * mpm.pi * j / N
+        z = mpm.e ** (1j * th)
+        pts.append(z + q / z)
+        wts.append(abs(1 - q / z**2) * 2 * mpm.pi / N * mpm.e ** g(th))
+    M = mpm.zeros(n, n)
+    for j in range(n):
+        for k in range(n):
+            M[j, k] = mpm.fsum(
+                (p**j) * (mpm.conj(p) ** k) * w for p, w in zip(pts, wts)
+            )
+    return mpm.log(mpm.det(M))
+
+
 class TestHighPrecisionOracle:
     def test_mpmath_determinant_midrange_n(self, qcurve):
         # independent 35-digit LU determinant of the explicit moment matrix
         # at an n between the brute-force range and the asymptotic regime
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 35
-        q = mp.mpf(1) / 2
+        mpm = pytest.importorskip("mpmath")
+        mpm.mp.dps = 35
         N, n = 128, 5
-        pts, wts = [], []
-        for j in range(N):
-            th = 2 * mp.pi * j / N
-            z = mp.e ** (1j * th)
-            pts.append(z + q / z)
-            wts.append(abs(1 - q / z**2) * 2 * mp.pi / N * mp.e ** (mp.cos(th)))
-        M = mp.zeros(n, n)
-        for j in range(n):
-            for k in range(n):
-                M[j, k] = mp.fsum(
-                    (p**j) * (mp.conj(p) ** k) * w for p, w in zip(pts, wts)
-                )
-        ref = float(mp.log(mp.re(mp.det(M))))
+        ref = float(mpm.re(_mp_logdet(mpm, mpm.mpf(1) / 2, N, n, mpm.cos)))
         sym = symbol_from_coefficients(0.0, [1.0])
         got = log_det_Dn(qcurve, sym, n, N=N).log_Dn.real
         assert got == pytest.approx(ref, abs=1e-12)
+
+    def test_mpmath_determinant_complex_symbol(self, qcurve):
+        # g = cos t + 0.3 cos 2t + 0.1i cos 3t: the phase-compressed path
+        # against the same 35-digit moment-matrix determinant
+        mpm = pytest.importorskip("mpmath")
+        mpm.mp.dps = 35
+        N, n = 128, 5
+
+        def g(th):
+            return mpm.cos(th) + mpm.mpf("0.3") * mpm.cos(2 * th) + 0.1j * mpm.cos(3 * th)
+
+        ref = complex(_mp_logdet(mpm, mpm.mpf(1) / 2, N, n, g))
+        sym = symbol_from_coefficients(0.0, [1.0, 0.3, 0.1j])
+        res = log_det_Dn(qcurve, sym, n, N=N)
+        assert res.method == "qr_phase"
+        assert abs(res.log_Dn - ref) <= 1e-12
+
+    @pytest.mark.parametrize("a0", [0.0, 1.0j])
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_branch_follows_prediction(self, qcurve, n, a0):
+        # Im log D_n must match the prediction itself, not only mod 2 pi:
+        # the pivot logs give the branch continuous along t -> t Im g.
+        # With a0 = i, Im log D_n is about n/2, past pi for both n.
+        sym = symbol_from_coefficients(a0, [0.3 + 0.2j], [0.1j])
+        d = log_det_Dn(qcurve, sym, n).log_Dn
+        p = predict_log_Dn(qcurve, sym, n).total_log
+        assert abs(d.imag - p.imag) < 1e-3
 
 
 class TestInvariance:

@@ -189,7 +189,7 @@ class TestOperators:
 
         q = 0.4
         k = np.arange(1, 6)
-        tab = GrunskyTable(5, np.diag(1j * q**k / k), "test")
+        tab = GrunskyTable(5, np.diag(1j * q**k / k))
         pair = operators(tab)
         assert np.max(np.abs(pair.B.real)) == 0.0
         assert np.allclose(np.diag(pair.B.imag), q**k)
@@ -277,7 +277,7 @@ class TestSpectralReport:
     def test_singular_value_at_one(self):
         from szegodet.grunsky import GrunskyTable
 
-        tab = GrunskyTable(2, np.diag([1.0, 0.25]).astype(complex), "test")
+        tab = GrunskyTable(2, np.diag([1.0, 0.25]).astype(complex))
         with pytest.raises(SingularValueAtOne):
             spectral_report(operators(tab))
 
@@ -365,6 +365,6 @@ def test_table_csv_special_values():
     from szegodet.grunsky import GrunskyTable
 
     a = np.array([[-0.0, 1e-300 - 2.5j], [1e-300 - 2.5j, 0.1 + 1j / 3]])
-    table = GrunskyTable(2, a, "test")
+    table = GrunskyTable(2, a)
     assert table_to_csv(table) == table_to_csv_reference(table)
     assert table_to_csv(table).split("\n")[1] == "1,1,-0,0"

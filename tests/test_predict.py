@@ -50,7 +50,7 @@ class TestQuadraticForm:
     def test_not_positive_definite(self):
         from szegodet.grunsky import GrunskyTable
 
-        pair = operators(GrunskyTable(2, np.diag([1.2, 0.1]).astype(complex), "t"))
+        pair = operators(GrunskyTable(2, np.diag([1.2, 0.1]).astype(complex)))
         v = g_vector(symbol_from_coefficients(0.0, [1.0], pad_to=2), 2)
         with pytest.raises(NotPositiveDefinite):
             quadratic_form(pair, v)
