@@ -27,6 +27,7 @@ eigenproblem, is a standalone routine that no report path calls.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,12 +316,12 @@ def delta_m_tail(B: np.ndarray) -> float:
     msize = len(B)
     if not msize:
         return 0.0
+    # the last column above the corner, then the last row: row-major order
+    # over the edge, so the sum is the same as over the masked matrix
     k = np.arange(1, msize + 1, dtype=float)
-    kl = np.outer(k, k) ** (2.0 + _DELTA_EPS)
-    edge = np.zeros((msize, msize), dtype=bool)
-    edge[-1, :] = True
-    edge[:, -1] = True
-    return float(np.sqrt(np.sum(kl[edge] * np.abs(B[edge]) ** 2)))
+    kl = np.concatenate([k[:-1] * k[-1], k[-1] * k]) ** (2.0 + _DELTA_EPS)
+    edge = np.concatenate([B[:-1, -1], B[-1]])
+    return float(np.sqrt(np.sum(kl * np.abs(edge) ** 2)))
 
 
 def spectral_report(pair: OperatorPair) -> SpectralReport:
@@ -374,11 +375,196 @@ def suggest_truncation(mp: ExteriorMap, tol: float = M_AUTO_TOL, cap: int = M_AU
     return cap
 
 
+# --- table dump: '%.17g' for whole blocks of numbers -------------------------
+#
+# A number is laid out as six 8-byte words, NUL where a byte is unused:
+#   word 0     sign, then '0', '.', '0', '0', '0' of the 0.000ddd form,
+#              then the lead digit and the slot of a point after it
+#   words 1-4  the other 16 digits, each followed by the slot of a point
+#   word 5     'e', the exponent's sign and three digits; the last byte
+#              is left to the caller (the separator)
+# Words come from byte strings and are combined by & and | only, so the
+# layout does not depend on the machine's byte order.
+
+_CSV_BLOCK = 4096  # table entries per pass; temporaries stay O(block)
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280  # magnitudes printed without '%.17g'
+_TIE_WIDTH = 1e-6  # scaled values this close to a half-integer go to '%.17g'
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+_X_LO, _X_HI = -282, 282  # decimal exponents the tables cover
+_DIGITS = np.arange(1, 17)  # index of each digit of words 1-4
+_FIRST = _DIGITS[::4]  # index of the first digit of each of words 1-4
+
+
+def _words(rows) -> np.ndarray:
+    """uint64 words holding the given 8-byte strings."""
+    return np.frombuffer(b"".join(rows), dtype=np.uint64)
+
+
+@functools.cache
+def _dump_tables() -> dict[str, np.ndarray]:
+    """Lookup tables of the dump, built on first use (a few ms)."""
+    # hi + lo = 10**(16 - X) to about 2**-106 relative; int true division
+    # is correctly rounded, so hi is the nearest double and lo the nearest
+    # double to the remainder
+    hi, lo = [], []
+    for X in range(_X_LO, _X_HI + 1):
+        num, den = (10 ** (16 - X), 1) if X <= 16 else (1, 10 ** (X - 16))
+        h = num / den
+        n, d = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * d - n * den) / (den * d))
+    hi = np.array(hi)
+    c = hi * _SPLIT
+    big = c - (c - hi)  # Veltkamp split of hi
+
+    # digit slots as (digit, point) byte pairs, as in words 1-4
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    pairs = np.zeros((10000, 4, 2), dtype=np.uint8)
+    pairs[..., 0] = digits + 48
+    last = np.full(10000, -16)
+    for j in range(4):
+        last[digits[:, j] != 0] = j
+    mark = np.arange(17)[:, None]
+    keep = np.zeros((17, 16, 2), dtype=np.uint8)
+    keep[..., 0] = 255 * (_DIGITS <= mark)
+    point = np.zeros((17, 16, 2), dtype=np.uint8)
+    point[..., 1] = 46 * (_DIGITS == mark)
+
+    def exponent(X):
+        if -4 <= X <= 16:
+            return bytes(8)
+        return b"e" + (b"-" if X < 0 else b"+") + (b"%02d" % abs(X)).rjust(3, b"\0") + bytes(3)
+
+    exps = range(_X_LO, _X_HI + 1)
+    return {
+        "scale": np.array([hi, lo, big, hi - big]),
+        # a group of four digits, each followed by an empty point slot
+        "pairs": pairs.reshape(10000, 8).view(np.uint64).ravel(),
+        # offset of the last nonzero digit in a group, -16 for 0000
+        "last": last,
+        # words 1-4 (rows) keeping digits 1..mark (column)
+        "keep": keep.reshape(17, 32).view(np.uint64).T.copy(),
+        # words 1-4 (rows) with a point after digit mark (column; 0 has none)
+        "point": point.reshape(17, 32).view(np.uint64).T.copy(),
+        # word 0 at index (lead * 2 + dot) * 2 + sign ...
+        "head": _words((b"-" if sign else b"\0") + bytes(5) + b"%d" % lead
+                       + (b"." if dot else b"\0")
+                       for lead in range(10) for dot in (0, 1) for sign in (0, 1)),
+        # ... or-ed with the 0.000 prefix of exponent X
+        "small": _words((b"\0" + b"0." + b"0" * (-1 - X)).ljust(8, b"\0") if -4 <= X < 0
+                        else bytes(8) for X in exps),
+        # word 5 of exponent X
+        "exponent": _words(exponent(X) for X in exps),
+    }
+
+
+def _scaled(ax: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Double-double yh + yl = ax * 10**(16 - X), to about 1e-14 absolute.
+
+    Dekker's two-product gives ax * hi exactly (NumPy has no fused
+    multiply-add); ax * lo adds the rest of the power.
+    """
+    hi, lo, hb, hs = np.take(_dump_tables()["scale"], X - _X_LO, axis=1)
+    p = ax * hi
+    c = ax * _SPLIT
+    ab = c - (c - ax)
+    asm = ax - ab
+    t = ((ab * hb - p) + ab * hs + asm * hb) + asm * hs + ax * lo
+    yh = p + t
+    return yh, t - (yh - p)
+
+
+def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
+    """Write '%.17g' % v of each v in x as the words out[..., 0:6].
+
+    With X the decimal exponent and D the 17-digit integer of |v| rounded
+    to 17 significant digits, D is found exactly on a double-double.
+    Non-finite values, magnitudes outside [_FAST_MIN, _FAST_MAX] and
+    near-ties at the 18th digit are formatted by '%.17g' itself.
+    """
+    tab = _dump_tables()
+    ax = np.abs(x)
+    zero = ax == 0.0
+    fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)
+    ax = np.where(fast, ax, 1.0)  # zeros print as the digits of 1.0, relabelled below
+    X = np.floor(np.log10(ax)).astype(np.intp)
+    yh, yl = _scaled(ax, X)
+    # the exponent is decided on the unrounded value: the double nearest
+    # 1e-28 must print as 9.9999999999999997e-29, not as 1e-28
+    low = (yh < 1e16) | ((yh == 1e16) & (yl < 0))
+    high = (yh > 1e17) | ((yh == 1e17) & (yl >= 0))
+    redo = np.nonzero(low | high)
+    if redo[0].size:
+        X[redo] += np.where(high[redo], 1, -1)
+        yh[redo], yl[redo] = _scaled(ax[redo], X[redo])
+    r = np.rint(yl)  # yh >= 2**53 is an integer
+    tie = 0.5 - np.abs(yl - r) < _TIE_WIDTH
+    D = (yh.astype(np.int64) + r.astype(np.int64)).view(np.uint64)
+    top = D == 10**17
+    D[top] = 10**16
+    X += top
+
+    # digit groups as uint64 (division by a constant is fast), read as intp
+    hi9 = D // np.uint64(10**8)
+    lo8 = D - hi9 * np.uint64(10**8)
+    lead = hi9 // np.uint64(10**8)
+    hi8 = hi9 - lead * np.uint64(10**8)
+    groups = np.empty((4,) + x.shape, dtype=np.uint64)
+    groups[0] = hi8 // np.uint64(10**4)
+    groups[1] = hi8 - groups[0] * np.uint64(10**4)
+    groups[2] = lo8 // np.uint64(10**4)
+    groups[3] = lo8 - groups[2] * np.uint64(10**4)
+    groups = groups.view(np.intp)
+    lead = np.where(zero, 0, lead.view(np.intp))
+    first = _FIRST.reshape((4,) + (1,) * x.ndim)
+    last_nz = np.maximum((np.take(tab["last"], groups) + first).max(axis=0), 0)
+
+    point_at = np.where((X > 0) & (X <= 16), X, 0)  # index of the digit before the point
+    point = ((X < -4) | (X >= 0)) & (last_nz > point_at)  # 0.000ddd has it in the prefix
+    last = np.maximum(last_nz, point_at)
+    out[..., 0] = np.take(tab["head"], (lead * 2 + (point & (point_at == 0))) * 2 + np.signbit(x))
+    out[..., 0] |= np.take(tab["small"], X - _X_LO)
+    words = np.take(tab["pairs"], groups)
+    words &= np.take(tab["keep"], last, axis=1)
+    words |= np.take(tab["point"], np.where(point, point_at, 0), axis=1)
+    out[..., 1:5] = np.moveaxis(words, 0, -1)
+    out[..., 5] = np.take(tab["exponent"], X - _X_LO)
+
+    text = out.view(np.uint8)
+    for i in zip(*np.nonzero(~(fast | zero) | tie)):
+        s = ("%.17g" % x[i]).encode("ascii")
+        out[i] = 0
+        text[i][:len(s)] = np.frombuffer(s, dtype=np.uint8)
+
+
 def table_to_csv(table: GrunskyTable) -> str:
-    """Row-major CSV dump with header k,l,re_a,im_a at 17 significant digits."""
-    idx = np.arange(1, table.m + 1)
-    k = np.repeat(idx, table.m).tolist()
-    el = np.tile(idx, table.m).tolist()
-    a = table.a.ravel()
-    rows = zip(k, el, a.real.tolist(), a.imag.tolist())
-    return "k,l,re_a,im_a\n" + "".join(map("%d,%d,%.17g,%.17g\n".__mod__, rows))
+    """Row-major CSV dump with header k,l,re_a,im_a at 17 significant digits.
+
+    Every row is byte-identical to ``"%d,%d,%.17g,%.17g\\n" % (k, l, re, im)``.
+    The digits of a value come from an exact double-double scaling by a
+    power of ten, done on blocks of the table at a time.  The values that
+    path does not decide are formatted by ``'%.17g'`` itself: NaN and
+    infinities, magnitudes outside [1e-280, 1e280], and values within
+    1e-6 of a tie at the 18th significant digit.
+    """
+    m = table.m
+    width = len(str(m))
+    size = 8 * ((2 * width + 9) // 8)  # bytes of "k,l," in whole words
+    k_words = _words((b"%d," % i).ljust(size, b"\0") for i in range(1, m + 1)).reshape(m, -1)
+    l_words = _words((bytes(width + 1) + b"%d," % i).ljust(size, b"\0")
+                     for i in range(1, m + 1)).reshape(m, -1)
+    flat = table.a.reshape(-1)
+    parts = ["k,l,re_a,im_a\n"]
+    for start in range(0, m * m, _CSV_BLOCK):
+        stop = min(start + _CSV_BLOCK, m * m)
+        idx = np.arange(start, stop)
+        buf = np.empty((stop - start, size // 8 + 12), dtype=np.uint64)
+        buf[:, :size // 8] = np.take(k_words, idx // m, axis=0) | np.take(l_words, idx % m, axis=0)
+        _write_g17(flat[start:stop].view(np.float64).reshape(-1, 2),
+                   buf[:, size // 8:].reshape(-1, 2, 6))
+        text = buf.view(np.uint8)
+        text[:, size + 47] = ord(",")
+        text[:, -1] = ord("\n")
+        text = text.ravel()
+        parts.append(np.compress(text != 0, text).tobytes().decode("ascii"))
+    return "".join(parts)

@@ -119,6 +119,19 @@ class TestGrunsky:
         direct = spectral_report(operators(grunsky_coefficients(load_curve(path), 8)))
         assert parsed == direct
 
+    def test_table_bytes_m256(self, capsys, curve_file, tmp_path):
+        from szegodet import grunsky_coefficients
+        from szegodet.cli import load_curve
+
+        from test_grunsky import table_to_csv_reference
+
+        path = curve_file("wobbly.json", cap=1.3, phi0=(0.2, 0.1),
+                          tail=((0.3, 0.0), (0.0, 0.1), (-0.05, 0.0), (0.02, 0.02)))
+        code, out, err = run(capsys, "grunsky", "--curve", path, "--m", "256",
+                             "--report-out", str(tmp_path / "rep.json"))
+        assert code == 0, err
+        assert out == table_to_csv_reference(grunsky_coefficients(load_curve(path), 256))
+
     def test_curve_where_takagi_pairing_fails(self, capsys, curve_file, tmp_path):
         cap, phi0, tail = PAIRING_CURVE
         path = curve_file("pairing.json", cap=cap, phi0=(phi0.real, phi0.imag),

@@ -304,6 +304,21 @@ class TestSpectralReport:
         assert rep.kappa_hat == pytest.approx(np.linalg.eigvalsh(pair.K)[-1], abs=1e-12)
         assert abs(rep.log_det_IplusK - rep.log_det_IminusBstarB) <= 1e-12
 
+    @pytest.mark.parametrize("curve", ["wobbly", "slow"])
+    def test_delta_m_tail_matches_edge_mask(self, request, curve):
+        from szegodet.grunsky import _DELTA_EPS, delta_m_tail
+
+        B = operators(grunsky_coefficients(request.getfixturevalue(curve), 256)).B
+        # the masked m x m formula the edge gather replaces
+        k = np.arange(1, 257, dtype=float)
+        kl = np.outer(k, k) ** (2.0 + _DELTA_EPS)
+        edge = np.zeros((256, 256), dtype=bool)
+        edge[-1, :] = True
+        edge[:, -1] = True
+        assert delta_m_tail(B) == float(np.sqrt(np.sum(kl[edge] * np.abs(B[edge]) ** 2)))
+        assert delta_m_tail(B[:1, :1]) == float(np.abs(B[0, 0]))
+        assert delta_m_tail(B[:0, :0]) == 0.0
+
     def test_energy_monotone_in_m(self, qcurve):
         energies = [
             spectral_report(operators(grunsky_coefficients(qcurve, m))).szego_energy
@@ -355,9 +370,15 @@ def test_table_csv_format(qcurve):
     assert lines[1].startswith("1,1,0.5,")
 
 
-@pytest.mark.parametrize("curve", ["qcurve", "wobbly", "slow"])
-def test_table_csv_matches_reference(request, curve):
-    table = grunsky_coefficients(request.getfixturevalue(curve), 64)
+@pytest.mark.parametrize("curve, m", [
+    pytest.param("qcurve", 64, id="qcurve"),
+    pytest.param("wobbly", 64, id="wobbly"),
+    pytest.param("slow", 64, id="slow"),
+    pytest.param("slow", 256, id="slow-256"),
+    pytest.param("wobbly", 512, id="wobbly-512"),
+])
+def test_table_csv_matches_reference(request, curve, m):
+    table = grunsky_coefficients(request.getfixturevalue(curve), m)
     assert table_to_csv(table) == table_to_csv_reference(table)
 
 
@@ -368,3 +389,75 @@ def test_table_csv_special_values():
     table = GrunskyTable(2, a)
     assert table_to_csv(table) == table_to_csv_reference(table)
     assert table_to_csv(table).split("\n")[1] == "1,1,-0,0"
+
+
+def _near_ties():
+    """Doubles whose 17-digit scaled value is 1-3 units of 2**-L from a tie.
+
+    x = mant 2**-(k + L) has x 10**k = mant 5**k / 2**L; choosing mant 5**k
+    = 2**(L-1) + s (mod 2**L) puts its fraction at 1/2 + s 2**-L.  The
+    double-double scaling is accurate to about 1e-15 there, which is why
+    near-ties go to '%.17g'.
+    """
+    out = []
+    for k in range(17, 46):
+        for L in range(46, 57):
+            inv = pow(5**k, -1, 2**L)
+            for s in (-3, -2, -1, 1, 2, 3):
+                m0 = (2 ** (L - 1) + s) * inv % 2**L
+                for t in range(-(-(2**52 - m0) // 2**L), (2**53 - 1 - m0) // 2**L + 1):
+                    mant = m0 + t * 2**L
+                    if 10**16 <= (mant * 5**k) >> L < 10**17:
+                        out.append(mant / 2 ** (k + L))
+    return out
+
+
+def _notation_switch(rng):
+    """Values at and next to 1e-5, 1e-4, 1e16 and 1e17, where %g changes notation."""
+    out = []
+    for e in (-5, -4, 16, 17):
+        v = float(f"1e{e}")
+        below, above = v, v
+        for _ in range(8):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            out += [below, above]
+        out += [v, 9.5 * v / 10, 1.5 * v]
+        out += list(10.0 ** rng.uniform(e - 1, e + 1, 2000))
+    return out
+
+
+FLOAT_FAMILIES = {
+    "bits": lambda rng: rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64),
+    "magnitudes": lambda rng: (rng.choice([-1.0, 1.0], 100_000)
+                               * 10.0 ** rng.uniform(-320, 308, 100_000)),
+    "powers_of_ten": lambda rng: [
+        w for p in range(-300, 301)
+        for v in [float(f"1e{p}")]
+        for w in (np.nextafter(v, 0.0), v, np.nextafter(v, np.inf))
+    ],
+    "quarter_integers": lambda rng: np.ldexp(
+        rng.integers(2**52, 2**53, 100_000).astype(float), rng.integers(-2, 1, 100_000)),
+    "near_ties": lambda rng: _near_ties(),
+    "notation_switch": _notation_switch,
+    "special": lambda rng: [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                            2.2250738585072014e-308, 1.7976931348623157e308,
+                            -1.7976931348623157e308, 1e-280, 1e280, 0.1, 1.0, 0.5],
+}
+
+
+@pytest.mark.parametrize("family", list(FLOAT_FAMILIES))
+def test_table_csv_prints_like_percent_g(family):
+    """Every re/im field of the dump is '%.17g' % v, on seeded inputs."""
+    from szegodet.grunsky import GrunskyTable
+
+    values = np.asarray(FLOAT_FAMILIES[family](np.random.default_rng(7)), dtype=float)
+    m = int(np.ceil(np.sqrt(len(values) / 2)))
+    padded = np.zeros(2 * m * m)
+    padded[:len(values)] = values
+    table = GrunskyTable(m, padded.view(complex).reshape(m, m))
+    rows = table_to_csv(table).split("\n")[1:-1]
+    got = [field for row in rows for field in row.split(",")[2:]]
+    want = ["%.17g" % v for v in padded.tolist()]
+    assert len(got) == len(want)
+    bad = [(v, g, w) for v, g, w in zip(padded.tolist(), got, want) if g != w]
+    assert not bad, f"{len(bad)} fields differ, first: {bad[:3]}"
