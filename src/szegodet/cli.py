@@ -9,7 +9,9 @@ significant digits.  Exit codes: 0 success, 2 parse/validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -53,10 +55,18 @@ def _cpair(z) -> list:
     return [z.real, z.imag]
 
 
+def _finite(v, where: str) -> float:
+    """float(v), refusing the NaN and Infinity that Python's json reads."""
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"{where}: numbers must be finite, got {x}")
+    return x
+
+
 def _parse_complex(v, where: str) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise CLIInputError(f"{where}: complex values are [re, im] pairs")
-    return complex(float(v[0]), float(v[1]))
+    return complex(_finite(v[0], where), _finite(v[1], where))
 
 
 def load_curve(path: str):
@@ -69,7 +79,7 @@ def load_curve(path: str):
     except json.JSONDecodeError as exc:
         raise CLIInputError(f"curve file {path} is not valid JSON: {exc}") from exc
     try:
-        cap = float(doc["cap"])
+        cap = _finite(doc["cap"], "cap")
         phi0 = _parse_complex(doc["phi0"], "phi0")
         tail = [_parse_complex(t, "tail") for t in doc["tail"]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -404,10 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of this process; parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -197,9 +197,10 @@ def _polyline_self_intersects(pts: np.ndarray, tol: float) -> bool:
     # candidate windows in sorted order: j in (i, end_i) has slo[j] <= shi[i]
     ends = np.searchsorted(slo, shi, side="right")
     counts = np.maximum(ends - np.arange(1, N + 1), 0)
+    # pair p of row i is (i, i + 1 + its offset within the row): one
+    # O(pairs) index build, in the same order as the row-by-row ranges
     ii = np.repeat(np.arange(N), counts)
-    jj = np.concatenate([np.arange(i + 1, e) for i, e in enumerate(ends) if e > i + 1]) \
-        if counts.any() else np.empty(0, dtype=int)
+    jj = ii + 1 + (np.arange(len(ii)) - np.repeat(np.cumsum(counts) - counts, counts))
     oi, oj = order[ii], order[jj]
     keep = (lo_y[oi] <= hi_y[oj]) & (lo_y[oj] <= hi_y[oi])
     # drop index-adjacent segments, including the 0 / N-1 wraparound
@@ -214,15 +215,21 @@ def _polyline_self_intersects(pts: np.ndarray, tol: float) -> bool:
 def make_map(cap: float, phi0: complex, tail) -> ExteriorMap:
     """Validate Laurent data and return the curve model.
 
-    Univalence is checked heuristically: phi' must not vanish on a
-    4096-point boundary grid, the sampled curve must be simple within
-    tolerance 1e-9, and the sampled curve must be positively oriented
-    (an orientation flip means the data cannot come from a univalent
-    map even when the image curve is simple, e.g. z + q/z with q > 1).
+    ``cap``, ``phi0`` and every tail entry must be finite (``ValueError``
+    otherwise, before any grid work).  Univalence is checked
+    heuristically: phi' must not vanish on a 4096-point boundary grid,
+    the sampled curve must be positively oriented (an orientation flip
+    means the data cannot come from a univalent map even when the image
+    curve is simple, e.g. z + q/z with q > 1), and it must be simple
+    within tolerance 1e-9.  The simplicity sweep builds its candidate
+    segment pairs in time linear in their number, O(N) for a curve-ordered
+    sample, and tests only those whose boxes overlap.
     """
+    tail = np.atleast_1d(np.asarray(tail, dtype=complex))
+    if not (np.isfinite(cap) and np.isfinite(phi0) and np.isfinite(tail).all()):
+        raise ValueError("cap, phi0 and tail must be finite")
     if not (cap > 0):
         raise NonPositiveCapacity(f"cap must be > 0, got {cap}")
-    tail = np.atleast_1d(np.asarray(tail, dtype=complex))
     if tail.ndim != 1 or len(tail) < 1:
         raise ValueError("tail must be a list of at least one coefficient")
     mp = ExteriorMap(float(cap), complex(phi0), tail)

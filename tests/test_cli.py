@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from szegodet.cli import main
+from szegodet.cli import build_parser, main
 from szegodet.predict import LOG_2PI
 
 from conftest import PAIRING_CURVE
@@ -332,6 +332,37 @@ class TestExitCodes:
         assert code == 2
         assert "failure" not in err
 
+    @pytest.mark.parametrize("text", [
+        '{"cap": Infinity, "phi0": [0, 0], "tail": [[0.5, 0]]}',
+        '{"cap": NaN, "phi0": [0, 0], "tail": [[0.5, 0]]}',
+        '{"cap": 1.0, "phi0": [0, -Infinity], "tail": [[0.5, 0]]}',
+        '{"cap": 1.0, "phi0": [0, 0], "tail": [[0.5, 0], [NaN, 0]]}',
+    ])
+    def test_non_finite_curve(self, capsys, tmp_path, text):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        code, _, err = run(capsys, "predict", "--curve", str(p), "--n", "4")
+        assert code == 2
+        assert "finite" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"a": [[NaN, 0]]}',
+        '{"a0": [Infinity, 0]}',
+        '{"b": [[0, 0], [0, -Infinity]]}',
+        '{"theta_samples": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}',
+    ])
+    @pytest.mark.parametrize("command", [["predict", "--m", "16"], ["direct"]])
+    def test_non_finite_symbol(self, capsys, curve_file, tmp_path, text, command):
+        # json reads NaN and Infinity; they must not reach the numerics
+        p = tmp_path / "s.json"
+        p.write_text(text)
+        path = curve_file("q.json")
+        code, out, err = run(capsys, command[0], "--curve", path, "--symbol", str(p),
+                             "--n", "6", *command[1:])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_explicit_m_and_N(self, capsys, curve_file):
         path = curve_file("q.json")
         code, out, _ = run(capsys, "direct", "--curve", path, "--n", "8",
@@ -341,3 +372,20 @@ class TestExitCodes:
         code, out, _ = run(capsys, "predict", "--curve", path, "--n", "8", "--m", "16")
         assert code == 0
         assert json.loads(out)["m_used"] == 16
+
+
+def test_shared_parser_keeps_no_state(capsys, curve_file, symbol_file):
+    # main reuses one parser per process: options of an earlier call,
+    # or of one that failed to parse, must not leak into the next
+    path = curve_file("q.json")
+    plain = ["predict", "--curve", path, "--n", "12"]
+    code, with_symbol, _ = run(capsys, *plain, "--symbol", symbol_file, "--m", "16")
+    assert code == 0
+    code, _, _ = run(capsys, "grunsky", "--curve", path, "--m", "sixteen")
+    assert code == 2
+    code, out, _ = run(capsys, *plain)
+    assert code == 0
+    args = build_parser().parse_args(plain)
+    assert args.fn(args) == 0
+    assert out == capsys.readouterr().out
+    assert out != with_symbol

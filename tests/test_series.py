@@ -10,6 +10,7 @@ from szegodet import (
     laurent_mul,
     make_map,
 )
+from szegodet.series import _polyline_self_intersects, _segments_cross
 from szegodet.errors import (
     CurveSelfIntersects,
     DerivativeVanishes,
@@ -45,6 +46,26 @@ class TestMakeMap:
         with pytest.raises((CurveSelfIntersects, DerivativeVanishes)):
             make_map(1.0, 0.0, [0.0, 0.0, 0.9])
 
+    @pytest.mark.parametrize("tail", [[0.0, 0.6], [0.0, 0.0, 0.0, 0.3]])
+    def test_self_intersection_rejected(self, tail):
+        # positively oriented, phi' nonzero on the grid, but the inner loops
+        # of z + t/z**k cross the outer arcs
+        with pytest.raises(CurveSelfIntersects, match="intersects itself"):
+            make_map(1.0, 0.0, tail)
+
+    @pytest.mark.parametrize("cap, phi0, tail", [
+        (float("inf"), 0.0, [0.1]),
+        (float("-inf"), 0.0, [0.1]),
+        (float("nan"), 0.0, [0.1]),
+        (1.0, complex(float("nan"), 0.0), [0.1]),
+        (1.0, complex(0.0, float("inf")), [0.1]),
+        (1.0, 0.0, [0.1, float("-inf")]),
+        (1.0, 0.0, [complex(0.0, float("nan"))]),
+    ])
+    def test_non_finite_rejected(self, cap, phi0, tail):
+        with pytest.raises(ValueError, match="finite"):
+            make_map(cap, phi0, tail)
+
     def test_nonpositive_cap(self):
         with pytest.raises(NonPositiveCapacity):
             make_map(0.0, 0.0, [0.0])
@@ -54,6 +75,50 @@ class TestMakeMap:
     def test_empty_tail(self):
         with pytest.raises(ValueError):
             make_map(1.0, 0.0, [])
+
+
+def _all_pairs_intersect(pts, tol):
+    """Every pair of non-adjacent segments through the same segment test."""
+    N = len(pts)
+    a, b = pts, np.roll(pts, -1)
+    for i in range(N):
+        for j in range(i + 2, N - (i == 0)):
+            if _segments_cross(a[i], b[i], a[j], b[j], tol):
+                return True
+    return False
+
+
+def _random_polyline(rng, kind, N):
+    theta = np.sort(rng.random(N)) * 2 * np.pi
+    if kind == "star":
+        # star-shaped about 0, so simple up to the tolerance
+        return (1.0 + 0.5 * rng.random(N)) * np.exp(1j * theta)
+    if kind == "waist":
+        # peanut whose two lobes come within about 2 * eps of each other
+        eps = rng.choice([2e-4, 4e-3, 3e-2])
+        theta = 2 * np.pi * np.arange(N) / N
+        return np.cos(theta) + 1j * np.sin(theta) * (eps + np.abs(np.cos(theta)))
+    if kind == "fold":
+        # one vertex thrown across the circle: its two edges cross the rest
+        pts = np.exp(1j * theta)
+        pts[rng.integers(N)] *= -rng.uniform(1.2, 2.0)
+        return pts
+    return rng.normal(size=N) + 1j * rng.normal(size=N)
+
+
+def test_sweep_matches_all_pairs():
+    rng = np.random.default_rng(8)
+    verdicts = []
+    for k in range(200):
+        kind = ["star", "waist", "fold", "cloud"][k % 4]
+        # the reference checks all N**2 / 2 pairs of a simple polyline
+        N = int(rng.integers(4, 81 if kind in ("star", "waist") else 201))
+        tol = float(rng.choice([1e-9, 1e-3, 2e-2]))
+        pts = _random_polyline(rng, kind, N)
+        got = _polyline_self_intersects(pts, tol)
+        assert got == _all_pairs_intersect(pts, tol), (k, kind, N, tol)
+        verdicts.append(got)
+    assert 40 <= sum(verdicts) <= 160
 
 
 class TestEvalMap:
