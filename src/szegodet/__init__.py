@@ -26,7 +26,6 @@ from .grunsky import (
     grunsky_coefficients_sampled,
     operators,
     spectral_report,
-    suggest_truncation,
     takagi,
 )
 from .symbol import (
@@ -48,6 +47,7 @@ from .predict import (
     predict_quotient,
     predict_range,
     quadratic_form,
+    suggest_truncation,
     zn_beta_circle,
 )
 from .direct import (

@@ -98,13 +98,15 @@ def load_symbol(path: str | None):
         raise CLIInputError(f"cannot read symbol file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CLIInputError(f"symbol file {path} is not valid JSON: {exc}") from exc
-    has_coef = "a0" in doc or "a" in doc or "b" in doc
-    has_samp = "theta_samples" in doc
-    if has_coef == has_samp:
-        raise CLIInputError(
-            f"symbol file {path}: give either a0/a/b or theta_samples, not both"
-        )
     try:
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+        has_coef = "a0" in doc or "a" in doc or "b" in doc
+        has_samp = "theta_samples" in doc
+        if has_coef == has_samp:
+            raise CLIInputError(
+                f"symbol file {path}: give either a0/a/b or theta_samples, not both"
+            )
         if has_samp:
             vals = [_parse_complex(v, "theta_samples") for v in doc["theta_samples"]]
             return symbol.symbol_from_theta_samples(vals)

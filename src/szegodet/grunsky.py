@@ -45,9 +45,6 @@ from .series import ExteriorMap, _phi_norm
 
 _DELTA_EPS = 0.1  # fixed exponent offset in the tail diagnostic
 
-M_AUTO_CAP = 512
-M_AUTO_TOL = 1e-9
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a)
@@ -360,19 +357,6 @@ def dilated_table(table: GrunskyTable, r: float) -> GrunskyTable:
     k = np.arange(1, table.m + 1, dtype=float)
     scale = r ** (-(k[:, None] + k[None, :]))
     return GrunskyTable(table.m, table.a * scale)
-
-
-def suggest_truncation(mp: ExteriorMap, tol: float = M_AUTO_TOL, cap: int = M_AUTO_CAP) -> int:
-    """Default table size: double until szego_energy stabilizes below tol."""
-    size = 8
-    energy = spectral_report(operators(grunsky_coefficients(mp, size))).szego_energy
-    while size < cap:
-        nxt = spectral_report(operators(grunsky_coefficients(mp, 2 * size))).szego_energy
-        size *= 2
-        if abs(nxt - energy) < tol:
-            return size
-        energy = nxt
-    return cap
 
 
 # --- table dump: '%.17g' for whole blocks of numbers -------------------------

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HeavyTailWarning
-from .grunsky import grunsky_coefficients, suggest_truncation
+from .grunsky import grunsky_coefficients
+from .predict import _ladder
 from .series import ExteriorMap, _phi_norm
-from .symbol import FourierSymbol, theta_values
+from .symbol import FourierSymbol, theta_values, zero_symbol
 
 _TUNE_BLOCK = 128
 _WIDTH_MIN = 1e-3
@@ -197,11 +198,11 @@ def estimate_ratio(
     effective sample size from the weight autocorrelation, and the
     post-burn-in acceptance rate.  A mean-zero symbol is recommended and
     a heavy-tail warning fires when the top 0.1% of weights carry more
-    than half of the mean.
+    than half of the mean.  With m = None the table is the accepted rung
+    of the zero-symbol m ladder (see ``suggest_truncation``).
     """
-    if m is None:
-        m = suggest_truncation(mp)
-    a = grunsky_coefficients(mp, m).a
+    table = grunsky_coefficients(mp, m) if m is not None else _ladder(mp, zero_symbol(), None)[0]
+    a, m = table.a, table.m
     if abs(complex(sym.a0)) > 1e-12:
         warnings.warn("symbol has nonzero mean; consider subtracting a0/2", stacklevel=2)
     thetas, rate, _ = _run_chain(cfg)

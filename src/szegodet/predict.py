@@ -7,7 +7,8 @@ is never exponentiated.  The total for log D_n[e^g] is
 
 with the bilinear (transpose) form used throughout, so complex symbols
 are solved separately for their real and imaginary parts against the
-real symmetric positive definite matrix I + K.
+real symmetric positive definite matrix I + K.  One Cholesky factor of
+I + K per table size gives both m-dependent terms.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from scipy.special import gammaln
 
 from .errors import NonzeroMean, NotPositiveDefinite, SingularValueAtOne
 from .grunsky import (
-    M_AUTO_CAP,
-    M_AUTO_TOL,
-    GrunskyTable,
     OperatorPair,
     delta_m_tail,
     grunsky_coefficients,
@@ -36,6 +34,9 @@ log = logging.getLogger(__name__)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 _MEAN_TOL = 1e-12
+
+M_AUTO_CAP = 512
+M_AUTO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,20 +85,19 @@ class PredictionBreakdown:
         )
 
 
-def quadratic_form(pair: OperatorPair, v: GVector) -> complex:
-    """Bilinear form v^t (I+K)^{-1} v through a Cholesky solve of I + K."""
-    two_m = 2 * pair.m
-    if len(v.entries) != two_m:
-        raise ValueError(f"vector length {len(v.entries)} != 2m = {two_m}")
-    IK = np.eye(two_m) + pair.K
+def _cholesky(pair: OperatorPair) -> tuple:
     try:
-        cho = scipy.linalg.cho_factor(IK, check_finite=False)
+        return scipy.linalg.cho_factor(np.eye(2 * pair.m) + pair.K, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
             "I + K is not positive definite; the Grunsky norm reaches 1"
         ) from exc
-    vr = np.ascontiguousarray(v.entries.real)
-    vi = np.ascontiguousarray(v.entries.imag)
+
+
+def _solve_form(cho: tuple, v: np.ndarray) -> complex:
+    """v^t (I+K)^{-1} v from the Cholesky factor of I + K."""
+    vr = np.ascontiguousarray(v.real)
+    vi = np.ascontiguousarray(v.imag)
     xr = scipy.linalg.cho_solve(cho, vr, check_finite=False)
     xi = scipy.linalg.cho_solve(cho, vi, check_finite=False)
     re = float(vr @ xr - vi @ xi)
@@ -105,51 +105,60 @@ def quadratic_form(pair: OperatorPair, v: GVector) -> complex:
     return complex(re, im)
 
 
-def _halflogdet(pair: OperatorPair) -> tuple[float, float]:
-    """-0.5 log det(I+K), and kappa_hat: the largest eigenvalue of K.
-
-    The eigenvalues of K are +/- the Takagi values of B, so the largest
-    one is the Grunsky norm estimate without a Takagi factorization.
-    """
-    w = np.linalg.eigvalsh(pair.K)
-    if len(w) and (w[-1] >= 1.0 - 1e-10 or w[0] <= -1.0 + 1e-10):
-        raise SingularValueAtOne("spectrum of K reaches 1; determinant diverges")
-    kappa = float(w[-1]) if len(w) else 0.0
-    return -0.5 * float(np.sum(np.log1p(w))) + 0.0, kappa
+def quadratic_form(pair: OperatorPair, v: GVector) -> complex:
+    """Bilinear form v^t (I+K)^{-1} v through a Cholesky solve of I + K."""
+    two_m = 2 * pair.m
+    if len(v.entries) != two_m:
+        raise ValueError(f"vector length {len(v.entries)} != 2m = {two_m}")
+    return _solve_form(_cholesky(pair), v.entries)
 
 
-def _terms_at(m_table: GrunskyTable, sym: FourierSymbol):
-    """(quad, half, kappa_hat, pair) for one table."""
-    pair = operators(m_table)
-    quad = quadratic_form(pair, padded_g_vector(sym, m_table.m))
-    return (quad, *_halflogdet(pair), pair)
-
-
-def _resolve_table(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
-    """Fixed-m table, or doubling until the two m-dependent terms settle."""
-    if m is not None:
-        table = grunsky_coefficients(mp, m)
-        quad, half, _, pair = _terms_at(table, sym)
-        return table, pair, quad, half
-    size = 8
+def _rung(mp: ExteriorMap, sym: FourierSymbol, size: int):
+    """(table, pair, cho, quad, half), with half = -0.5 log det(I+K) read off
+    the diagonal of the Cholesky factor."""
     table = grunsky_coefficients(mp, size)
-    quad, half, kappa, pair = _terms_at(table, sym)
+    pair = operators(table)
+    cho = _cholesky(pair)
+    quad = _solve_form(cho, padded_g_vector(sym, size).entries)
+    return table, pair, cho, quad, -float(np.sum(np.log(np.diag(cho[0])))) + 0.0
+
+
+def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
+    """``_rung`` at a fixed m, or at the first doubling m = 8, 16, ..., 512
+    where quad and half both move by less than 1e-9.
+
+    Only the accepted rung is checked for a singular value of B at 1: B_m
+    is the leading block of B_2m, so the largest one cannot fall as m grows.
+    """
+    size = 8 if m is None else m
+    table, pair, cho, quad, half = _rung(mp, sym, size)
     gaps = (float("nan"), float("nan"))
-    while size < M_AUTO_CAP:
-        size2 = 2 * size
-        table2 = grunsky_coefficients(mp, size2)
-        quad2, half2, kappa, pair2 = _terms_at(table2, sym)
-        size, table, pair = size2, table2, pair2
+    settled = False
+    while m is None and not settled and size < M_AUTO_CAP:
+        size *= 2
+        table, pair, cho, quad2, half2 = _rung(mp, sym, size)
         gaps = (abs(quad2 - quad), abs(half2 - half))
+        settled = all(gap < M_AUTO_TOL for gap in gaps)
         quad, half = quad2, half2
-        if all(gap < M_AUTO_TOL for gap in gaps):
-            break
-    log.info(
-        "auto truncation m=%d: gaps quadform=%.3e halflogdet=%.3e "
-        "kappa_hat=%.6f delta_m_tail=%.3e",
-        size, *gaps, kappa, delta_m_tail(pair.B),
-    )
-    return table, pair, quad, half
+    # scipy, as for cho_factor: numpy's OpenBLAS is a second thread pool that spins when idle
+    w = scipy.linalg.eigvalsh(pair.K, check_finite=False)
+    if w[-1] >= 1.0 - 1e-10 or w[0] <= -1.0 + 1e-10:
+        raise SingularValueAtOne("spectrum of K reaches 1; determinant diverges")
+    if m is None:  # w[-1], the largest singular value of B, is kappa_hat
+        log.log(
+            logging.INFO if settled else logging.WARNING,
+            "auto truncation m=%d%s: gaps quadform=%.3e halflogdet=%.3e "
+            "kappa_hat=%.6f delta_m_tail=%.3e",
+            size, "" if settled else " (cap reached, gaps not below 1e-9)",
+            *gaps, float(w[-1]), delta_m_tail(pair.B),
+        )
+    return table, pair, cho, quad, half
+
+
+def suggest_truncation(mp: ExteriorMap) -> int:
+    """Table size of the zero-symbol m ladder: with g = 0 the quadratic form
+    vanishes, and -0.5 log det(I+K) is the energy -0.5 log det(I - B*B)."""
+    return _ladder(mp, zero_symbol(), None)[0].m
 
 
 def predict_range(
@@ -164,7 +173,7 @@ def predict_range(
         raise ValueError("n must be >= 1")
     if n_hi < n_lo:
         raise ValueError(f"empty range {n_lo}..{n_hi}")
-    table, _, quad, half = _resolve_table(mp, sym, m)
+    table, _, _, quad, half = _ladder(mp, sym, m)
     log_cap = float(np.log(mp.cap))
     out = []
     for n in range(n_lo, n_hi + 1):
@@ -189,9 +198,12 @@ def predict_log_Dn(
 ) -> PredictionBreakdown:
     """Asymptotic log D_n[e^g] with all five terms reported separately.
 
-    Symbol coefficients beyond the stored truncation count as zero, so the
-    automatic doubling policy (m = 8, 16, ... capped at 512, threshold
-    1e-9 on the two m-dependent terms) works for short symbols too.
+    With m = None, m doubles from 8 until both m-dependent terms move by
+    less than 1e-9, or up to 512 with a logged warning.  Symbol coefficients
+    beyond the stored truncation count as zero, so the ladder works for
+    short symbols too.  A failed Cholesky factor of I + K raises
+    ``NotPositiveDefinite``; an eigenvalue of K within 1e-10 of +/-1 raises
+    ``SingularValueAtOne``.
     """
     return predict_range(mp, sym, n, n, m)[0]
 
@@ -221,7 +233,8 @@ def predict_beta_log(
     Returns -0.5 log det(I+K) + (2/beta) gb^t (I+K)^{-1} gb with
     gb = (beta/2 - 1) d + g; the value does not depend on n.  Callers
     compare at finite n by adding log Z_{n,beta}(circle) and
-    (beta n (n-1)/2 + n) log cap.  Requires a mean-zero symbol.
+    (beta n (n-1)/2 + n) log cap.  Requires a mean-zero symbol.  Both
+    terms use the one Cholesky factor of the table ``predict_log_Dn`` uses.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -229,11 +242,10 @@ def predict_beta_log(
         raise ValueError("beta must be > 0")
     if abs(complex(sym.a0)) > _MEAN_TOL:
         raise NonzeroMean(f"conjecture requires a0 = 0, got {sym.a0!r}")
-    table, pair, _, half = _resolve_table(mp, sym, m)
+    table, _, cho, _, half = _ladder(mp, sym, m)
     g = padded_g_vector(sym, table.m).entries
     d = d_vector(table, table.m).entries
-    gb = GVector((beta / 2.0 - 1.0) * d + g)
-    return half + (2.0 / beta) * quadratic_form(pair, gb)
+    return half + (2.0 / beta) * _solve_form(cho, (beta / 2.0 - 1.0) * d + g)
 
 
 def zn_beta_circle(n: int, beta: float) -> float:

@@ -363,6 +363,24 @@ class TestExitCodes:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("flag, text", [
+        ("--symbol", "5"),
+        ("--symbol", "null"),
+        ("--symbol", "[]"),
+        ("--symbol", '"x"'),
+        ("--curve", "5"),
+        ("--curve", "null"),
+    ])
+    def test_json_not_an_object(self, capsys, curve_file, tmp_path, flag, text):
+        p = tmp_path / "doc.json"
+        p.write_text(text)
+        files = {"--curve": curve_file("q.json"), flag: str(p)}
+        code, out, err = run(capsys, "predict", *(a for kv in files.items() for a in kv),
+                             "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert "bad schema" in err
+
     def test_explicit_m_and_N(self, capsys, curve_file):
         path = curve_file("q.json")
         code, out, _ = run(capsys, "direct", "--curve", path, "--n", "8",

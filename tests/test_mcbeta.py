@@ -9,6 +9,7 @@ from szegodet import (
     log_det_Dn,
     merge_estimates,
     sample_circular_beta,
+    suggest_truncation,
     zero_symbol,
 )
 from szegodet.mcbeta import _run_chain
@@ -131,6 +132,11 @@ class TestEstimate:
         a = estimate_ratio(qcurve, zero_symbol(), cfg, m=16)
         b = estimate_ratio(qcurve, zero_symbol(), cfg, m=16)
         assert a == b
+
+    def test_auto_m_uses_the_ladder_table(self, wobbly, a1_sym):
+        cfg = ChainConfig(n=3, beta=2.0, steps=2000, burn_in=200, seed=5)
+        auto = estimate_ratio(wobbly, a1_sym, cfg)
+        assert auto == estimate_ratio(wobbly, a1_sym, cfg, suggest_truncation(wobbly))
 
     def test_beta_two_matches_direct(self, qcurve):
         truth = log_det_Dn(qcurve, zero_symbol(), 4).log_Dn.real - 4 * LOG_2PI

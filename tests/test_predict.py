@@ -15,12 +15,15 @@ from szegodet import (
     predict_log_Zn,
     predict_quotient,
     quadratic_form,
+    spectral_report,
+    suggest_truncation,
     symbol_from_coefficients,
     zero_symbol,
     zn_beta_circle,
 )
-from szegodet.errors import NonzeroMean, NotPositiveDefinite
+from szegodet.errors import NonzeroMean, NotPositiveDefinite, SingularValueAtOne
 from szegodet.predict import LOG_2PI
+from szegodet.series import _unchecked_map
 
 from conftest import q_energy_limit
 from test_grunsky import rotated, rotated_symbol
@@ -101,6 +104,7 @@ class TestPredictLogDn:
         with caplog.at_level(logging.INFO, logger="szegodet.predict"):
             predict_log_Zn(qcurve, 4)
         assert "kappa_hat=0.500000" in caplog.text
+        assert [rec.levelno for rec in caplog.records] == [logging.INFO]
         assert "gaps quadform=" in caplog.text and "delta_m_tail=" in caplog.text
 
     def test_auto_ladder_needs_no_takagi(self, zero_sym):
@@ -124,6 +128,45 @@ class TestPredictLogDn:
         for key in ("term_cap", "term_2pi", "term_a0", "term_quadform",
                     "term_halflogdet", "total_log"):
             assert key in doc
+
+
+class TestLadder:
+    @pytest.mark.parametrize("curve, m", [
+        ("circle", 16), ("qcurve", 32), ("wobbly", 64), ("slow", 256), ("pairing", 32),
+    ])
+    def test_suggest_truncation_is_the_zero_symbol_ladder(self, request, curve, m):
+        mp = request.getfixturevalue(curve)
+        assert suggest_truncation(mp) == predict_log_Zn(mp, 1).m_used == m
+
+    @pytest.mark.parametrize("curve, m", [("wobbly", 64), ("slow", 256)])
+    def test_halflogdet_matches_spectral_report(self, request, curve, m):
+        # the Cholesky diagonal against the eigenvalues of K
+        mp = request.getfixturevalue(curve)
+        b = predict_log_Zn(mp, 1)
+        assert b.m_used == m
+        rep = spectral_report(operators(grunsky_coefficients(mp, m)))
+        assert abs(b.term_halflogdet + 0.5 * rep.log_det_IplusK) <= 1e-12
+
+    @pytest.mark.parametrize("m", [8, None])
+    @pytest.mark.parametrize("q, error", [
+        (1 - 1e-11, SingularValueAtOne),  # I + K factors, K has eigenvalue -q
+        (1.2, NotPositiveDefinite),  # I + K has a negative eigenvalue
+    ])
+    def test_guard(self, m, q, error):
+        mp = _unchecked_map(1.0, 0.0, [q])
+        with pytest.raises(error):
+            predict_log_Zn(mp, 4, m)
+        if m is None:
+            with pytest.raises(error):
+                suggest_truncation(mp)
+
+    def test_warns_at_cap_unsettled(self, caplog):
+        with caplog.at_level(logging.INFO, logger="szegodet.predict"):
+            b = predict_log_Zn(make_map(1.0, 0.0, [0.99]), 4)
+        assert b.m_used == 512
+        (rec,) = caplog.records
+        assert rec.levelno == logging.WARNING
+        assert "m=512" in rec.message and "kappa_hat=" in rec.message
 
 
 class TestPredictLogZn:
