@@ -154,16 +154,16 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 
 def _parse_rgrid(spec: str) -> np.ndarray:
-    """Comma list '1.05,1.1,2' or log-spaced 'rmin:rmax:count'."""
+    """Comma list '1.05,1.1,2' or log-spaced 'rmin:rmax:count'; finite r > 1."""
     try:
         if ":" in spec:
             lo, hi, cnt = spec.split(":")
             lo, hi, cnt = float(lo), float(hi), int(cnt)
-            if not (1.0 < lo < hi) or cnt < 2:
+            if not (1.0 < lo < hi < math.inf) or cnt < 2:
                 raise ValueError
             return np.exp(np.linspace(np.log(lo), np.log(hi), cnt))
         vals = np.array([float(x) for x in spec.split(",")])
-        if np.any(vals <= 1.0) or np.any(np.diff(vals) <= 0):
+        if not (np.all((1.0 < vals) & (vals < math.inf)) and np.all(np.diff(vals) > 0)):
             raise ValueError
         return vals
     except ValueError as exc:

@@ -51,16 +51,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GridTooCoarse,
-    NegativeWeight,
-    NotConverged,
-    ZeroDeterminant,
-)
+from .errors import GridTooCoarse, NotConverged, ZeroDeterminant
+from .predict import LOG_2PI
 from .series import ExteriorMap, _phi_norm, _unchecked_map, dilate_map
 from .symbol import FourierSymbol, theta_values, zero_symbol
 
-LOG_2PI = float(np.log(2.0 * np.pi))
 N_CAP = 1 << 20
 REFINE_TOL = 1e-8
 _REAL_TOL = 1e-13
@@ -72,7 +67,6 @@ class DirectResult:
     N_nodes: int
     log_Dn: complex
     method: str  # "qr_positive" (real symbol) or "qr_phase" (complex symbol)
-    cond_estimate: float
     converged: bool
 
 
@@ -108,8 +102,6 @@ def _nodes_and_gvals(mp: ExteriorMap, sym: FourierSymbol, N: int):
     z = np.exp(1j * theta)
     pts = _phi_norm(mp, z, 0)
     w = np.abs(_phi_norm(mp, z, 1)) * (2.0 * np.pi / N)
-    if np.any(w < 0):
-        raise NegativeWeight("internal: negative quadrature weight")
     return pts, w, theta_values(sym, theta)
 
 
@@ -146,36 +138,6 @@ def _qr_prefix(z: np.ndarray, s: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
     return 2.0 * np.cumsum(np.cumsum(log_h)), Q
 
 
-def _qr_conds(z: np.ndarray, s: np.ndarray, Q: np.ndarray, j_lo: int) -> np.ndarray:
-    """cond of the monomial Gram matrix of each degree j = j_lo..n.
-
-    The Gram matrix of degree j is R_j^H R_j with R_j the leading block
-    of R = Q^H A, so its condition number is cond(R_j)**2.
-    """
-    n = len(Q)
-    powers = np.empty_like(Q)
-    powers[0] = s
-    for j in range(1, n):
-        powers[j] = powers[j - 1] * z
-    R = np.triu(Q.conj() @ powers.T)
-    conds = []
-    for j in range(j_lo, n + 1):
-        sv = np.linalg.svd(R[:j, :j], compute_uv=False)
-        conds.append((sv[0] / sv[-1]) ** 2 if sv[-1] > 0 else np.inf)
-    return np.array(conds)
-
-
-def _logdet_qr(z: np.ndarray, u: np.ndarray, n: int) -> tuple[float, float]:
-    """2 sum log R_jj for the weighted monomial array, plus a cond estimate.
-
-    u must be positive.  R_jj equals the norm of the column of s*zeta^j
-    orthogonal to all lower degrees, which is what the determinant needs.
-    """
-    s = np.sqrt(u)
-    logdets, Q = _qr_prefix(z, s, n)
-    return float(logdets[-1]), float(_qr_conds(z, s, Q, n)[0])
-
-
 def _phase_prefix(Q: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """log det C_j for j = 1..n, where C = Q diag(phase) Q^H.
 
@@ -198,11 +160,7 @@ def _phase_prefix(Q: np.ndarray, phase: np.ndarray) -> np.ndarray:
 
 
 def _range_at(mp: ExteriorMap, sym: FourierSymbol, n_lo: int, n_hi: int, N: int):
-    """log D_n for n = n_lo..n_hi on one N-node grid.
-
-    Returns the values, the method, and a function giving the condition
-    estimates, so the caller pays for them on the accepted grid only.
-    """
+    """log D_n for n = n_lo..n_hi on one N-node grid, and the method used."""
     pts, w, g = _nodes_and_gvals(mp, sym, N)
     s = np.sqrt(w * np.exp(g.real))
     logdets, Q = _qr_prefix(pts, s, n_hi)
@@ -211,8 +169,7 @@ def _range_at(mp: ExteriorMap, sym: FourierSymbol, n_lo: int, n_hi: int, N: int)
     if float(np.max(np.abs(g.imag))) > _REAL_TOL * max(1.0, gscale):
         vals += _phase_prefix(Q, np.exp(1j * g.imag))
         method = "qr_phase"
-    conds = lambda: _qr_conds(pts, s, Q, n_lo)
-    return vals[n_lo - 1 :], method, conds
+    return vals[n_lo - 1 :], method
 
 
 def _start_N(n: int) -> int:
@@ -229,8 +186,7 @@ def log_det_range(
     until two consecutive grids agree to 1e-8 on every n of the range
     (error NotConverged past 2**20 nodes).  An explicit N (at least
     4 n_hi) is honored as stated and each row's N vs 2N agreement only
-    sets its ``converged`` flag.  ``cond_estimate`` is the condition
-    number of the monomial Gram matrix of the positive weight w e^{Re g}.
+    sets its ``converged`` flag.
     """
     if n_lo < 1:
         raise ValueError("n must be >= 1")
@@ -243,28 +199,26 @@ def log_det_range(
         if N < 4 * n_hi:
             raise ValueError(f"N must be >= 4n = {4 * n_hi}")
         size = N
-        vals, method, conds = _range_at(capless, sym, n_lo, n_hi, N)
-        conds = conds()  # before the check grid, so this grid's basis is freed
+        vals, method = _range_at(capless, sym, n_lo, n_hi, N)
         # refinement check halves instead of doubling once N hits the cap
         N_check = 2 * N if 2 * N <= N_CAP else N // 2
-        vals2, _, _ = _range_at(capless, sym, n_lo, n_hi, N_check)
+        vals2, _ = _range_at(capless, sym, n_lo, n_hi, N_check)
         agree = np.abs(vals2 - vals) <= REFINE_TOL
     else:
         size = _start_N(n_hi)
-        vals, _, _ = _range_at(capless, sym, n_lo, n_hi, size)
+        vals, _ = _range_at(capless, sym, n_lo, n_hi, size)
         while True:
             size *= 2
             prev = vals
-            vals, method, conds = _range_at(capless, sym, n_lo, n_hi, size)
+            vals, method = _range_at(capless, sym, n_lo, n_hi, size)
             if np.max(np.abs(vals - prev)) <= REFINE_TOL:
                 break
             if 2 * size > N_CAP:
                 raise NotConverged(f"no convergence up to N = {N_CAP}")
-        conds = conds()
         agree = np.ones(len(ns), dtype=bool)
     return [
-        DirectResult(int(n), size, complex(v + c), method, float(k), bool(a))
-        for n, v, c, k, a in zip(ns, vals, cap_terms, conds, agree)
+        DirectResult(int(n), size, complex(v + c), method, bool(a))
+        for n, v, c, a in zip(ns, vals, cap_terms, agree)
     ]
 
 

@@ -86,10 +86,6 @@ class NonzeroMean(SzegoError):
     """Symbol must have mean zero (a0 = 0) for this formula."""
 
 
-class NegativeWeight(SzegoError):
-    """Internal check: quadrature weights must stay positive."""
-
-
 class NotConverged(SzegoError):
     """Grid doubling hit its cap without meeting the refinement tolerance."""
 

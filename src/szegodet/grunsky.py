@@ -41,15 +41,9 @@ from .errors import (
     SingularValueAtOne,
     TruncationTooSmall,
 )
-from .series import ExteriorMap, _phi_norm
+from .series import ExteriorMap, _phi_norm, _readonly
 
 _DELTA_EPS = 0.1  # fixed exponent offset in the tail diagnostic
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -65,10 +59,10 @@ class GrunskyTable:
     asym_defect: float = 0.0
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex)
+        a = _readonly(self.a)
         if a.shape != (self.m, self.m):
             raise ValueError("table must be m x m")
-        object.__setattr__(self, "a", _readonly(a))
+        object.__setattr__(self, "a", a)
 
 
 @dataclass(frozen=True)
@@ -79,8 +73,8 @@ class OperatorPair:
     K: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "B", _readonly(np.asarray(self.B, dtype=complex)))
-        object.__setattr__(self, "K", _readonly(np.asarray(self.K, dtype=float)))
+        object.__setattr__(self, "B", _readonly(self.B))
+        object.__setattr__(self, "K", _readonly(self.K, float))
 
     @property
     def m(self) -> int:
@@ -96,8 +90,8 @@ class TakagiFactor:
     residual: float
 
     def __post_init__(self):
-        object.__setattr__(self, "U", _readonly(np.asarray(self.U, dtype=complex)))
-        object.__setattr__(self, "lam", _readonly(np.asarray(self.lam, dtype=float)))
+        object.__setattr__(self, "U", _readonly(self.U))
+        object.__setattr__(self, "lam", _readonly(self.lam, float))
 
 
 @dataclass(frozen=True)

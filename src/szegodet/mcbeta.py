@@ -50,8 +50,8 @@ class ChainConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         if not (self.steps > self.burn_in >= 0):
             raise ValueError("need steps > burn_in >= 0")
         if not (0 < self.proposal_width <= np.pi):

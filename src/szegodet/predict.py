@@ -14,6 +14,7 @@ I + K per table size gives both m-dependent terms.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,8 +239,8 @@ def predict_beta_log(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
     if abs(complex(sym.a0)) > _MEAN_TOL:
         raise NonzeroMean(f"conjecture requires a0 = 0, got {sym.a0!r}")
     table, _, cho, _, half = _ladder(mp, sym, m)
@@ -252,8 +253,8 @@ def zn_beta_circle(n: int, beta: float) -> float:
     """log of the circle partition function at inverse temperature beta."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
     return float(
         n * LOG_2PI - gammaln(n + 1) + gammaln(1 + beta * n / 2) - n * gammaln(1 + beta / 2)
     )

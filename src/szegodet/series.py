@@ -31,8 +31,9 @@ SELF_INTERSECT_TOL = 1e-9
 _DOMAIN_SLACK = 1e-12
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
+def _readonly(arr, dtype=complex) -> np.ndarray:
+    """A write-protected copy of arr as dtype, for frozen dataclass fields."""
+    out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 

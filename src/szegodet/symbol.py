@@ -18,12 +18,7 @@ import numpy as np
 
 from .errors import BadLength, TruncationExceedsSymbol, TruncationExceedsTable
 from .grunsky import GrunskyTable
-
-
-def _readonly(a) -> np.ndarray:
-    out = np.asarray(a, dtype=complex).copy()
-    out.setflags(write=False)
-    return out
+from .series import _readonly
 
 
 @dataclass(frozen=True)

@@ -324,11 +324,23 @@ class TestExitCodes:
         ["--steps", "100", "--burn-in", "200"],
         ["--width", "5"],
         ["--beta", "0"],
+        ["--beta", "nan"],
+        ["--beta", "inf"],
     ])
     def test_bad_chain_flags(self, capsys, curve_file, flags):
         path = curve_file("q.json")
         code, _, err = run(capsys, "beta-mc", "--curve", path, "--n", "3",
                            "--m", "8", *flags)
+        assert code == 2
+        assert "failure" not in err
+
+    @pytest.mark.parametrize("argv", [["energy", "--n", "2"], ["wp-check", "--m", "8"]])
+    @pytest.mark.parametrize("spec", [
+        "1.05,1e400", "1.05,inf", "1.1:inf:5", "0.9,2", "2,1.5", "1.1:2:1",
+    ])
+    def test_bad_r_grid(self, capsys, curve_file, argv, spec):
+        path = curve_file("q.json")
+        code, _, err = run(capsys, *argv[:1], "--curve", path, *argv[1:], "--r", spec)
         assert code == 2
         assert "failure" not in err
 

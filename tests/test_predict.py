@@ -258,3 +258,10 @@ class TestZnBetaCircle:
 
     def test_single_point(self):
         assert zn_beta_circle(1, 7.25) == pytest.approx(LOG_2PI)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_beta_rejected(self, qcurve, beta):
+        with pytest.raises(ValueError):
+            zn_beta_circle(3, beta)
+        with pytest.raises(ValueError):
+            predict_beta_log(qcurve, zero_symbol(), 3, beta)
