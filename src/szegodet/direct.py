@@ -36,10 +36,18 @@ pi/2 the same formula runs unchanged without that guarantee: a zero
 pivot raises ZeroDeterminant, and grid refinement still gates
 convergence.
 
-``log_det_range`` refines the grid until the whole requested range
-agrees between two consecutive node counts, so every row of a range
-carries the same ``N_nodes``; a row below the top of the range may sit
-on a finer grid than it would alone.  ``log_det_Dn`` is the one-row case.
+``log_det_range`` starts at N = 2 n_hi + 64 nodes, rounded up to a
+multiple of 8, and doubles N until the whole requested range agrees
+between two consecutive grids.  Up to degree n_hi the Gram entries are
+trigonometric polynomials of degree about 2 n_hi times an analytic
+weight whose Fourier tail decays like rho**k (rho the critical radius of
+the exterior map), so the trapezoidal rule converges geometrically past
+2 n_hi nodes (Trefethen & Weideman, SIAM Rev. 56, 2014).  That error is
+not monotone in N, so under slower growth two grids can agree to the
+tolerance while both are off; doubling squares the error at each step,
+which keeps the gate honest near rho = 1.  Every row of a range carries
+the same ``N_nodes``; a row below the top of the range may sit on a
+finer grid than it would alone.  ``log_det_Dn`` is the one-row case.
 
 All quadrature runs on the cap-normalized curve; n**2 log cap is added
 analytically at the end.
@@ -173,8 +181,8 @@ def _range_at(mp: ExteriorMap, sym: FourierSymbol, n_lo: int, n_hi: int, N: int)
 
 
 def _start_N(n: int) -> int:
-    N = max(512, 8 * n)
-    return 1 << int(np.ceil(np.log2(N)))
+    """First grid of the automatic ladder: 2n + 64 nodes, up to a multiple of 8."""
+    return -(-(2 * n + 64) // 8) * 8
 
 
 def log_det_range(
@@ -182,11 +190,11 @@ def log_det_range(
 ) -> list[DirectResult]:
     """log D_n[e^g] for every n in n_lo..n_hi, all on one grid.
 
-    With N omitted the node count starts at max(512, 8 n_hi) and doubles
-    until two consecutive grids agree to 1e-8 on every n of the range
-    (error NotConverged past 2**20 nodes).  An explicit N (at least
-    4 n_hi) is honored as stated and each row's N vs 2N agreement only
-    sets its ``converged`` flag.
+    With N omitted the node count starts at 2 n_hi + 64 (rounded up to a
+    multiple of 8) and doubles until two consecutive grids agree to 1e-8
+    on every n of the range (error NotConverged past 2**20 nodes).  An
+    explicit N (at least 4 n_hi) is honored as stated and each row's N vs
+    2N agreement only sets its ``converged`` flag.
     """
     if n_lo < 1:
         raise ValueError("n must be >= 1")
@@ -228,7 +236,8 @@ def log_det_Dn(
     """log D_n[e^g] at finite n with a grid-refinement convergence check.
 
     The one-row case of ``log_det_range``: the node count starts at
-    max(512, 8n) and doubles until two consecutive grids agree to 1e-8;
+    2n + 64 (rounded up to a multiple of 8) and doubles until two
+    consecutive grids agree to 1e-8;
     an explicit N >= 4n is honored and only sets ``converged``.
     """
     return log_det_range(mp, sym, n, n, N)[0]

@@ -11,12 +11,14 @@ from szegodet import (
     log_det_range,
     make_map,
     predict_log_Dn,
+    predict_range,
     quotient_ratio,
     symbol_from_coefficients,
     zero_symbol,
 )
-from szegodet.direct import EnergyCurve, LOG_2PI, _qr_prefix
-from szegodet.errors import DilationNotGreaterThanOne, GridTooCoarse
+from szegodet.direct import EnergyCurve, LOG_2PI, _qr_prefix, _range_at
+from szegodet.errors import DilationNotGreaterThanOne, GridTooCoarse, SzegoError
+from szegodet.series import _unchecked_map
 
 from test_grunsky import rotated, rotated_symbol
 
@@ -171,6 +173,18 @@ class TestHighPrecisionOracle:
         p = predict_log_Dn(qcurve, sym, n).total_log
         assert abs(d.imag - p.imag) < 1e-3
 
+    @pytest.mark.parametrize("A", [2.0, 3.0, 4.0])
+    def test_no_branch_jump_past_half_pi(self, qcurve, A):
+        # max |Im g| = A is past pi/2, where the pivot logs carry no branch
+        # guarantee; Im log D_n still tracks the prediction to well within
+        # pi, so no 2 pi jump occurs on the automatic grid
+        sym = symbol_from_coefficients(0.0, [0.3, A * 1j])
+        rows = log_det_range(qcurve, sym, 8, 24)
+        preds = predict_range(qcurve, sym, 8, 24)
+        for d, p in zip(rows, preds):
+            assert d.method == "qr_phase"
+            assert abs(d.log_Dn.imag - p.total_log.imag) < 0.5, (d.n, d.N_nodes)
+
 
 class TestInvariance:
     def test_basis_change(self, qcurve):
@@ -315,6 +329,41 @@ class TestConvexity:
             convexity_check(bad)
 
 
+def _near_unit_curve(rng, r, degree, extra=0.05):
+    """A valid curve whose critical radius is within 1.5 % of r.
+
+    One dominant term with d|t_d| = r**(d + 1) puts the zero of phi' at
+    radius r; lower terms carry ``extra`` of that weight in sum k|t_k|,
+    with random split and phases.  Draws that move the critical radius
+    by more than 1.5 % or that ``make_map`` rejects are redrawn.
+    """
+    k = np.arange(1, degree + 1)
+    dominant = r ** (degree + 1)
+    while True:
+        tail = np.zeros(degree, dtype=complex)
+        tail[-1] = dominant / degree * np.exp(2j * np.pi * rng.random())
+        if degree > 1:
+            w = rng.dirichlet(np.ones(degree - 1)) * extra * dominant
+            tail[:-1] = w / k[:-1] * np.exp(2j * np.pi * rng.random(degree - 1))
+        # phi'(z) = 1 - sum k t_k z^(-k-1) vanishes at the roots of this
+        crit = np.max(np.abs(np.roots(np.concatenate(([1.0, 0.0], -k * tail)))))
+        cap = float(rng.uniform(0.8, 1.25))
+        phi0 = complex(*rng.normal(scale=0.1, size=2))
+        if abs(crit - r) > 0.015 * r:
+            continue
+        try:
+            return make_map(cap, phi0, tail)
+        except SzegoError:
+            continue
+
+
+def _fixed_grid_values(mp, sym, n_lo, n_hi, N):
+    """log D_n, n = n_lo..n_hi, on one N-node grid: what an explicit N
+    returns, without the cost of its 2N check grid."""
+    vals, _ = _range_at(_unchecked_map(1.0, mp.phi0, mp.tail), sym, n_lo, n_hi, N)
+    return vals + np.arange(n_lo, n_hi + 1) ** 2 * np.log(mp.cap)
+
+
 def _logdet_columns(z, u, n):
     """log D_1..log D_n by the column-major Gram-Schmidt loop, as a reference."""
     N = len(z)
@@ -380,20 +429,55 @@ class TestRange:
 
     def test_refines_until_every_row_agrees(self, wobbly, monkeypatch):
         import szegodet.direct as direct_mod
+        from szegodet.direct import _start_N
 
-        assert log_det_range(wobbly, self.SYM, 4, 12)[0].N_nodes == 1024
+        assert log_det_range(wobbly, self.SYM, 4, 12)[0].N_nodes == 2 * _start_N(12)
         real = direct_mod._range_at
+        # the lowest row is off on every grid below 1000 nodes, so the
+        # ladder must pass the first grid beyond that and confirm it once
+        settled = _start_N(12)
+        while settled < 1000:
+            settled *= 2
 
         def lowest_row_settles_late(mp, sym, n_lo, n_hi, N):
             vals, method = real(mp, sym, n_lo, n_hi, N)
-            if N < 2048:
+            if N < 1000:
                 vals = vals.copy()
                 vals[0] += 1.0 / N
             return vals, method
 
         monkeypatch.setattr(direct_mod, "_range_at", lowest_row_settles_late)
         rows = log_det_range(wobbly, self.SYM, 4, 12)
-        assert all(r.N_nodes == 4096 for r in rows)
+        assert all(r.N_nodes == 2 * settled for r in rows)
+
+    @pytest.mark.parametrize("name, n_hi", [
+        ("circle", 200), ("qcurve", 200), ("wobbly", 200), ("slow", 40),
+    ])
+    def test_auto_grid_matches_fine_grid(self, request, name, n_hi):
+        # the start grid 2 n_hi + 64 is sized to the degree: the grid the
+        # ladder accepts matches 8192 nodes to rounding on every row
+        mp = request.getfixturevalue(name)
+        rows = log_det_range(mp, self.SYM, 8, n_hi)
+        ref = _fixed_grid_values(mp, self.SYM, 8, n_hi, 8192)
+        for a, b in zip(rows, ref):
+            assert abs(a.log_Dn - b) <= 1e-12 * max(1.0, abs(b))
+
+    def test_no_false_agreement_near_unit_radius(self):
+        # critical radius r near 1: the integrand's tail decays like r^k and
+        # the error is not monotone in N, so two grids of a slowly growing
+        # ladder can agree while both are off (a 1.5x ladder fails here);
+        # doubling squares the error at each step instead
+        rng = np.random.default_rng(24)
+        for r in (0.95, 0.97, 0.99):
+            for degree in (1, 3, 5):
+                mp = _near_unit_curve(rng, r, degree)
+                for n_lo, n_hi in ((8, 12), (20, 40), (90, 100)):
+                    rows = log_det_range(mp, self.SYM, n_lo, n_hi)
+                    N = rows[0].N_nodes
+                    ref = _fixed_grid_values(mp, self.SYM, n_lo, n_hi, 4 * N)
+                    for a, b in zip(rows, ref):
+                        tol = 1e-10 * max(1.0, abs(b))
+                        assert abs(a.log_Dn - b) <= tol, (r, degree, a.n, N)
 
     def test_not_converged_at_node_cap(self, wobbly, monkeypatch):
         import szegodet.direct as direct_mod
