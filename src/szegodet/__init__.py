@@ -1,9 +1,9 @@
 """Szego-type determinant asymptotics on Jordan curves.
 
 Curves enter through exterior-map Laurent data; the library computes
-Grunsky tables, the operators B and K with their Takagi spectral data,
-closed-form asymptotic predictions, direct quadrature determinants at
-finite n, and Monte Carlo beta-ensemble probes.
+Grunsky tables, the operators B and K with the singular values and the
+Takagi factorization of B, closed-form asymptotic predictions, direct
+quadrature determinants at finite n, and Monte Carlo beta-ensemble probes.
 """
 
 from .errors import SzegoError

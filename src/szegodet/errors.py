@@ -54,10 +54,6 @@ class NotSymmetric(SzegoError):
     """Input matrix is not (numerically) complex symmetric."""
 
 
-class PairingFailed(SzegoError):
-    """Eigenvalues of the doubled operator do not pair up as +/- lambda."""
-
-
 class SingularValueAtOne(SzegoError):
     """Largest singular value reaches 1: not resolved as a quasicircle."""
 
@@ -66,10 +62,6 @@ class SingularValueAtOne(SzegoError):
 
 class BadLength(SzegoError):
     """Sample vector length is not a power of two >= 8."""
-
-
-class TruncationExceedsSymbol(SzegoError):
-    """Requested truncation exceeds the stored Fourier data."""
 
 
 class TruncationExceedsTable(SzegoError):

@@ -21,8 +21,8 @@ B is the matrix sqrt(k*l) a_{kl}; K is the real symmetric doubling
 whose eigenvalues are +/- the singular values of B.  The spectral report
 takes the singular values from one complex SVD of B and checks them
 against the eigenvalues of K through the determinant identity.  The
-Takagi factorization B = U Lambda U^t, recovered from the K
-eigenproblem, is a standalone routine that no report path calls.
+Takagi factorization B = U Lambda U^t comes from one complex SVD of B as
+well; it is a standalone routine that no report path calls.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     AliasingDetected,
     BranchJumpDetected,
     DilationNotGreaterThanOne,
     NotSymmetric,
-    PairingFailed,
     SingularValueAtOne,
     TruncationTooSmall,
 )
@@ -244,58 +244,52 @@ def _k_matrix(B: np.ndarray) -> np.ndarray:
 
 
 def takagi(B: np.ndarray) -> TakagiFactor:
-    """Takagi factorization B = U diag(lam) U^t via the K eigenproblem.
+    """Takagi factorization B = U diag(lam) U^t from one SVD B = W Sigma V^H.
 
-    An eigenvector (r; s) of K for +lam yields the column u = r + i s;
-    (s; -r) is then automatically an eigenvector for -lam, which is what
-    makes the doubled matrix [[R, S], [S, -R]] orthogonal.  The kernel of
-    K is invariant under J:(r;s)->(s;-r), and a basis {t_j, J t_j} is
-    built greedily so the zero-space columns stay unitary as well.
+    Since B = B^t, each cluster of equal singular values has
+    conj(V_c) = W_c Z with Z symmetric and unitary, and U_c = W_c Z^{1/2}.
+    Singular values at most 1e-13 max(1, sigma_max) are set to 0; their
+    columns of W are kept as they are, since any orthonormal completion
+    of the null space serves.  Clusters join neighbours whose relative
+    gap is at most 1e-9.  Each column of U is signed so that its
+    largest-modulus entry has a nonnegative real part.
     """
     B = np.asarray(B, dtype=complex)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError("B must be square")
     msize = B.shape[0]
-    if msize and float(np.max(np.abs(B - B.T))) > 1e-12:
+    if not msize:
+        return TakagiFactor(np.zeros((0, 0), dtype=complex), np.zeros(0), 0.0)
+    if float(np.max(np.abs(B - B.T))) > 1e-12:
         raise NotSymmetric("matrix is not complex symmetric to 1e-12")
-    K = _k_matrix(B)
-    w, V = np.linalg.eigh(K)
-    scale = max(float(np.max(np.abs(w))) if len(w) else 0.0, 1.0)
-    ztol = 1e-13 * scale
-    ws = np.sort(w)
-    pair_gap = float(np.max(np.abs(ws + ws[::-1]))) if len(w) else 0.0
-    if pair_gap > 1e-9 * scale:
-        raise PairingFailed(f"eigenvalues fail the +/- pairing by {pair_gap:.3e}")
-    pos = np.nonzero(w > ztol)[0]
-    neg = np.nonzero(w < -ztol)[0]
-    zer = np.nonzero(np.abs(w) <= ztol)[0]
-    if len(pos) != len(neg) or len(zer) % 2 != 0:
-        raise PairingFailed(
-            f"multiplicities disagree: {len(pos)} positive, {len(neg)} negative, "
-            f"{len(zer)} near zero"
-        )
-    order = pos[np.argsort(-w[pos])]
-    lam = list(w[order])
-    cols = [V[:msize, i] + 1j * V[msize:, i] for i in order]
-    if len(zer):
-        basis = V[:, zer]
-        want = len(zer) // 2
-        for _ in range(want):
-            t = basis[:, 0]
-            t = t / np.linalg.norm(t)
-            Jt = np.concatenate([t[msize:], -t[:msize]])
-            cols.append(t[:msize] + 1j * t[msize:])
-            lam.append(0.0)
-            rest = basis[:, 1:]
-            rest = rest - np.outer(t, t @ rest) - np.outer(Jt, Jt @ rest)
-            if rest.shape[1]:
-                u_, s_, _ = np.linalg.svd(rest, full_matrices=False)
-                basis = u_[:, : rest.shape[1] - 1]
-    U = np.column_stack(cols) if cols else np.zeros((0, 0), dtype=complex)
-    lam = np.asarray(lam, dtype=float)
-    recon = (U * lam) @ U.T
-    residual = float(np.max(np.abs(B - recon))) if msize else 0.0
+    W, lam, Vh = np.linalg.svd(B)
+    lam[lam <= 1e-13 * max(1.0, float(lam[0]))] = 0.0
+    pos = lam[:np.count_nonzero(lam)]
+    breaks = np.nonzero(pos[:-1] - pos[1:] > 1e-9 * pos[:-1])[0] + 1
+    U = W.copy()
+    for c in np.split(np.arange(len(pos)), breaks) if len(pos) else ():
+        Wc = W[:, c]
+        P, _, Qh = np.linalg.svd(Wc.conj().T @ Vh[c].T)
+        T, X = scipy.linalg.schur(P @ Qh, output="complex")
+        U[:, c] = Wc @ (X * _unit_sqrt(np.diag(T))) @ X.conj().T
+    lead = U[np.argmax(np.abs(U), axis=0), np.arange(msize)]
+    U *= np.where(lead.real < 0, -1.0, 1.0)
+    residual = float(np.max(np.abs(B - (U * lam) @ U.T)))
     return TakagiFactor(U, lam, residual)
+
+
+def _unit_sqrt(t: np.ndarray) -> np.ndarray:
+    """Square roots of unit-modulus t, one branch for the whole set.
+
+    The cut sits mid-way through the widest angular gap, so eigenvalues
+    that rounding splits apart (say around -1) get the same branch, and
+    X sqrt(T) X^H stays the symmetric square root of a symmetric Z.
+    """
+    ang = np.sort(np.angle(t))
+    gaps = np.diff(ang, append=ang[0] + 2.0 * np.pi)
+    j = int(np.argmax(gaps))
+    rot = np.exp(1j * (np.pi - ang[j] - 0.5 * gaps[j]))
+    return np.sqrt(t * rot) / np.sqrt(rot)
 
 
 def delta_m_tail(B: np.ndarray) -> float:
@@ -322,8 +316,8 @@ def spectral_report(pair: OperatorPair) -> SpectralReport:
     give kappa_hat, log det(I - B*B) and the energy; log det(I+K) comes
     from the symmetric eigenvalues of K.  The two are independent LAPACK
     routines, so their agreement exercises the determinant identity
-    det(I+K) = prod(1 - lam_j**2).  No Takagi vectors are needed (see
-    ``takagi`` for the full factorization).
+    det(I+K) = prod(1 - lam_j**2).  No singular vectors are needed (see
+    ``takagi`` for the factorization B = U diag(lam) U^t).
     """
     lam = np.linalg.svd(pair.B, compute_uv=False)
     kappa = float(lam[0]) if len(lam) else 0.0

@@ -228,7 +228,10 @@ def estimate_ratio(
         zb = np.exp(1j * thetas)
         logphip = np.sum(np.log(np.abs(_phi_norm(mp, zb, 1))), axis=1)
         expo += (1.0 - 0.5 * cfg.beta) * logphip
-    w = np.exp(expo)
+    # weights relative to the largest: the log mean is shift + log(mean),
+    # and the error, ESS and tail test do not depend on the common scale
+    shift = float(np.max(expo))
+    w = np.exp(expo - shift)
     mean = float(np.mean(w))
     if _heavy_tailed(w):
         warnings.warn(
@@ -236,9 +239,9 @@ def estimate_ratio(
             stacklevel=2,
         )
     tau, se_mean = _autocorr_time(w)
-    std_error = max(se_mean / abs(mean), np.finfo(float).tiny) if mean != 0 else float("inf")
+    std_error = max(se_mean / mean, np.finfo(float).tiny)
     return BetaEstimate(
-        mean_log=float(np.log(mean)),
+        mean_log=shift + float(np.log(mean)),
         std_error=std_error,
         acceptance_rate=rate,
         ess=float(T / tau),

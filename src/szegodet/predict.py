@@ -29,7 +29,7 @@ from .grunsky import (
     operators,
 )
 from .series import ExteriorMap
-from .symbol import FourierSymbol, GVector, d_vector, padded_g_vector, zero_symbol
+from .symbol import FourierSymbol, GVector, d_vector, g_vector, zero_symbol
 
 log = logging.getLogger(__name__)
 
@@ -120,7 +120,7 @@ def _rung(mp: ExteriorMap, sym: FourierSymbol, size: int):
     table = grunsky_coefficients(mp, size)
     pair = operators(table)
     cho = _cholesky(pair)
-    quad = _solve_form(cho, padded_g_vector(sym, size).entries)
+    quad = _solve_form(cho, g_vector(sym, size).entries)
     return table, pair, cho, quad, -float(np.sum(np.log(np.diag(cho[0])))) + 0.0
 
 
@@ -244,7 +244,7 @@ def predict_beta_log(
     if abs(complex(sym.a0)) > _MEAN_TOL:
         raise NonzeroMean(f"conjecture requires a0 = 0, got {sym.a0!r}")
     table, _, cho, _, half = _ladder(mp, sym, m)
-    g = padded_g_vector(sym, table.m).entries
+    g = g_vector(sym, table.m).entries
     d = d_vector(table, table.m).entries
     return half + (2.0 / beta) * _solve_form(cho, (beta / 2.0 - 1.0) * d + g)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLength, TruncationExceedsSymbol, TruncationExceedsTable
+from .errors import BadLength, TruncationExceedsTable
 from .grunsky import GrunskyTable
 from .series import _readonly
 
@@ -112,28 +112,17 @@ class GVector:
 
 
 def g_vector(sym: FourierSymbol, m: int) -> GVector:
-    """Vector data of the symbol at truncation m (a0 excluded)."""
-    if m > sym.K_max:
-        raise TruncationExceedsSymbol(f"m={m} exceeds stored truncation {sym.K_max}")
-    k = np.arange(1, m + 1, dtype=float)
-    half_rk = 0.5 * np.sqrt(k)
-    return GVector(np.concatenate([half_rk * sym.a[:m], half_rk * sym.b[:m]]))
+    """Vector data of the symbol at truncation m (a0 excluded).
 
-
-def padded_g_vector(sym: FourierSymbol, m: int) -> GVector:
-    """Like g_vector but with zeros beyond the stored truncation.
-
-    Zero extension is exact for the stored data, so this is the natural
-    form for callers that pick m by an automatic policy.
+    Coefficients beyond the stored truncation count as zero, as in
+    ``FourierSymbol.coeff``; zero extension is exact for the stored data.
     """
-    if m <= sym.K_max:
-        return g_vector(sym, m)
-    k = np.arange(1, m + 1, dtype=float)
+    k = min(m, sym.K_max)
     a = np.zeros(m, dtype=complex)
     b = np.zeros(m, dtype=complex)
-    a[: sym.K_max] = sym.a
-    b[: sym.K_max] = sym.b
-    half_rk = 0.5 * np.sqrt(k)
+    a[:k] = sym.a[:k]
+    b[:k] = sym.b[:k]
+    half_rk = 0.5 * np.sqrt(np.arange(1, m + 1, dtype=float))
     return GVector(np.concatenate([half_rk * a, half_rk * b]))
 
 

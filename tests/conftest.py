@@ -29,9 +29,10 @@ def slow():
                     [0.01 + 0.005j, -0.008j, 0.94**4 / 3 * np.exp(0.7j)])
 
 
-# (cap, phi0, tail) of a valid curve on which ``takagi`` splits a +/- pair
-# of K eigenvalues across its zero threshold at m = 32 and raises
-# PairingFailed ("21 positive, 20 negative, 23 near zero")
+# (cap, phi0, tail) of a valid curve whose K eigenvalues at m = 32 put one
+# member of a +/- pair on each side of a 1e-13 zero threshold, so a Takagi
+# route that pairs the eigenvalues of K miscounts them ("21 positive,
+# 20 negative, 23 near zero")
 PAIRING_CURVE = (
     1.122395134169683,
     0.12927163977988496 - 0.0626620189631375j,

@@ -255,6 +255,51 @@ class TestTakagi:
         with pytest.raises(NotSymmetric):
             takagi(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
+    def test_empty(self):
+        f = takagi(np.zeros((0, 0), dtype=complex))
+        assert f.U.shape == (0, 0) and f.lam.shape == (0,) and f.residual == 0.0
+
+    def test_pairing_curve(self, pairing):
+        # the +/- pairs of K eigenvalues straddle 1e-13 here; the SVD route
+        # never forms K
+        f = takagi(operators(grunsky_coefficients(pairing, 32)).B)
+        assert f.residual <= 1e-12
+        assert np.max(np.abs(f.U @ f.U.conj().T - np.eye(32))) <= 1e-13
+
+    @pytest.mark.parametrize("m", [128, 512])
+    @pytest.mark.parametrize("curve", ["wobbly", "slow"])
+    def test_fixture_at_scale(self, request, curve, m):
+        B = operators(grunsky_coefficients(request.getfixturevalue(curve), m)).B
+        f = takagi(B)
+        sv = np.linalg.svd(B, compute_uv=False)
+        sv[sv <= 1e-13 * max(1.0, sv[0])] = 0.0
+        assert f.residual <= 1e-12
+        assert np.max(np.abs(f.U @ f.U.conj().T - np.eye(m))) <= 1e-13
+        assert np.max(np.abs(f.lam - sv)) <= 1e-14
+
+    @pytest.mark.parametrize("size", [2, 3, 5])
+    def test_degenerate_cluster(self, size):
+        rng = np.random.default_rng(size)
+        m = 10
+        Q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        s = np.concatenate([[0.8], np.full(size, 0.5), np.linspace(0.3, 0.1, m - 1 - size)])
+        f = takagi((Q * s) @ Q.T)
+        assert f.residual <= 1e-13
+        assert np.max(np.abs(f.U @ f.U.conj().T - np.eye(m))) <= 1e-13
+        assert np.max(np.abs(f.lam - s)) <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_repeated_negative_eigenvalue(self, seed):
+        # real symmetric B = O diag(s) O^t: on the -0.4 cluster Z is close to
+        # -I, and rounding may put its eigenvalues on both sides of -1
+        rng = np.random.default_rng(seed)
+        O, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        s = np.array([-0.6, -0.4, -0.4, -0.4, 0.2, 0.1])
+        f = takagi(((O * s) @ O.T).astype(complex))
+        assert f.residual <= 1e-13
+        assert np.max(np.abs(f.U @ f.U.conj().T - np.eye(6))) <= 1e-13
+        assert np.max(np.abs(f.lam - np.abs(s))) <= 1e-14
+
 
 class TestSpectralReport:
     def test_circle_all_zero(self, circle):

@@ -163,6 +163,21 @@ class TestEstimate:
         with pytest.warns(UserWarning):
             estimate_ratio(qcurve, symbol_from_coefficients(1.0), cfg, m=8)
 
+    @pytest.mark.parametrize("a0", [-2000.0, 2000.0])
+    def test_large_mean_shifts_the_log(self, qcurve, a0):
+        # exp of the raw exponents under- or overflows here; a0 only adds
+        # n a0 / 2 to every exponent, so the log mean moves by exactly that
+        from szegodet import symbol_from_coefficients
+
+        cfg = ChainConfig(n=4, beta=2.0, steps=20000, burn_in=1000, seed=1)
+        ref = estimate_ratio(qcurve, symbol_from_coefficients(0.0, [0.1]), cfg, m=16)
+        with pytest.warns(UserWarning):
+            est = estimate_ratio(qcurve, symbol_from_coefficients(a0, [0.1]), cfg, m=16)
+        assert est.mean_log == pytest.approx(ref.mean_log + cfg.n * a0 / 2, abs=1e-9)
+        assert est.std_error == pytest.approx(ref.std_error, rel=1e-9)
+        assert est.ess == pytest.approx(ref.ess, rel=1e-9)
+        assert est.acceptance_rate == ref.acceptance_rate
+
 
 def test_heavy_tail_detection():
     from szegodet.mcbeta import _heavy_tailed

@@ -108,9 +108,9 @@ class TestPredictLogDn:
         assert "gaps quadform=" in caplog.text and "delta_m_tail=" in caplog.text
 
     def test_auto_ladder_needs_no_takagi(self, zero_sym):
-        # a valid curve on which takagi splits a +/- pair across its zero
-        # threshold at m = 32 and raises PairingFailed; the prediction
-        # needs only the symmetric eigenproblem of K
+        # the conftest PAIRING_CURVE: at m = 32 a +/- pair of K eigenvalues
+        # straddles a 1e-13 zero threshold; the prediction needs only the
+        # Cholesky factor of I + K and the eigenvalues of K
         mp = make_map(
             1.122395134169683,
             0.12927163977988496 - 0.0626620189631375j,

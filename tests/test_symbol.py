@@ -12,7 +12,7 @@ from szegodet import (
     theta_values,
     zero_symbol,
 )
-from szegodet.errors import BadLength, TruncationExceedsSymbol, TruncationExceedsTable
+from szegodet.errors import BadLength, TruncationExceedsTable
 
 
 def uniform_theta(N):
@@ -78,8 +78,10 @@ class TestGVector:
         assert np.max(np.abs(g_vector(sym, 3).entries)) == 0.0
 
     def test_truncation_error(self):
-        with pytest.raises(TruncationExceedsSymbol):
-            g_vector(symbol_from_coefficients(0.0, [1.0]), 2)
+        # past the stored truncation the coefficients count as zero
+        v = g_vector(symbol_from_coefficients(0.0, [1.0]), 2)
+        padded = g_vector(symbol_from_coefficients(0.0, [1.0], pad_to=2), 2)
+        assert np.array_equal(v.entries, padded.entries)
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
