@@ -46,7 +46,6 @@ from .predict import (
     predict_log_Zn,
     predict_quotient,
     predict_range,
-    quadratic_form,
     suggest_truncation,
     zn_beta_circle,
 )

@@ -20,7 +20,7 @@ B is the matrix sqrt(k*l) a_{kl}; K is the real symmetric doubling
 
 whose eigenvalues are +/- the singular values of B.  The spectral report
 takes the singular values from one complex SVD of B and checks them
-against the eigenvalues of K through the determinant identity.  The
+against the Cholesky factor of I + K through the determinant identity.  The
 Takagi factorization B = U Lambda U^t comes from one complex SVD of B as
 well; it is a standalone routine that no report path calls.
 """
@@ -37,6 +37,7 @@ from .errors import (
     AliasingDetected,
     BranchJumpDetected,
     DilationNotGreaterThanOne,
+    NotPositiveDefinite,
     NotSymmetric,
     SingularValueAtOne,
     TruncationTooSmall,
@@ -79,6 +80,17 @@ class OperatorPair:
     @property
     def m(self) -> int:
         return self.B.shape[0]
+
+
+def _cholesky(pair: OperatorPair) -> tuple:
+    """``cho_factor`` of I + K: the one factorization that gives both
+    (I+K)^{-1} and log det(I+K), twice the sum of the logs of its diagonal."""
+    try:
+        return scipy.linalg.cho_factor(np.eye(2 * pair.m) + pair.K, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(
+            "I + K is not positive definite; the Grunsky norm reaches 1"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -314,19 +326,21 @@ def spectral_report(pair: OperatorPair) -> SpectralReport:
 
     The singular values of B come from one complex SVD (values only) and
     give kappa_hat, log det(I - B*B) and the energy; log det(I+K) comes
-    from the symmetric eigenvalues of K.  The two are independent LAPACK
-    routines, so their agreement exercises the determinant identity
-    det(I+K) = prod(1 - lam_j**2).  No singular vectors are needed (see
-    ``takagi`` for the factorization B = U diag(lam) U^t).
+    from the diagonal of the Cholesky factor of I + K.  The two are
+    independent LAPACK routines, so their agreement exercises the
+    determinant identity det(I+K) = prod(1 - lam_j**2).  No singular
+    vectors are needed (see ``takagi`` for the factorization
+    B = U diag(lam) U^t).
     """
-    lam = np.linalg.svd(pair.B, compute_uv=False)
+    # scipy, as for the Cholesky factor: numpy's OpenBLAS is a second
+    # thread pool that spins when idle
+    lam = scipy.linalg.svdvals(pair.B, check_finite=False)
     kappa = float(lam[0]) if len(lam) else 0.0
     if kappa >= 1.0 - 1e-10:
         raise SingularValueAtOne(
             f"largest singular value {kappa!r} reaches 1; determinant diverges"
         )
-    wk = np.linalg.eigvalsh(pair.K)
-    log_det_IplusK = float(np.sum(np.log1p(wk)))
+    log_det_IplusK = 2.0 * float(np.sum(np.log(np.diag(_cholesky(pair)[0]))))
     log_det_ImBB = float(np.sum(np.log1p(-lam**2)))
     return SpectralReport(
         log_det_IplusK=log_det_IplusK,

@@ -21,15 +21,10 @@ import numpy as np
 import scipy.linalg
 from scipy.special import gammaln
 
-from .errors import NonzeroMean, NotPositiveDefinite, SingularValueAtOne
-from .grunsky import (
-    OperatorPair,
-    delta_m_tail,
-    grunsky_coefficients,
-    operators,
-)
+from .errors import NonzeroMean, SingularValueAtOne
+from .grunsky import _cholesky, delta_m_tail, grunsky_coefficients, operators
 from .series import ExteriorMap
-from .symbol import FourierSymbol, GVector, d_vector, g_vector, zero_symbol
+from .symbol import FourierSymbol, d_vector, g_vector, zero_symbol
 
 log = logging.getLogger(__name__)
 
@@ -86,15 +81,6 @@ class PredictionBreakdown:
         )
 
 
-def _cholesky(pair: OperatorPair) -> tuple:
-    try:
-        return scipy.linalg.cho_factor(np.eye(2 * pair.m) + pair.K, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            "I + K is not positive definite; the Grunsky norm reaches 1"
-        ) from exc
-
-
 def _solve_form(cho: tuple, v: np.ndarray) -> complex:
     """v^t (I+K)^{-1} v from the Cholesky factor of I + K."""
     vr = np.ascontiguousarray(v.real)
@@ -104,14 +90,6 @@ def _solve_form(cho: tuple, v: np.ndarray) -> complex:
     re = float(vr @ xr - vi @ xi)
     im = float(vr @ xi + vi @ xr)
     return complex(re, im)
-
-
-def quadratic_form(pair: OperatorPair, v: GVector) -> complex:
-    """Bilinear form v^t (I+K)^{-1} v through a Cholesky solve of I + K."""
-    two_m = 2 * pair.m
-    if len(v.entries) != two_m:
-        raise ValueError(f"vector length {len(v.entries)} != 2m = {two_m}")
-    return _solve_form(_cholesky(pair), v.entries)
 
 
 def _rung(mp: ExteriorMap, sym: FourierSymbol, size: int):
@@ -124,12 +102,38 @@ def _rung(mp: ExteriorMap, sym: FourierSymbol, size: int):
     return table, pair, cho, quad, -float(np.sum(np.log(np.diag(cho[0])))) + 0.0
 
 
+def _clearance(n: int) -> float:
+    """Lower bound on the computed half = -0.5 log det(I+K) of an n x n K
+    whose kappa, the largest singular value of B, is at least 1 - 1e-10.
+
+    Each pair 1 +/- sigma of eigenvalues of I + K adds -0.5 log(1 - sigma**2)
+    >= 0 to half, and 1 - kappa**2 <= 2 (1 - kappa), so exactly half >=
+    -0.5 log(2e-10) = 11.17.  The computed factor R is exact for I + K + E
+    with |E| <= gamma_{n+1} |R^t||R| (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3, any order of the inner products, so
+    also LAPACK's blocked potrf).  Cauchy-Schwarz on the columns of R
+    gives ||E||_2 <= ||E||_F <= gamma_{n+1} trace(R^t R) <= eps, as
+    trace(I + K) = n.  By Weyl each eigenvalue moves up by at most eps,
+    so the computed det is at most (2 + eps)(1e-10 + eps)(1 + eps)**(n-2).
+    The logs of the pivots, each at most 745 in size, and their sum add at
+    most 745 eps.  The bound is 11.17 for small n and 10.78 at n = 1024.
+    """
+    u = 0.5 * float(np.finfo(float).eps)  # unit roundoff
+    gamma = (n + 1) * u / (1.0 - (n + 1) * u)
+    eps = gamma * n / (1.0 - gamma)
+    return -0.5 * (math.log((2.0 + eps) * (1e-10 + eps)) + (n - 2) * math.log1p(eps)) - 745 * eps
+
+
 def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
     """``_rung`` at a fixed m, or at the first doubling m = 8, 16, ..., 512
     where quad and half both move by less than 1e-9.
 
     Only the accepted rung is checked for a singular value of B at 1: B_m
     is the leading block of B_2m, so the largest one cannot fall as m grows.
+    While half stays below ``_clearance``, the Cholesky factor alone proves
+    kappa < 1 - 1e-10 and no eigenvalues of K are needed; above it they
+    decide.  The ``--m auto`` log line, when its level is enabled, reads
+    kappa_hat off the eigenvalues of K and changes nothing else.
     """
     size = 8 if m is None else m
     table, pair, cho, quad, half = _rung(mp, sym, size)
@@ -141,18 +145,22 @@ def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
         gaps = (abs(quad2 - quad), abs(half2 - half))
         settled = all(gap < M_AUTO_TOL for gap in gaps)
         quad, half = quad2, half2
-    # scipy, as for cho_factor: numpy's OpenBLAS is a second thread pool that spins when idle
-    w = scipy.linalg.eigvalsh(pair.K, check_finite=False)
-    if w[-1] >= 1.0 - 1e-10 or w[0] <= -1.0 + 1e-10:
-        raise SingularValueAtOne("spectrum of K reaches 1; determinant diverges")
-    if m is None:  # w[-1], the largest singular value of B, is kappa_hat
-        log.log(
-            logging.INFO if settled else logging.WARNING,
-            "auto truncation m=%d%s: gaps quadform=%.3e halflogdet=%.3e "
-            "kappa_hat=%.6f delta_m_tail=%.3e",
-            size, "" if settled else " (cap reached, gaps not below 1e-9)",
-            *gaps, float(w[-1]), delta_m_tail(pair.B),
-        )
+    cleared = half < _clearance(2 * size)
+    level = logging.INFO if settled else logging.WARNING
+    logged = m is None and log.isEnabledFor(level)
+    if not cleared or logged:
+        # scipy, as for cho_factor: numpy's OpenBLAS is a second thread pool that spins when idle
+        w = scipy.linalg.eigvalsh(pair.K, check_finite=False)
+        if not cleared and (w[-1] >= 1.0 - 1e-10 or w[0] <= -1.0 + 1e-10):
+            raise SingularValueAtOne("spectrum of K reaches 1; determinant diverges")
+        if logged:  # w[-1], the largest singular value of B, is kappa_hat
+            log.log(
+                level,
+                "auto truncation m=%d%s: gaps quadform=%.3e halflogdet=%.3e "
+                "kappa_hat=%.6f delta_m_tail=%.3e",
+                size, "" if settled else " (cap reached, gaps not below 1e-9)",
+                *gaps, float(w[-1]), delta_m_tail(pair.B),
+            )
     return table, pair, cho, quad, half
 
 
@@ -204,7 +212,10 @@ def predict_log_Dn(
     beyond the stored truncation count as zero, so the ladder works for
     short symbols too.  A failed Cholesky factor of I + K raises
     ``NotPositiveDefinite``; an eigenvalue of K within 1e-10 of +/-1 raises
-    ``SingularValueAtOne``.
+    ``SingularValueAtOne``.  That check needs the eigenvalues of K only when
+    -0.5 log det(I+K) reaches ``_clearance``, about 11; the ``--m auto``
+    log line runs them too when its level is enabled.  Neither the value
+    nor the error depends on the logging configuration.
     """
     return predict_range(mp, sym, n, n, m)[0]
 

@@ -343,6 +343,20 @@ class TestSpectralReport:
         assert abs(rep.log_det_IplusK - rep.log_det_IminusBstarB) <= 1e-10
         assert rep.szego_energy == -0.5 * rep.log_det_IminusBstarB
 
+    @pytest.mark.parametrize("curve", ["slow", "q093"])
+    def test_log_det_from_cholesky_m512(self, request, curve):
+        # the diagonal of the Cholesky factor of I + K against the eigenvalues of K
+        mp = make_map(1.0, 0.0, [0.93]) if curve == "q093" else request.getfixturevalue(curve)
+        pair = operators(grunsky_coefficients(mp, 512))
+        x = float(np.sum(np.log1p(np.linalg.eigvalsh(pair.K))))
+        assert abs(spectral_report(pair).log_det_IplusK - x) <= 1e-12 * max(1.0, abs(x))
+
+    def test_empty_table(self):
+        from szegodet.grunsky import GrunskyTable
+
+        rep = spectral_report(operators(GrunskyTable(0, np.zeros((0, 0), dtype=complex))))
+        assert rep.log_det_IplusK == 0.0 and rep.kappa_hat == 0.0
+
     def test_curve_where_takagi_pairing_fails(self, pairing):
         pair = operators(grunsky_coefficients(pairing, 32))
         rep = spectral_report(pair)

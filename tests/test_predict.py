@@ -3,6 +3,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from szegodet import (
     grunsky_coefficients,
@@ -14,7 +15,6 @@ from szegodet import (
     predict_log_Dn,
     predict_log_Zn,
     predict_quotient,
-    quadratic_form,
     spectral_report,
     suggest_truncation,
     symbol_from_coefficients,
@@ -22,47 +22,49 @@ from szegodet import (
     zn_beta_circle,
 )
 from szegodet.errors import NonzeroMean, NotPositiveDefinite, SingularValueAtOne
-from szegodet.predict import LOG_2PI
+from szegodet.grunsky import _cholesky
+from szegodet.predict import LOG_2PI, _clearance, _solve_form
 from szegodet.series import _unchecked_map
 
 from conftest import q_energy_limit
+from test_direct import _near_unit_curve
 from test_grunsky import rotated, rotated_symbol
 
 
 class TestQuadraticForm:
+    # v^t (I+K)^{-1} v from the shared Cholesky factor of I + K
     def test_identity_solve(self, circle):
         pair = operators(grunsky_coefficients(circle, 4))
         rng = np.random.default_rng(1)
         v = g_vector(symbol_from_coefficients(0.0, rng.standard_normal(4), rng.standard_normal(4)), 4)
-        assert quadratic_form(pair, v) == pytest.approx(np.sum(v.entries**2))
+        assert _solve_form(_cholesky(pair), v.entries) == pytest.approx(np.sum(v.entries**2))
 
     def test_q_diagonal_a_block(self, qcurve):
         # K is diagonal for the q-curve: the a-block solves against 1 + q**k,
         # so a_1 = 1 gives (1/2)**2 / (1 + q) = 1/6
         pair = operators(grunsky_coefficients(qcurve, 8))
         v = g_vector(symbol_from_coefficients(0.0, [1.0], pad_to=8), 8)
-        assert quadratic_form(pair, v) == pytest.approx(1.0 / 6.0, abs=1e-14)
+        assert _solve_form(_cholesky(pair), v.entries) == pytest.approx(1.0 / 6.0, abs=1e-14)
 
     def test_q_diagonal_b_block(self, qcurve):
         # b-block diagonal entry is 1 - q: (1/2)**2 / (1 - 0.5) = 1/2.
         # (The oracle value is forced by the diagonal solve.)
         pair = operators(grunsky_coefficients(qcurve, 8))
         v = g_vector(symbol_from_coefficients(0.0, [], [1.0], pad_to=8), 8)
-        assert quadratic_form(pair, v) == pytest.approx(0.5, abs=1e-14)
+        assert _solve_form(_cholesky(pair), v.entries) == pytest.approx(0.5, abs=1e-14)
 
     def test_not_positive_definite(self):
         from szegodet.grunsky import GrunskyTable
 
         pair = operators(GrunskyTable(2, np.diag([1.2, 0.1]).astype(complex)))
-        v = g_vector(symbol_from_coefficients(0.0, [1.0], pad_to=2), 2)
         with pytest.raises(NotPositiveDefinite):
-            quadratic_form(pair, v)
+            _cholesky(pair)
 
     def test_length_check(self, qcurve):
         pair = operators(grunsky_coefficients(qcurve, 8))
         v = g_vector(symbol_from_coefficients(0.0, [1.0], pad_to=4), 4)
         with pytest.raises(ValueError):
-            quadratic_form(pair, v)
+            _solve_form(_cholesky(pair), v.entries)
 
 
 class TestPredictLogDn:
@@ -110,7 +112,7 @@ class TestPredictLogDn:
     def test_auto_ladder_needs_no_takagi(self, zero_sym):
         # the conftest PAIRING_CURVE: at m = 32 a +/- pair of K eigenvalues
         # straddles a 1e-13 zero threshold; the prediction needs only the
-        # Cholesky factor of I + K and the eigenvalues of K
+        # Cholesky factor of I + K
         mp = make_map(
             1.122395134169683,
             0.12927163977988496 - 0.0626620189631375j,
@@ -140,7 +142,7 @@ class TestLadder:
 
     @pytest.mark.parametrize("curve, m", [("wobbly", 64), ("slow", 256)])
     def test_halflogdet_matches_spectral_report(self, request, curve, m):
-        # the Cholesky diagonal against the eigenvalues of K
+        # the ladder's accepted table against a report on a table built alone
         mp = request.getfixturevalue(curve)
         b = predict_log_Zn(mp, 1)
         assert b.m_used == m
@@ -159,6 +161,66 @@ class TestLadder:
         if m is None:
             with pytest.raises(error):
                 suggest_truncation(mp)
+
+    @pytest.mark.parametrize("level", [logging.INFO, logging.WARNING])
+    @pytest.mark.parametrize("m", [8, None])
+    @pytest.mark.parametrize("q, error", [
+        (1 - 1e-11, SingularValueAtOne),
+        (1.2, NotPositiveDefinite),
+    ])
+    def test_guard_at_any_log_level(self, caplog, level, m, q, error):
+        # the log line's eigenvalues of K must not change the verdict
+        with caplog.at_level(level, logger="szegodet.predict"):
+            self.test_guard(m, q, error)
+
+    @pytest.mark.parametrize("curve", ["circle", "qcurve", "wobbly", "slow", "pairing", "q093"])
+    def test_no_eigensolve_when_the_log_is_off(self, request, caplog, monkeypatch, curve):
+        # with INFO dropped, the Cholesky factor alone clears kappa < 1 - 1e-10
+        mp = make_map(1.0, 0.0, [0.93]) if curve == "q093" else request.getfixturevalue(curve)
+        ref = predict_log_Dn(mp, symbol_from_coefficients(0.0, [1.0]), 30)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("eigvalsh ran")
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with caplog.at_level(logging.WARNING, logger="szegodet.predict"):
+            b = predict_log_Dn(mp, symbol_from_coefficients(0.0, [1.0]), 30)
+        assert b == ref
+        assert b.m_used == (512 if curve == "q093" else suggest_truncation(mp))
+        assert not caplog.records
+
+    def test_exact_check_above_the_clearance(self, monkeypatch):
+        # q = 0.99 at m = 512: half is far above the clearance, so the
+        # eigenvalues of K run once, find kappa = 0.99 and let the value through
+        calls = []
+        eigvalsh = scipy.linalg.eigvalsh
+        monkeypatch.setattr(scipy.linalg, "eigvalsh",
+                            lambda *a, **kw: calls.append(1) or eigvalsh(*a, **kw))
+        b = predict_log_Zn(make_map(1.0, 0.0, [0.99]), 4, 512)
+        assert b.term_halflogdet > _clearance(1024) + 20.0
+        assert calls == [1]
+        k = np.arange(1, 513)
+        assert b.term_halflogdet == pytest.approx(-0.5 * np.sum(np.log1p(-(0.99 ** (2 * k)))),
+                                                  abs=1e-10)
+
+    def test_clearance_bound(self):
+        # the exact bound -0.5 log(2e-10), less the Cholesky rounding allowance
+        assert _clearance(16) == pytest.approx(-0.5 * np.log(2e-10), abs=1e-3)
+        assert 10.7 < _clearance(1024) < _clearance(512) < _clearance(16) < 11.17
+
+    def test_half_bounds_the_largest_singular_value(self, request):
+        # every pair 1 +/- sigma adds -0.5 log(1 - sigma**2) >= 0 to half,
+        # so half >= -0.5 log(1 - kappa**2): the bound the clearance rests on
+        rng = np.random.default_rng(13)
+        curves = [request.getfixturevalue(c)
+                  for c in ("circle", "qcurve", "wobbly", "slow", "pairing")]
+        curves += [_near_unit_curve(rng, r, int(rng.integers(1, 6)))
+                   for r in np.linspace(0.5, 0.96, 30)]
+        for mp in curves:
+            b = predict_log_Zn(mp, 1)
+            kappa = spectral_report(operators(grunsky_coefficients(mp, b.m_used))).kappa_hat
+            assert -0.5 * np.log1p(-kappa**2) <= b.term_halflogdet + 1e-12
 
     def test_warns_at_cap_unsettled(self, caplog):
         with caplog.at_level(logging.INFO, logger="szegodet.predict"):
