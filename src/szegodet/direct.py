@@ -1,40 +1,53 @@
 """Finite-n determinants from the definition, by spectral quadrature.
 
 The moment matrix M_{jk} = int zeta^j conj(zeta)^k e^g |dzeta| is never
-formed.  The weight splits into its positive part w e^{Re g} and the
-phase e^{i Im g}.  The positive node-by-monomial array
-A[i, j] = sqrt(w_i e^{Re g_i}) zeta_i^j is factored orthogonally,
-A = Q^t R with Q row-major, and
+formed.  Any basis of polynomials that is monic, of degree j in column j,
+differs from the monomials by a unit upper-triangular matrix, which
+changes no leading minor of the Gram matrix; so D_n is also the Gram
+determinant of the Faber polynomials F_0..F_{n-1} of the exterior map.
+On the curve they are
 
-    log det M = 2 sum_j log R_jj + log det C,    C = Q diag(e^{i Im g}) Q^H.
+    F_j(phi(z)) = z**j + j sum_l a_{jl} z**(-l),    |z| = 1,
 
-The factorization runs as a Gram-Schmidt recurrence in the Krylov style
-(multiply the latest orthonormal column pointwise by zeta, orthogonalize
-twice, normalize), which produces exactly the triangular diagonal of R
-without ever propagating the exponentially ill-conditioned monomial
-coefficients.  The norm h_k removed at step k is R_kk / R_{k-1,k-1}, and
-step k does not depend on the final degree, so one pass to n gives the
-prefix vector
+close to e^{ij theta} by the Grunsky inequality, so the node-by-degree
+array is well conditioned, where the monomials are exponentially
+ill-conditioned.  ``_faber_basis`` evaluates it at the nodes by the
+pointwise Faber recurrence.  The homogeneous solutions of that
+recurrence are w**j over the roots w of phi(w) = zeta, and for zeta on
+the curve all of them lie in |w| <= 1, so rounding errors are not
+amplified along the recurrence.
 
-    2 sum_{i<j} log R_ii = 2 sum_{i<j} sum_{k<=i} log h_k,    j = 1..n,
+The weight splits into its positive part w e^{Re g} and the phase
+e^{i Im g}.  The array A[i, j] = sqrt(w_i e^{Re g_i}) F_j(zeta_i) is
+factored by one Householder QR, A = QR with Q N-by-n, and
 
-that is every determinant of a range at the cost of its largest one
+    log det M = 2 sum_j log |R_jj| + log det C,    C = Q^t diag(e^{i Im g}) conj(Q).
+
+The first j columns of R are the QR factor of the first j columns of A,
+so one factorization to n gives the prefix vector 2 sum_{i<j} log |R_ii|,
+j = 1..n, that is every determinant of a range at the cost of its
+largest one.  A Cholesky factor of the Gram matrix A^H A would give the
+same R, but from a matrix whose condition number is the square of that
+of A; Householder works on A itself.  Arnoldi orthogonalization
 (Brubeck, Nakatsukasa & Trefethen, "Vandermonde with Arnoldi", SIAM
-Rev. 63, 2021).
+Rev. 63, 2021) would build the basis degree by degree; with the whole
+Faber array known up front, one blocked LAPACK factorization replaces
+its n sequential steps of matrix-vector products.
 
 For a real symbol C = I and the phase term is skipped.  Otherwise C is
-an n-by-n compression of a unitary diagonal, so ||C|| <= 1 however badly
-the monomials are conditioned, and the leading j-block of M only sees
-the leading j-block of C.  Gaussian elimination without pivoting gives
-log det C_j for every j as a running sum of pivot logs, again one pass
-for the whole range.  When max |Im g| < pi/2 the Hermitian part of C is
-positive definite, so every pivot has positive real part, elimination
-without pivoting is stable, and the sum of principal pivot logs is the
-branch of log D_n that is continuous along t -> t Im g from the real
-symbol at t = 0; the asymptotic prediction takes the same branch.  Past
-pi/2 the same formula runs unchanged without that guarantee: a zero
-pivot raises ZeroDeterminant, and grid refinement still gates
-convergence.
+an n-by-n compression of a unitary diagonal, so ||C|| <= 1, and the
+leading j-block of M only sees the leading j-block of C.  Householder
+fixes each column of Q only up to a unit phase, and such phases leave
+every leading minor of C unchanged.  Gaussian elimination without
+pivoting gives log det C_j for every j as a running sum of pivot logs,
+again one pass for the whole range.  When max |Im g| < pi/2 the
+Hermitian part of C is positive definite, so every pivot has positive
+real part, elimination without pivoting is stable, and the sum of
+principal pivot logs is the branch of log D_n that is continuous along
+t -> t Im g from the real symbol at t = 0; the asymptotic prediction
+takes the same branch.  Past pi/2 the same formula runs unchanged
+without that guarantee: a zero pivot raises ZeroDeterminant, and grid
+refinement still gates convergence.
 
 ``log_det_range`` starts at N = 2 n_hi + 64 nodes, rounded up to a
 multiple of 8, and doubles N until the whole requested range agrees
@@ -58,6 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import GridTooCoarse, NotConverged, ZeroDeterminant
 from .predict import LOG_2PI
@@ -113,37 +127,69 @@ def _nodes_and_gvals(mp: ExteriorMap, sym: FourierSymbol, N: int):
     return pts, w, theta_values(sym, theta)
 
 
-def _qr_prefix(z: np.ndarray, s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """log D_j of the weight s**2, j = 1..n, from one Gram-Schmidt pass, and Q.
+def _faber_basis(mp: ExteriorMap, zeta: np.ndarray, n: int) -> np.ndarray:
+    """F_0..F_{n-1} of mp at the points zeta, as the columns of an N-by-n
+    Fortran array.
 
-    Row j of Q (shape (n, N)) is s*p_j(zeta) for the orthonormal
-    polynomial p_j of degree j.  The norm h_j removed at step j is
-    R_jj / R_{j-1,j-1}, so log R_jj is the running sum of log h and
-    log D_j = 2 sum_{i<j} log R_ii is the running sum of that.
-    One reorthogonalization pass keeps Q close to unitary regardless of
-    the conditioning of the monomial basis.  Q is row-major so the
-    projections read the basis in place instead of copying its adjoint.
+    With phi = z + phi0 + sum t_k z**(-k) the pointwise recurrence is
+
+        F_0 = 1,  F_1 = zeta - phi0,
+        F_{j+1} = (zeta - phi0) F_j - sum_{k=1}^{min(j-1, d)} t_k F_{j-k} - (j+1) t_j,
+
+    t_j = 0 past the last nonzero tail term t_d.  Column j-k pairs with
+    t_k, so the sum is one matrix-vector product over a contiguous block
+    of at most d columns.  The cap of mp is not used: callers pass the
+    cap-normalized map.
     """
-    N = len(z)
-    v = s.astype(complex)
-    nrm = float(np.linalg.norm(v))
-    if not nrm > 0:
-        raise ZeroDeterminant("zero total weight")
-    Q = np.empty((n, N), dtype=complex)
-    Q[0] = v / nrm
-    log_h = np.empty(n)
-    log_h[0] = np.log(nrm)
-    for j in range(1, n):
-        B = Q[:j]
-        v = z * Q[j - 1]
-        for _ in range(2):
-            v -= (B @ v.conj()).conj() @ B
-        h = float(np.linalg.norm(v))
-        if not (h > 0 and np.isfinite(h)):
-            raise ZeroDeterminant("quadrature nodes do not support this degree")
-        Q[j] = v / h
-        log_h[j] = np.log(h)
-    return 2.0 * np.cumsum(np.cumsum(log_h)), Q
+    t = np.asarray(mp.tail)
+    nz = np.flatnonzero(t)
+    d = int(nz[-1]) + 1 if len(nz) else 0
+    t_rev = t[:d][::-1].copy()  # t_d .. t_1
+    F = np.empty((len(zeta), n), dtype=complex, order="F")
+    x = zeta - mp.phi0
+    F[:, 0] = 1.0
+    if n > 1:
+        F[:, 1] = x
+    for j in range(1, n - 1):
+        col = F[:, j + 1]
+        np.multiply(x, F[:, j], out=col)
+        K = min(j - 1, d)
+        if K:
+            col -= F[:, j - K : j] @ t_rev[d - K :]
+        if j <= d:
+            col -= (j + 1) * t[j - 1]
+    return F
+
+
+def _lapack(name: str, A: np.ndarray, *args):
+    """Run LAPACK ``name`` on A in place, with its optimal workspace."""
+    (fn,) = scipy.linalg.get_lapack_funcs((name,), (A,))
+    lwork = int(fn(A, *args, lwork=-1, overwrite_a=True)[-2][0].real)
+    return fn(A, *args, lwork=lwork, overwrite_a=True)
+
+
+def _faber_prefix(
+    mp: ExteriorMap, zeta: np.ndarray, s: np.ndarray, n: int, with_q: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """log D_j of the weight s**2 on zeta, j = 1..n, from one Householder QR.
+
+    The rows of the Faber basis of mp at zeta are scaled by s and
+    factored in place, A = QR.  The basis is monic, so
+    log D_j = 2 sum_{i<j} log |R_ii| for every j at once.  With
+    ``with_q`` the n-by-N array Q^t is returned as well (else None);
+    its rows are orthonormal and span the same flag of subspaces as
+    s * zeta**j, each up to a unit phase.
+    """
+    A = _faber_basis(mp, zeta, n)
+    A *= s[:, None]
+    qr, tau, _, _ = _lapack("geqrf", A)
+    r = np.abs(np.diagonal(qr))
+    if len(r) < n or not np.all((r > 0) & np.isfinite(r)):
+        raise ZeroDeterminant("quadrature nodes do not support this degree")
+    logdets = 2.0 * np.cumsum(np.log(r))
+    if not with_q:
+        return logdets, None
+    return logdets, _lapack("ungqr", qr, tau)[0].T
 
 
 def _phase_prefix(Q: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -170,14 +216,14 @@ def _phase_prefix(Q: np.ndarray, phase: np.ndarray) -> np.ndarray:
 def _range_at(mp: ExteriorMap, sym: FourierSymbol, n_lo: int, n_hi: int, N: int):
     """log D_n for n = n_lo..n_hi on one N-node grid, and the method used."""
     pts, w, g = _nodes_and_gvals(mp, sym, N)
-    s = np.sqrt(w * np.exp(g.real))
-    logdets, Q = _qr_prefix(pts, s, n_hi)
-    vals, method = logdets.astype(complex), "qr_positive"
     gscale = float(np.max(np.abs(g))) if len(g) else 0.0
-    if float(np.max(np.abs(g.imag))) > _REAL_TOL * max(1.0, gscale):
-        vals += _phase_prefix(Q, np.exp(1j * g.imag))
-        method = "qr_phase"
-    return vals[n_lo - 1 :], method
+    phase = float(np.max(np.abs(g.imag))) > _REAL_TOL * max(1.0, gscale)
+    logdets, Q = _faber_prefix(mp, pts, np.sqrt(w * np.exp(g.real)), n_hi, phase)
+    vals = logdets.astype(complex)
+    if not phase:
+        return vals[n_lo - 1 :], "qr_positive"
+    vals += _phase_prefix(Q, np.exp(1j * g.imag))
+    return vals[n_lo - 1 :], "qr_phase"
 
 
 def _start_N(n: int) -> int:

@@ -85,8 +85,12 @@ class OperatorPair:
 def _cholesky(pair: OperatorPair) -> tuple:
     """``cho_factor`` of I + K: the one factorization that gives both
     (I+K)^{-1} and log det(I+K), twice the sum of the logs of its diagonal."""
+    A = pair.K.copy()
+    A[np.diag_indices_from(A)] += 1.0
     try:
-        return scipy.linalg.cho_factor(np.eye(2 * pair.m) + pair.K, check_finite=False)
+        # K is symmetric, so A.T is I + K too, already in the Fortran order
+        # that potrf factors in place without a transposing copy
+        return scipy.linalg.cho_factor(A.T, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
             "I + K is not positive definite; the Grunsky norm reaches 1"
@@ -244,10 +248,16 @@ def grunsky_coefficients_sampled(
 
 
 def operators(table: GrunskyTable) -> OperatorPair:
-    """Assemble B = sqrt(k l) a_{kl} and K = [[B1, B2], [B2, -B1]]."""
+    """Assemble B = sqrt(k l) a_{kl} and K = [[B1, B2], [B2, -B1]].
+
+    Each is built once and frozen here, so ``OperatorPair`` keeps it as is.
+    """
     k = np.sqrt(np.arange(1, table.m + 1, dtype=float))
     B = table.a * np.outer(k, k)
-    return OperatorPair(B, _k_matrix(B))
+    B.setflags(write=False)
+    K = _k_matrix(B)
+    K.setflags(write=False)
+    return OperatorPair(B, K)
 
 
 def _k_matrix(B: np.ndarray) -> np.ndarray:

@@ -32,7 +32,18 @@ _DOMAIN_SLACK = 1e-12
 
 
 def _readonly(arr, dtype=complex) -> np.ndarray:
-    """A write-protected copy of arr as dtype, for frozen dataclass fields."""
+    """A write-protected copy of arr as dtype, for frozen dataclass fields.
+
+    An array of that dtype that owns its data and is already
+    write-protected is returned as is.
+    """
+    if (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == dtype
+        and arr.base is None
+        and not arr.flags.writeable
+    ):
+        return arr
     out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out

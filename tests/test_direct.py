@@ -16,7 +16,7 @@ from szegodet import (
     symbol_from_coefficients,
     zero_symbol,
 )
-from szegodet.direct import EnergyCurve, LOG_2PI, _qr_prefix, _range_at
+from szegodet.direct import EnergyCurve, LOG_2PI, _faber_prefix, _range_at
 from szegodet.errors import DilationNotGreaterThanOne, GridTooCoarse, SzegoError
 from szegodet.series import _unchecked_map
 
@@ -65,14 +65,14 @@ class TestLogDetDn:
 
     def test_real_complex_paths_agree(self, qcurve, monkeypatch):
         import szegodet.direct as direct_mod
-        from szegodet.direct import _nodes_and_gvals, _phase_prefix, _qr_prefix
+        from szegodet.direct import _faber_prefix, _nodes_and_gvals, _phase_prefix
         from szegodet.series import _unchecked_map
 
         # a unit phase compresses to the identity: log det C_j = 0 for all j
         sym = symbol_from_coefficients(0.0, [0.3], [0.1])
         capless = _unchecked_map(1.0, qcurve.phi0, qcurve.tail)
         pts, w, g = _nodes_and_gvals(capless, sym, 512)
-        _, Q = _qr_prefix(pts, np.sqrt(w * np.exp(g.real)), 24)
+        _, Q = _faber_prefix(capless, pts, np.sqrt(w * np.exp(g.real)), 24, True)
         assert np.max(np.abs(_phase_prefix(Q, np.ones(512)))) <= 1e-14
         # Im g = 1e-20 forced down the phase path matches the real result;
         # a constant phase e^{i eps} multiplies D_n by e^{i n eps}
@@ -97,12 +97,12 @@ class TestLogDetDn:
             direct_mod.log_det_Dn(qcurve, rough, 4)
 
     def test_zero_determinant_guard(self):
-        from szegodet.direct import _phase_prefix, _qr_prefix
+        from szegodet.direct import _faber_prefix, _phase_prefix
         from szegodet.errors import ZeroDeterminant
 
         z = np.array([1.0 + 0j, 1.0 + 0j, 2.0 + 0j])
         with pytest.raises(ZeroDeterminant):
-            _qr_prefix(z, np.zeros(3), 2)
+            _faber_prefix(_unchecked_map(1.0, 0.0, []), z, np.zeros(3), 2)
         # the phase sums to zero against the first row, so C_11 = 0 exactly
         # although C itself is the (nonsingular) exchange matrix
         Q = np.array([[1, 1, 1, 1], [1, -1, 1, -1]], dtype=complex) / 2
@@ -196,7 +196,7 @@ class TestInvariance:
         z = np.exp(1j * theta)
         pts = z + 0.5 / z
         w = np.abs(1 - 0.5 / z**2) * (2 * np.pi / N)
-        base = _qr_prefix(pts, np.sqrt(w), n)[0][-1]
+        base = _faber_prefix(_unchecked_map(1.0, 0.0, [0.5]), pts, np.sqrt(w), n)[0][-1]
         V = np.vander(pts, n, increasing=True)
         for _ in range(3):
             U = np.eye(n) + np.triu(0.5 * rng.standard_normal((n, n)), 1)
@@ -366,6 +366,11 @@ def _fixed_grid_values(mp, sym, n_lo, n_hi, N):
 
 def _logdet_columns(z, u, n):
     """log D_1..log D_n by the column-major Gram-Schmidt loop, as a reference."""
+    return _arnoldi_columns(z, u, n)[0]
+
+
+def _arnoldi_columns(z, u, n):
+    """``_logdet_columns`` and its orthonormal N-by-n basis Q."""
     N = len(z)
     v = np.sqrt(u).astype(complex)
     nrm = float(np.linalg.norm(v))
@@ -381,7 +386,74 @@ def _logdet_columns(z, u, n):
         Q[:, j] = v / h
         log_cum += np.log(h)
         totals.append(totals[-1] + 2.0 * log_cum)
-    return np.array(totals)
+    return np.array(totals), Q
+
+
+def _tail_curve(rng, nonzero, total):
+    """A valid curve whose tail has ``nonzero`` terms, all nonzero, with
+    random phases and sum k|t_k| = total < 1 (which makes phi univalent)."""
+    k = np.arange(1, nonzero + 1)
+    w = rng.dirichlet(np.ones(nonzero)) * total
+    tail = w / k * np.exp(2j * np.pi * rng.random(nonzero))
+    return make_map(float(rng.uniform(0.8, 1.25)), complex(*rng.normal(scale=0.1, size=2)), tail)
+
+
+class TestFaberBasis:
+    """The Faber recurrence, and its Householder QR against the Arnoldi reference."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.93])
+    def test_ellipse_closed_form(self, q):
+        # phi = z + phi0 + q/z has F_0 = 1 and F_j(phi(z)) = z^j + (q/z)^j
+        from szegodet.direct import _faber_basis
+
+        phi0 = 0.4 - 0.7j
+        z = np.exp(2j * np.pi * np.arange(256) / 256)
+        F = _faber_basis(_unchecked_map(1.0, phi0, [q]), z + phi0 + q / z, 200)
+        j = np.arange(1, 200)
+        exact = z[:, None] ** j + (q / z)[:, None] ** j
+        assert F.flags.f_contiguous
+        assert np.all(F[:, 0] == 1.0)
+        assert np.max(np.abs(F[:, 1:] - exact)) <= 1e-12
+
+    def test_circle_powers(self):
+        # an all-zero tail leaves F_j = (zeta - phi0)^j
+        from szegodet.direct import _faber_basis
+
+        phi0 = -0.3 + 0.2j
+        zeta = phi0 + np.exp(2j * np.pi * np.arange(256) / 256)
+        F = _faber_basis(_unchecked_map(1.0, phi0, [0.0, 0.0]), zeta, 200)
+        exact = (zeta - phi0)[:, None] ** np.arange(200)
+        assert np.max(np.abs(F - exact)) <= 1e-12
+
+    @staticmethod
+    def _curves():
+        rng = np.random.default_rng(14)
+        curves = [_tail_curve(rng, d, s) for d, s in ((8, 0.6), (24, 0.8), (48, 0.95))]
+        curves += [_near_unit_curve(rng, r, 4) for r in (0.95, 0.99)]
+        # a tail with interior zeros
+        curves.append(make_map(1.1, 0.1j, [0.0, 0.3, 0.0, 0.0, 0.1j]))
+        return curves
+
+    @pytest.mark.parametrize("n", [40, 120])
+    def test_matches_arnoldi(self, n):
+        # same nodes, same weights: every log D_j and every leading
+        # log det of the phase factor agree with the Arnoldi reference
+        from szegodet.direct import _nodes_and_gvals, _phase_prefix, _start_N
+
+        sym = symbol_from_coefficients(0.2, [0.3, 0.1j, -0.05], [0.2j, 0.1])
+        N = 2 * _start_N(n)
+        for mp in self._curves():
+            capless = _unchecked_map(1.0, mp.phi0, mp.tail)
+            pts, w, g = _nodes_and_gvals(capless, sym, N)
+            u = w * np.exp(g.real)
+            ref, Q_ref = _arnoldi_columns(pts, u, n)
+            got, Q = _faber_prefix(capless, pts, np.sqrt(u), n, True)
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+            phase = np.exp(1j * g.imag)
+            assert np.max(np.abs(g.imag)) > 0.1
+            c_ref = _phase_prefix(Q_ref.T, phase)
+            c = _phase_prefix(Q, phase)
+            assert np.all(np.abs(c - c_ref) <= 1e-12 * np.maximum(1.0, np.abs(c_ref)))
 
 
 class TestRange:
@@ -407,7 +479,7 @@ class TestRange:
             tol = 1e-12 * max(1.0, abs(r.log_Dn.real))
             assert r.log_Dn.imag == 0.0
             assert abs(val - ref[r.n - 1]) <= tol
-            one = _qr_prefix(pts, np.sqrt(u), r.n)[0][-1]
+            one = _faber_prefix(capless, pts, np.sqrt(u), r.n)[0][-1]
             assert abs(val - one) <= tol
 
     def test_range_to_200_matches_reference(self, wobbly):
