@@ -9,11 +9,9 @@ quadrature determinants at finite n, and Monte Carlo beta-ensemble probes.
 from .errors import SzegoError
 from .series import (
     ExteriorMap,
-    LaurentSeries,
     curve_samples,
     dilate_map,
     eval_map,
-    laurent_mul,
     make_map,
 )
 from .grunsky import (

@@ -62,25 +62,57 @@ which keeps the gate honest near rho = 1.  Every row of a range carries
 the same ``N_nodes``; a row below the top of the range may sit on a
 finer grid than it would alone.  ``log_det_Dn`` is the one-row case.
 
+``finite_energy`` needs log D_n of the zero symbol on a whole family of
+level curves phi_r(z) = phi(r z)/r, with Laurent data phi0/r and
+t_k / r**(k+1) (``series._dilated_coeffs``, which ``dilate_map`` uses
+too).  The family runs through the same code as one stack: the nodes
+and weights of every curve in one Horner pass, the Faber basis of every
+curve in one run of ``_faber_basis`` over a (curve, node, degree) array,
+then one geqrf per curve, the routine looked up and its workspace
+queried once per grid.  The stack is built in blocks of at most
+``_STACK_ENTRIES`` entries, so its memory does not grow with the number
+of r.  Each r keeps its own two-grid gate, as if ``log_det_Dn`` ran on
+it alone: the ladder is shared, an r leaves it once its two latest grids
+agree, and only the r still on it are evaluated on the next grid.  The
+level curve phi_r has critical radius rho/r, so the trapezoidal rule
+converges on it at least as fast as on the curve itself.
+
 All quadrature runs on the cap-normalized curve; n**2 log cap is added
 analytically at the end.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import GridTooCoarse, NotConverged, ZeroDeterminant
+from .errors import (
+    DilationNotGreaterThanOne,
+    GridTooCoarse,
+    NotConverged,
+    ZeroDeterminant,
+)
 from .predict import LOG_2PI
-from .series import ExteriorMap, _phi_norm, _unchecked_map, dilate_map
-from .symbol import FourierSymbol, theta_values, zero_symbol
+from .series import (
+    ExteriorMap,
+    _dilated_coeffs,
+    _phi_at,
+    _phi_norm,
+    _unchecked_map,
+    _unit_points,
+)
+from .symbol import FourierSymbol, theta_values
 
 N_CAP = 1 << 20
 REFINE_TOL = 1e-8
 _REAL_TOL = 1e-13
+_NO_SUPPORT = "quadrature nodes do not support this degree"
+# complex entries of one stacked Faber basis in finite_energy (256 KiB); the
+# node arrays of the block about double its working set at small n
+_STACK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -127,9 +159,9 @@ def _nodes_and_gvals(mp: ExteriorMap, sym: FourierSymbol, N: int):
     return pts, w, theta_values(sym, theta)
 
 
-def _faber_basis(mp: ExteriorMap, zeta: np.ndarray, n: int) -> np.ndarray:
-    """F_0..F_{n-1} of mp at the points zeta, as the columns of an N-by-n
-    Fortran array.
+def _faber_basis(phi0, tail, zeta: np.ndarray, n: int) -> np.ndarray:
+    """F_0..F_{n-1} of the map (phi0, tail) at the points zeta, as the
+    columns of an N-by-n Fortran array.
 
     With phi = z + phi0 + sum t_k z**(-k) the pointwise recurrence is
 
@@ -138,34 +170,67 @@ def _faber_basis(mp: ExteriorMap, zeta: np.ndarray, n: int) -> np.ndarray:
 
     t_j = 0 past the last nonzero tail term t_d.  Column j-k pairs with
     t_k, so the sum is one matrix-vector product over a contiguous block
-    of at most d columns.  The cap of mp is not used: callers pass the
-    cap-normalized map.
+    of at most d columns.  phi0 and tail are those of the cap-normalized
+    map.
+
+    A stack of maps runs through the same recurrence at once: leading
+    axes of phi0, tail and zeta (the last axis of tail holds t_k, that
+    of zeta the nodes) index the maps, the result is (..., N, n), and
+    each N-by-n block is Fortran-ordered.
     """
-    t = np.asarray(mp.tail)
-    nz = np.flatnonzero(t)
-    d = int(nz[-1]) + 1 if len(nz) else 0
-    t_rev = t[:d][::-1].copy()  # t_d .. t_1
-    F = np.empty((len(zeta), n), dtype=complex, order="F")
-    x = zeta - mp.phi0
-    F[:, 0] = 1.0
+    t = np.asarray(tail)
+    d = t.shape[-1]
+    while d and not t[..., d - 1].any():
+        d -= 1
+    t = t[..., :d]
+    t_rev = t[..., ::-1, None].copy()  # t_d .. t_1, one column per map
+    const = (t * np.arange(2, d + 2))[..., None]  # (j+1) t_j of each map
+    F = np.empty(zeta.shape[:-1] + (n, zeta.shape[-1]), dtype=complex).swapaxes(-1, -2)
+    x = zeta - np.asarray(phi0)[..., None]
+    F[..., 0] = 1.0
     if n > 1:
-        F[:, 1] = x
+        F[..., 1] = x
+    acc = np.empty(F.shape[:-1] + (1,), dtype=complex)
+    tail_sum = acc[..., 0]  # sum_k t_k F_{j-k} at the nodes of each map
     for j in range(1, n - 1):
-        col = F[:, j + 1]
-        np.multiply(x, F[:, j], out=col)
+        col = F[..., j + 1]
+        np.multiply(x, F[..., j], out=col)
         K = min(j - 1, d)
         if K:
-            col -= F[:, j - K : j] @ t_rev[d - K :]
+            np.matmul(F[..., j - K : j], t_rev[..., d - K :, :], out=acc)
+            col -= tail_sum
         if j <= d:
-            col -= (j + 1) * t[j - 1]
+            col -= const[..., j - 1, :]
     return F
 
 
 def _lapack(name: str, A: np.ndarray, *args):
-    """Run LAPACK ``name`` on A in place, with its optimal workspace."""
+    """LAPACK ``name`` for arrays shaped like A, with its optimal workspace.
+
+    The routine is looked up and the workspace queried once, here; the
+    returned callable runs it in place on A or on any array of the same
+    shape and dtype.
+    """
     (fn,) = scipy.linalg.get_lapack_funcs((name,), (A,))
     lwork = int(fn(A, *args, lwork=-1, overwrite_a=True)[-2][0].real)
-    return fn(A, *args, lwork=lwork, overwrite_a=True)
+    return functools.partial(fn, lwork=lwork, overwrite_a=True)
+
+
+def _diag_prefix(diag: np.ndarray, n: int) -> np.ndarray:
+    """2 sum_{i<j} log |R_ii| for j = 1..n, from the diagonal of each R.
+
+    The diagonals run along the last axis.  A row comes out NaN when the
+    nodes do not support degree n: fewer than n entries, or some |R_jj|
+    not positive and finite.
+    """
+    r = np.abs(diag)
+    if r.shape[-1] < n:
+        return np.full(r.shape[:-1] + (n,), np.nan)
+    bad = ~((r > 0) & np.isfinite(r)).all(axis=-1)
+    r[bad] = 1.0
+    logdets = 2.0 * np.cumsum(np.log(r), axis=-1)
+    logdets[bad] = np.nan
+    return logdets
 
 
 def _faber_prefix(
@@ -180,16 +245,15 @@ def _faber_prefix(
     its rows are orthonormal and span the same flag of subspaces as
     s * zeta**j, each up to a unit phase.
     """
-    A = _faber_basis(mp, zeta, n)
+    A = _faber_basis(mp.phi0, mp.tail, zeta, n)
     A *= s[:, None]
-    qr, tau, _, _ = _lapack("geqrf", A)
-    r = np.abs(np.diagonal(qr))
-    if len(r) < n or not np.all((r > 0) & np.isfinite(r)):
-        raise ZeroDeterminant("quadrature nodes do not support this degree")
-    logdets = 2.0 * np.cumsum(np.log(r))
+    qr, tau, _, _ = _lapack("geqrf", A)(A)
+    logdets = _diag_prefix(np.diagonal(qr), n)
+    if np.isnan(logdets[0]):
+        raise ZeroDeterminant(_NO_SUPPORT)
     if not with_q:
         return logdets, None
-    return logdets, _lapack("ungqr", qr, tau)[0].T
+    return logdets, _lapack("ungqr", qr, tau)(qr, tau)[0].T
 
 
 def _phase_prefix(Q: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -302,20 +366,76 @@ def quotient_ratio(mp: ExteriorMap, sym: FourierSymbol, n: int):
     return complex(val)
 
 
+def _dilation_logdets(mp: ExteriorMap, r: np.ndarray, n: int, N: int) -> np.ndarray:
+    """log D_n of the zero symbol on the N-node grid of each curve phi(r z)/r.
+
+    The curves go through ``_faber_basis`` as one stack, in blocks of at
+    most ``_STACK_ENTRIES`` basis entries, and each block of the stack
+    through one Householder QR.  NaN marks a curve whose nodes do not
+    support degree n.  The cap is left out, as in ``_range_at``.
+    """
+    z = _unit_points(N)
+    diag = np.empty((len(r), n), dtype=complex)
+    per = max(1, _STACK_ENTRIES // (N * n))
+    for lo in range(0, len(r), per):
+        phi0, tail = _dilated_coeffs(mp, r[lo : lo + per])
+        s = np.sqrt(np.abs(_phi_at(phi0, tail, z, 1)) * (2.0 * np.pi / N))
+        A = _faber_basis(phi0, tail, _phi_at(phi0, tail, z, 0), n)
+        A *= s[..., None]
+        if not lo:
+            geqrf = _lapack("geqrf", A[0])  # every block of the grid has this shape
+        diag[lo : lo + per] = [np.diagonal(geqrf(a)[0]) for a in A]
+        del A  # one block alive at a time
+    return _diag_prefix(diag, n)[:, -1]
+
+
 def finite_energy(mp: ExteriorMap, n: int, r_grid) -> EnergyCurve:
     """E_n(r) = log Z_n(dilated curve) - n log 2pi - n**2 log cap.
 
     Dilation keeps the cap, so the normalization uses the base curve's
     capacity, matching the convention that treats cap as 1 after scaling.
     E_n at r = 1 is defined only as a limit and is not evaluated here.
+
+    The grid is checked before any quadrature: every r > 1
+    (DilationNotGreaterThanOne) and strictly increasing (ValueError).
+    Each grid of the ladder is evaluated once for all r still on it
+    (``_dilation_logdets``), and each r keeps the gate of
+    ``log_det_Dn``: start at 2n + 64 nodes, double, accept when two
+    consecutive grids agree to 1e-8, NotConverged past 2**20 nodes.  So
+    every r settles on the grid its own ``log_det_Dn`` call would, and
+    when several r fail, the error is the one of the smallest r.
     """
     r = np.asarray(r_grid, dtype=float)
-    vals = np.empty(len(r))
-    zero = zero_symbol()
-    for i, ri in enumerate(r):
-        res = log_det_Dn(dilate_map(mp, ri), zero, n)
-        vals[i] = res.log_Dn.real - n * LOG_2PI - n * n * float(np.log(mp.cap))
-    return EnergyCurve(n, r, vals)
+    low = ~(r > 1)
+    if np.any(low):
+        raise DilationNotGreaterThanOne(f"r must be > 1, got {r[low][0]}")
+    if np.any(np.diff(r) <= 0):
+        raise ValueError("r_grid must be strictly increasing")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    logdet = np.empty(len(r))
+    errors: dict[int, Exception] = {}  # index of r -> the error ending its ladder
+    live = np.arange(len(r))  # indices of r still on the ladder, increasing
+    prev = np.full(len(r), np.nan)
+    start = size = _start_N(n)
+    while True:
+        cur = _dilation_logdets(mp, r[live], n, size)
+        done = np.abs(cur - prev) <= REFINE_TOL
+        logdet[live[done]] = cur[done]
+        lost = np.isnan(cur)
+        errors.update(dict.fromkeys(live[lost].tolist(), ZeroDeterminant(_NO_SUPPORT)))
+        live, prev = live[~(done | lost)], cur[~(done | lost)]
+        if len(live) and size > start and 2 * size > N_CAP:
+            capped = NotConverged(f"no convergence up to N = {N_CAP}")
+            errors.update(dict.fromkeys(live.tolist(), capped))
+            live = live[:0]
+        # every r before the first failed one has settled
+        first = min(errors, default=len(r))
+        if first < (live[0] if len(live) else len(r)):
+            raise errors[first]
+        if not len(live):
+            return EnergyCurve(n, r, logdet - n * LOG_2PI)
+        size *= 2
 
 
 def bruteforce_Dn(mp: ExteriorMap, sym: FourierSymbol, n: int, grid: int = 256):

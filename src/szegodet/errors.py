@@ -32,10 +32,6 @@ class DilationNotGreaterThanOne(SzegoError):
     """Dilation parameter r must satisfy r > 1."""
 
 
-class MismatchedTruncation(SzegoError):
-    """Laurent series operands carry different truncation orders."""
-
-
 # Grunsky machinery --------------------------------------------------------
 
 class TruncationTooSmall(SzegoError):

@@ -1,4 +1,4 @@
-"""Truncated Laurent-series arithmetic and the exterior-map curve model.
+"""The exterior-map curve model.
 
 A curve is represented solely by the Laurent data of its exterior mapping
 function: the full map is ``cap * phi`` with
@@ -21,7 +21,6 @@ from .errors import (
     CurveSelfIntersects,
     DerivativeVanishes,
     DilationNotGreaterThanOne,
-    MismatchedTruncation,
     NonPositiveCapacity,
     OutsideDomain,
 )
@@ -50,52 +49,6 @@ def _readonly(arr, dtype=complex) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LaurentSeries:
-    """Finite Laurent polynomial sum_{k=-M}^{L} c_k z^k.
-
-    ``coeffs[0]`` is the coefficient of ``z**lead_degree`` and the entries
-    run downward to ``z**(-trunc_order)``.  Arithmetic stays closed under
-    the fixed truncation order M: products drop everything below z**(-M).
-    """
-
-    lead_degree: int
-    coeffs: np.ndarray
-    trunc_order: int
-
-    def __post_init__(self):
-        coeffs = _readonly(self.coeffs)
-        if len(coeffs) != self.lead_degree + self.trunc_order + 1:
-            raise ValueError(
-                "coeffs must have lead_degree + trunc_order + 1 entries, "
-                f"got {len(coeffs)} for lead {self.lead_degree}, M {self.trunc_order}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def coeff(self, power: int) -> complex:
-        """Coefficient of z**power (zero outside the stored window)."""
-        idx = self.lead_degree - power
-        if idx < 0 or idx >= len(self.coeffs):
-            return 0.0 + 0.0j
-        return complex(self.coeffs[idx])
-
-
-def laurent_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """Cauchy product truncated below z**(-M).
-
-    Both operands must share the truncation order M; positive powers are
-    kept in full.
-    """
-    if a.trunc_order != b.trunc_order:
-        raise MismatchedTruncation(
-            f"truncation orders differ: {a.trunc_order} != {b.trunc_order}"
-        )
-    lead = a.lead_degree + b.lead_degree
-    full = np.convolve(a.coeffs, b.coeffs)
-    keep = lead + a.trunc_order + 1
-    return LaurentSeries(lead, full[:keep], a.trunc_order)
-
-
-@dataclass(frozen=True)
 class ExteriorMap:
     """Validated Laurent data (cap, phi0, tail) of an exterior map."""
 
@@ -113,13 +66,24 @@ class ExteriorMap:
 
 def _phi_norm(mp: ExteriorMap, z, deriv_order: int = 0):
     """phi or a derivative at z, without the cap factor.  Vectorized in z."""
+    return _phi_at(mp.phi0, mp.tail, z, deriv_order)
+
+
+def _phi_at(phi0, tail, z, deriv_order: int = 0):
+    """phi or a derivative at z from the Laurent data (phi0, tail), no cap.
+
+    The coefficients run along the last axis of tail.  Leading axes of
+    tail, shared by phi0, index a stack of maps and come first in the
+    result, ahead of the axes of z.
+    """
     z = np.asarray(z, dtype=complex)
     w = 1.0 / z
-    t = np.asarray(mp.tail)
-    k = np.arange(1, len(t) + 1, dtype=float)
+    spread = (Ellipsis,) + (None,) * z.ndim  # a map's scalars against all of z
+    t = np.asarray(tail)
+    k = np.arange(1, t.shape[-1] + 1, dtype=float)
     if deriv_order == 0:
         c = t
-        base = z + mp.phi0
+        base = z + np.asarray(phi0)[spread]
         shift = 1
     elif deriv_order == 1:
         c = -k * t
@@ -136,9 +100,11 @@ def _phi_norm(mp: ExteriorMap, z, deriv_order: int = 0):
     else:
         raise ValueError("deriv_order must be in 0..3")
     # Horner in w for sum_k c_k w**(k + shift - 1)
-    acc = np.zeros_like(z)
-    for ck in c[::-1]:
-        acc = (acc + ck) * w
+    c = c[spread + (slice(None),)]
+    acc = np.zeros(t.shape[:-1] + z.shape, dtype=complex)
+    for j in range(t.shape[-1] - 1, -1, -1):
+        acc += c[..., j]
+        acc *= w
     return base + acc * w ** (shift - 1)
 
 
@@ -285,5 +251,15 @@ def dilate_map(mp: ExteriorMap, r: float) -> ExteriorMap:
     """
     if not (r > 1):
         raise DilationNotGreaterThanOne(f"r must be > 1, got {r}")
+    return _unchecked_map(mp.cap, *_dilated_coeffs(mp, r))
+
+
+def _dilated_coeffs(mp: ExteriorMap, r):
+    """(phi0/r, t_k / r**(k+1)) of phi(r z)/r, one map per entry of r.
+
+    The leading axes of the result are those of r, as ``_phi_at`` takes
+    them; r is not checked.
+    """
+    r = np.asarray(r, dtype=float)
     k = np.arange(1, len(mp.tail) + 1)
-    return _unchecked_map(mp.cap, mp.phi0 / r, np.asarray(mp.tail) / r ** (k + 1.0))
+    return mp.phi0 / r, np.asarray(mp.tail) / r[..., None] ** (k + 1.0)

@@ -302,6 +302,119 @@ class TestEnergy:
         with pytest.raises(DilationNotGreaterThanOne):
             finite_energy(qcurve, 2, [0.9, 1.5])
 
+    def test_grid_checked_before_quadrature(self, qcurve, monkeypatch):
+        import szegodet.direct as direct_mod
+
+        built = []
+        real = direct_mod._faber_basis
+        monkeypatch.setattr(direct_mod, "_faber_basis",
+                            lambda *args: built.append(args) or real(*args))
+        for grid, error in (([3.0, 2.0], ValueError),
+                            ([1.5, 1.5], ValueError),
+                            ([2.0, 0.9], DilationNotGreaterThanOne),
+                            ([np.nan, 2.0], DilationNotGreaterThanOne)):
+            with pytest.raises(error):
+                finite_energy(qcurve, 2, grid)
+        assert built == []
+        finite_energy(qcurve, 2, [2.0, 3.0])
+        assert built
+
+
+R_FAMILY = np.exp(np.linspace(np.log(1.01), np.log(50.0), 9))
+
+
+class TestEnergyFamily:
+    """finite_energy against one log_det_Dn per level curve phi(r z)/r."""
+
+    @staticmethod
+    def _curves():
+        rng = np.random.default_rng(15)
+        return [_near_unit_curve(rng, rho, degree)
+                for rho, degree in ((0.5, 2), (0.7, 3), (0.85, 4), (0.95, 5))]
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record, per r, the grid sizes the family was evaluated on."""
+        import szegodet.direct as direct_mod
+
+        grids = {}
+        real = direct_mod._dilation_logdets
+
+        def spy(mp, r, n, N):
+            for ri in r:
+                grids.setdefault(float(ri), []).append(N)
+            return real(mp, r, n, N)
+
+        monkeypatch.setattr(direct_mod, "_dilation_logdets", spy)
+        return grids
+
+    @pytest.mark.parametrize("n", [2, 5, 30, 60])
+    def test_matches_per_r_reference(self, n, circle, qcurve, wobbly, slow, monkeypatch):
+        from szegodet import dilate_map
+        from szegodet.direct import _start_N
+
+        grids = self._spy(monkeypatch)
+        zero = zero_symbol()
+        for mp in [circle, qcurve, wobbly, slow] + self._curves():
+            grids.clear()
+            values = finite_energy(mp, n, R_FAMILY).values
+            for ri, e in zip(R_FAMILY, values):
+                ref = log_det_Dn(dilate_map(mp, ri), zero, n)
+                want = ref.log_Dn.real - n * LOG_2PI - n * n * np.log(mp.cap)
+                assert abs(e - want) <= 1e-12 * max(1.0, abs(want))
+                seen = grids[float(ri)]
+                assert seen == [_start_N(n) * 2**k for k in range(len(seen))]
+                assert seen[-1] == ref.N_nodes
+
+    def test_errors_follow_the_smallest_r(self, qcurve, monkeypatch):
+        # a curve whose nodes fail (NaN) or whose grids never agree ends
+        # its own ladder; the error raised is that of the smallest such r,
+        # as a loop of log_det_Dn over the grid would raise it
+        import szegodet.direct as direct_mod
+        from szegodet.direct import _start_N
+        from szegodet.errors import NotConverged, ZeroDeterminant
+
+        real = direct_mod._dilation_logdets
+        calls = []
+
+        def faulty(nan_at, drift_at):
+            def run(mp, r, n, N):
+                calls.append(N)
+                out = real(mp, r, n, N)
+                out[r == nan_at] = np.nan
+                out[r == drift_at] += 1.0 / N
+                return out
+            return run
+
+        monkeypatch.setattr(direct_mod, "N_CAP", 4 * _start_N(2))
+        monkeypatch.setattr(direct_mod, "_dilation_logdets", faulty(2.0, None))
+        with pytest.raises(ZeroDeterminant):
+            finite_energy(qcurve, 2, [1.5, 2.0, 3.0])
+        monkeypatch.setattr(direct_mod, "_dilation_logdets", faulty(2.0, 1.5))
+        with pytest.raises(NotConverged):
+            finite_energy(qcurve, 2, [1.5, 2.0, 3.0])
+        calls.clear()
+        monkeypatch.setattr(direct_mod, "_dilation_logdets", faulty(1.5, 2.0))
+        with pytest.raises(ZeroDeterminant):
+            finite_energy(qcurve, 2, [1.5, 2.0, 3.0])
+        assert calls == [_start_N(2)]  # settled once the smallest r failed
+
+    def test_memory_bounded_at_n200(self, wobbly):
+        # the stack is built in blocks of at most 2**14 entries, one curve a
+        # block at this size; the 49 bases of one 928-node grid at once
+        # would take about 150 MB
+        import tracemalloc
+
+        r = np.exp(np.linspace(np.log(1.1), np.log(8.0), 49))
+        tracemalloc.start()
+        try:
+            curve = finite_energy(wobbly, 200, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(curve.values))
+        assert peak <= 8 * 2**20
+
 
 class TestConvexity:
     def test_circle_flat(self, circle):
@@ -408,7 +521,7 @@ class TestFaberBasis:
 
         phi0 = 0.4 - 0.7j
         z = np.exp(2j * np.pi * np.arange(256) / 256)
-        F = _faber_basis(_unchecked_map(1.0, phi0, [q]), z + phi0 + q / z, 200)
+        F = _faber_basis(phi0, np.array([q]), z + phi0 + q / z, 200)
         j = np.arange(1, 200)
         exact = z[:, None] ** j + (q / z)[:, None] ** j
         assert F.flags.f_contiguous
@@ -421,7 +534,7 @@ class TestFaberBasis:
 
         phi0 = -0.3 + 0.2j
         zeta = phi0 + np.exp(2j * np.pi * np.arange(256) / 256)
-        F = _faber_basis(_unchecked_map(1.0, phi0, [0.0, 0.0]), zeta, 200)
+        F = _faber_basis(phi0, np.zeros(2), zeta, 200)
         exact = (zeta - phi0)[:, None] ** np.arange(200)
         assert np.max(np.abs(F - exact)) <= 1e-12
 

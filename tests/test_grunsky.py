@@ -20,9 +20,9 @@ from szegodet.errors import (
     TruncationTooSmall,
 )
 from szegodet.grunsky import table_to_csv
-from szegodet.series import LaurentSeries, laurent_mul
 
 from conftest import q_energy_limit
+from laurent import LaurentSeries, laurent_mul
 
 
 def rotated(mp, omega):

@@ -3,11 +3,9 @@ import pytest
 import scipy.integrate
 
 from szegodet import (
-    LaurentSeries,
     curve_samples,
     dilate_map,
     eval_map,
-    laurent_mul,
     make_map,
 )
 from szegodet.series import _polyline_self_intersects, _segments_cross
@@ -15,10 +13,11 @@ from szegodet.errors import (
     CurveSelfIntersects,
     DerivativeVanishes,
     DilationNotGreaterThanOne,
-    MismatchedTruncation,
     NonPositiveCapacity,
     OutsideDomain,
 )
+
+from laurent import LaurentSeries, MismatchedTruncation, laurent_mul
 
 
 def series(lead, coeffs, M):
