@@ -34,10 +34,6 @@ class DilationNotGreaterThanOne(SzegoError):
 
 # Grunsky machinery --------------------------------------------------------
 
-class TruncationTooSmall(SzegoError):
-    """Working series truncation cannot resolve the requested table size."""
-
-
 class BranchJumpDetected(SzegoError):
     """The sampled logarithm jumps by more than pi between grid neighbours."""
 

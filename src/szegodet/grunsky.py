@@ -4,15 +4,18 @@ The table a_{kl} collects the double expansion
 
     log((phi(zeta) - phi(z)) / (zeta - z)) = - sum a_{kl} zeta**(-k) z**(-l)
 
-for |z|, |zeta| > 1.  The primary algorithm is branch free: it builds the
-Faber polynomials of the curve through the triangular system expressing
-z**k in powers of phi, expands
+for |z|, |zeta| > 1.  With w = 1/zeta, u = 1/z and the tail t_1..t_d of
+phi, the quotient is G(w, u) = 1 - sum_{p,q>=1} t_{p+q-1} w**p u**q, and
+comparing coefficients in G * w d_w(log G) = w d_w G gives the exact
+recurrence
 
-    Phi_k(phi(z)) = z**k + k * sum_l a_{kl} z**(-l),
+    k a_{kl} = k t_{k+l-1} + sum_{p,q>=1} t_{p+q-1} (k-p) a_{k-p,l-q},
 
-and reads the coefficients off the negative powers.  A 2-D FFT of samples
-of the logarithm on a torus |zeta| = |z| = radius is kept as an
-independent cross-check.
+with t_j = 0 for j > d (cap and phi0 drop out).  Entry (k, l) reads only
+entries whose two indices are both smaller, so the m-table is exactly the
+leading block of any larger table, and a_{kl} = 0 whenever
+max(k, l) > d min(k, l).  A 2-D FFT of samples of the logarithm on a
+torus |zeta| = |z| = radius is kept as an independent cross-check.
 
 B is the matrix sqrt(k*l) a_{kl}; K is the real symmetric doubling
 
@@ -40,7 +43,6 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     SingularValueAtOne,
-    TruncationTooSmall,
 )
 from .series import ExteriorMap, _phi_norm, _readonly
 
@@ -120,79 +122,71 @@ class SpectralReport:
     kappa_hat: float
 
 
-def _symmetrize(a: np.ndarray) -> tuple[np.ndarray, float]:
+def _symmetrized(a: np.ndarray) -> GrunskyTable:
+    """The table 0.5 (a + a^t), recording the relative asymmetry of a."""
     defect = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     scale = max(float(np.max(np.abs(a))) if a.size else 0.0, np.finfo(float).tiny)
-    return 0.5 * (a + a.T), defect / scale
+    return GrunskyTable(len(a), 0.5 * (a + a.T), defect / scale)
 
 
-def _work_order(mp: ExteriorMap, size: int, work_order: int | None) -> int:
-    needed = 3 * size
-    if work_order is None:
-        return max(needed, mp.trunc_order)
-    if work_order < needed:
-        raise TruncationTooSmall(
-            f"work truncation {work_order} cannot resolve z**-{size}; need >= {needed}"
-        )
-    return work_order
+def _grow(tail: np.ndarray, a: np.ndarray, size: int) -> np.ndarray:
+    """The unsymmetrized size x size table whose leading block is a.
 
-
-def grunsky_coefficients(mp: ExteriorMap, size: int, work_order: int | None = None) -> GrunskyTable:
-    """Table a_{kl}, 1 <= k,l <= size, by the Faber route.
-
-    The composed Faber polynomials u_k(z) = Phi_k(phi(z)) = z**k
-    + k sum_l a_{kl} z**(-l) are generated by the exact recurrence
-
-        u_{n+1} = (phi - phi0) u_n - sum_{j<n} phi_{-j} u_{n-j} - (n+1) phi_{-n},
-
-    which is the triangular system expressing z**k in powers of phi in
-    recurrence form.  Eliminating against explicitly expanded powers
-    phi**j is mathematically identical but subtracts exponentially large
-    multiples, so it loses digits beyond size ~ 64 on generic curves;
-    the recurrence keeps every intermediate the size of the answer.  The
-    known structure of u_k (monic top coefficient, no other nonnegative
-    powers) is reimposed after each step.
-
-    Each u_n is one row of size + W + 1 complex entries, column c the
-    power size - c down to z**(-W).  Multiplying by phi - phi0 = z
-    + sum t_k z**(-k) is a one-column shift plus one shifted add per
-    nonzero tail term, so each step costs O(d (size + W)) for d nonzero
-    terms instead of a full convolution, and only the last d + 2 rows
-    are kept.
-
-    The working Laurent truncation defaults to 3*size; anything smaller
-    cannot resolve z**(-size) reliably and is rejected.
+    Only the entries outside a are computed, each once, by the recurrence
+    of the module docstring, row by row and in the same order of (p, q)
+    whatever the size of a, so growing a table rung by rung gives the bits
+    of building the largest rung at once.  Entries with max(k, l) >
+    d min(k, l) are exact zeros and are not computed; nor are the (p, q)
+    with t_{p+q-1} = 0.
     """
     if size < 1:
         raise ValueError("table size must be >= 1")
-    W = _work_order(mp, size, work_order)
-    width = size + W + 1
-    terms = [(k, t) for k, t in enumerate(mp.tail.tolist(), start=1) if t != 0.0]
-    # u_n sits in row (n - 1) % depth: a step reaches back to u_{n-d} for
-    # the deepest nonzero tail term t_d, so d + 2 rows suffice
-    depth = min(size, terms[-1][0] + 2) if terms else 1
-    u = np.zeros((depth, width), dtype=complex)
-    u[0, size - 1] = 1.0  # u_1 = phi - phi0
-    for k, t in terms:
-        u[0, size + k] = t
-    a = np.empty((size, size), dtype=complex)
-    a[0] = u[0, size + 1:2 * size + 1]
-    for n in range(1, size):
-        prev, nxt = u[(n - 1) % depth], u[n % depth]
-        nxt[:-1] = prev[1:]
-        nxt[-1] = 0.0
-        for k, t in terms:
-            nxt[k:] += t * prev[:-k]
-            if k < n:
-                nxt -= t * u[(n - 1 - k) % depth]
-        # zeroing z**0 performs the -(n+1) phi_{-n} subtraction, since that
-        # is exactly the constant the product leaves behind; z**n .. z**1
-        # vanish identically and only hold rounding junk
-        nxt[size - n:size + 1] = 0.0
-        nxt[size - n - 1] = 1.0
-        a[n] = nxt[size + 1:2 * size + 1] / (n + 1)
-    sym, defect = _symmetrize(a)
-    return GrunskyTable(size, sym, defect)
+    nonzero = np.flatnonzero(tail) + 1
+    d = int(nonzero[-1]) if nonzero.size else 0
+    # column l of the table sits at l - 1 + d, behind d zero columns that
+    # stand in for a_{k,l-q} with l - q < 1
+    out = np.zeros((size, size + d), dtype=complex)
+    lead = len(a)
+    out[:lead, d:lead + d] = a
+    if not d:
+        return out
+    t = np.zeros(max(2 * size, d + 1), dtype=complex)  # t[j] is t_j
+    t[1:d + 1] = tail[:d]
+    pairs = [(complex(t[j]), p, j + 1 - p) for j in nonzero.tolist() for p in range(1, j + 1)]
+    for k in range(1, size + 1):
+        lo = max(-(-k // d), lead + 1 if k <= lead else 1)
+        hi = min(size, d * k)
+        if lo > hi:
+            continue
+        row = out[k - 1, lo - 1 + d:hi + d]
+        row[:] = t[k + lo - 1:k + hi]
+        for tj, p, q in pairs:
+            if p < k:
+                row += (tj * (k - p) / k) * out[k - p - 1, lo - 1 - q + d:hi - q + d]
+    return out[:, d:]
+
+
+def _doubling_tables(tail: np.ndarray, size: int):
+    """Tables of size, 2 size, 4 size, ..., each grown from the one before,
+    so each entry is computed once and every table has the bits of
+    ``grunsky_coefficients`` at its size."""
+    raw = np.zeros((0, 0), dtype=complex)
+    while True:
+        raw = _grow(tail, raw, size)
+        yield _symmetrized(raw)
+        size *= 2
+
+
+def grunsky_coefficients(mp: ExteriorMap, size: int) -> GrunskyTable:
+    """Table a_{kl}, 1 <= k,l <= size, by the exact recurrence.
+
+    The recurrence of the module docstring needs no working truncation:
+    the size-m table is exactly the leading block of the size-2m table.
+    Entries in the wedge max(k, l) > d min(k, l) are exact zeros.  The
+    recurrence is not symmetric in floating point, so the table is
+    symmetrized and ``asym_defect`` records how far apart a and a^t were.
+    """
+    return _symmetrized(_grow(mp.tail, np.zeros((0, 0), dtype=complex), size))
 
 
 def grunsky_coefficients_sampled(
@@ -243,8 +237,7 @@ def grunsky_coefficients_sampled(
         )
     k = np.arange(1, size + 1)
     a = -C[np.ix_((-k) % grid, (-k) % grid)] * radius ** (k[:, None] + k[None, :]).astype(float)
-    sym, defect = _symmetrize(a)
-    return GrunskyTable(size, sym, defect)
+    return _symmetrized(a)
 
 
 def operators(table: GrunskyTable) -> OperatorPair:

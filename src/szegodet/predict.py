@@ -22,7 +22,7 @@ import scipy.linalg
 from scipy.special import gammaln
 
 from .errors import NonzeroMean, SingularValueAtOne
-from .grunsky import _cholesky, delta_m_tail, grunsky_coefficients, operators
+from .grunsky import GrunskyTable, _cholesky, _doubling_tables, delta_m_tail, operators
 from .series import ExteriorMap
 from .symbol import FourierSymbol, d_vector, g_vector, zero_symbol
 
@@ -92,13 +92,12 @@ def _solve_form(cho: tuple, v: np.ndarray) -> complex:
     return complex(re, im)
 
 
-def _rung(mp: ExteriorMap, sym: FourierSymbol, size: int):
+def _rung(table: GrunskyTable, sym: FourierSymbol):
     """(table, pair, cho, quad, half), with half = -0.5 log det(I+K) read off
     the diagonal of the Cholesky factor."""
-    table = grunsky_coefficients(mp, size)
     pair = operators(table)
     cho = _cholesky(pair)
-    quad = _solve_form(cho, g_vector(sym, size).entries)
+    quad = _solve_form(cho, g_vector(sym, table.m).entries)
     return table, pair, cho, quad, -float(np.sum(np.log(np.diag(cho[0])))) + 0.0
 
 
@@ -128,6 +127,9 @@ def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
     """``_rung`` at a fixed m, or at the first doubling m = 8, 16, ..., 512
     where quad and half both move by less than 1e-9.
 
+    The tables come from ``_doubling_tables``: each rung computes only the
+    entries outside the rung before it.
+
     Only the accepted rung is checked for a singular value of B at 1: B_m
     is the leading block of B_2m, so the largest one cannot fall as m grows.
     While half stays below ``_clearance``, the Cholesky factor alone proves
@@ -136,12 +138,13 @@ def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
     kappa_hat off the eigenvalues of K and changes nothing else.
     """
     size = 8 if m is None else m
-    table, pair, cho, quad, half = _rung(mp, sym, size)
+    tables = _doubling_tables(mp.tail, size)
+    table, pair, cho, quad, half = _rung(next(tables), sym)
     gaps = (float("nan"), float("nan"))
     settled = False
     while m is None and not settled and size < M_AUTO_CAP:
         size *= 2
-        table, pair, cho, quad2, half2 = _rung(mp, sym, size)
+        table, pair, cho, quad2, half2 = _rung(next(tables), sym)
         gaps = (abs(quad2 - quad), abs(half2 - half))
         settled = all(gap < M_AUTO_TOL for gap in gaps)
         quad, half = quad2, half2

@@ -59,10 +59,6 @@ class ExteriorMap:
     def __post_init__(self):
         object.__setattr__(self, "tail", _readonly(self.tail))
 
-    @property
-    def trunc_order(self) -> int:
-        return len(self.tail)
-
 
 def _phi_norm(mp: ExteriorMap, z, deriv_order: int = 0):
     """phi or a derivative at z, without the cap factor.  Vectorized in z."""

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +242,30 @@ class TestEnergyAndWp:
         assert all(b >= a for a, b in zip(hs, hs[1:]))  # grows as r drops to 1
         doc = json.loads(rep.read_text())
         assert doc["bounded_verdict"] is True
+
+
+def test_grunsky_output_independent_of_blas_threads(curve_file, tmp_path):
+    """The table does no BLAS calls, so its CSV has the same bytes at any
+    BLAS thread count.  So has the report, except log_det_IplusK: with two
+    threads OpenBLAS factors the 1024 x 1024 I + K by its threaded potrf,
+    which rounds differently."""
+    path = curve_file("wobbly.json", cap=1.3, phi0=(0.2, 0.1),
+                      tail=((0.3, 0.0), (0.0, 0.1), (-0.05, 0.0), (0.02, 0.02)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        table, report = tmp_path / f"t{threads}.csv", tmp_path / f"r{threads}.json"
+        subprocess.run([sys.executable, "-m", "szegodet.cli", "grunsky", "--curve", path,
+                        "--m", "512", "--table-out", str(table), "--report-out", str(report)],
+                       env=env, check=True)
+        runs.append((table.read_bytes(), json.loads(report.read_text())))
+    (table1, report1), (table2, report2) = runs
+    assert table1 == table2
+    ldk1, ldk2 = report1.pop("log_det_IplusK"), report2.pop("log_det_IplusK")
+    assert report1 == report2
+    assert abs(ldk1 - ldk2) <= 1e-14 * abs(ldk1)
 
 
 class TestBetaMc:

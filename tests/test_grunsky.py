@@ -17,7 +17,6 @@ from szegodet.errors import (
     DilationNotGreaterThanOne,
     NotSymmetric,
     SingularValueAtOne,
-    TruncationTooSmall,
 )
 from szegodet.grunsky import table_to_csv
 
@@ -54,9 +53,9 @@ def faber_reference(mp, size):
     t_j u_{n-j} for every j < n and reimposes the monic top and the zero
     powers; an independent layout of the recurrence in the library.
     """
-    W = max(3 * size, mp.trunc_order)
+    W = max(3 * size, len(mp.tail))
     tail = np.zeros(W, dtype=complex)
-    tail[: mp.trunc_order] = mp.tail
+    tail[: len(mp.tail)] = mp.tail
     phi_m0 = LaurentSeries(1, np.r_[1.0, 0.0, tail].astype(complex), W)
     a = np.zeros((size, size), dtype=complex)
     u_list = [phi_m0]
@@ -73,6 +72,27 @@ def faber_reference(mp, size):
         nxt[0] = 1.0
         u_list.append(LaurentSeries(n + 1, nxt, W))
     return 0.5 * (a + a.T)
+
+
+def mpmath_recurrence(mp, size, dps=60):
+    """a_{kl} for k, l <= size at dps digits, straight from the identity
+
+        k a_kl = k t_{k+l-1} + sum_{p<k, q<l} t_{p+q-1} (k-p) a_{k-p,l-q},
+
+    summing every (p, q) and every entry, zero or not."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        t = [mpmath.mpc(0)] + [mpmath.mpc(complex(v)) for v in mp.tail]
+        tj = lambda j: t[j] if j < len(t) else 0  # noqa: E731
+        a = [[mpmath.mpc(0)] * (size + 1) for _ in range(size + 1)]
+        for k in range(1, size + 1):
+            for el in range(1, size + 1):
+                s = k * tj(k + el - 1)
+                for p in range(1, k):
+                    for q in range(1, min(el, len(t) + 1 - p)):
+                        s += tj(p + q - 1) * (k - p) * a[k - p][el - q]
+                a[k][el] = s / k
+        return np.array([[complex(v) for v in row[1:]] for row in a[1:]])
 
 
 def table_to_csv_reference(table):
@@ -110,10 +130,6 @@ class TestGrunskyCoefficients:
         assert np.max(np.abs(t.a - t.a.T)) == 0.0
         assert t.asym_defect <= 1e-10
 
-    def test_truncation_guard(self, qcurve):
-        with pytest.raises(TruncationTooSmall):
-            grunsky_coefficients(qcurve, 8, work_order=20)
-
     @pytest.mark.parametrize("curve", ["wobbly", "slow"])
     @pytest.mark.parametrize("m", [12, 256, 512])
     def test_matches_reference_recurrence(self, request, curve, m):
@@ -124,14 +140,34 @@ class TestGrunskyCoefficients:
         assert np.max(np.abs(t.a - ref)) <= 1e-14 * scale
         assert t.asym_defect <= 1e-14
 
-    def test_long_tail_and_explicit_work_order(self):
-        # a tail longer than 3 * size sets the working truncation
+    def test_long_tail(self):
+        # a tail longer than 3 * size sets the reference's working truncation
         mp = make_map(1.0, 0.1j, [0.2, 0.0, 0.05j] + [0.0] * 40 + [1e-4])
         ref = faber_reference(mp, 8)
         assert np.max(np.abs(grunsky_coefficients(mp, 8).a - ref)) <= 1e-15
-        t = grunsky_coefficients(make_map(1.0, 0.0, [0.3, 0.1j]), 16, work_order=200)
-        ref = faber_reference(make_map(1.0, 0.0, [0.3, 0.1j] + [0.0] * 198), 16)
-        assert np.max(np.abs(t.a - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("curve", ["wobbly", "slow"])
+    def test_matches_mpmath_recurrence(self, request, curve):
+        mp = request.getfixturevalue(curve)
+        ref = mpmath_recurrence(mp, 64)
+        for m in range(48, 65):
+            a, r = grunsky_coefficients(mp, m).a, ref[:m, :m]
+            nz = r != 0
+            assert np.max(np.abs(a[nz] - r[nz]) / np.abs(r[nz])) <= 1e-14, m
+
+    @pytest.mark.parametrize("curve", ["circle", "qcurve", "wobbly", "slow", "long"])
+    def test_zero_wedge(self, request, curve):
+        if curve == "long":
+            mp = make_map(1.0, 0.1j, [0.2, 0.0, 0.05j] + [0.0] * 40 + [1e-4])
+        else:
+            mp = request.getfixturevalue(curve)
+        nz = np.flatnonzero(mp.tail)
+        d = nz[-1] + 1 if nz.size else 0
+        a = grunsky_coefficients(mp, 512).a
+        k = np.arange(1, 513)
+        wedge = np.maximum.outer(k, k) > d * np.minimum.outer(k, k)
+        assert np.all(a[wedge] == 0.0)
+        assert not np.any(np.signbit(a[wedge].view(float)))
 
     def test_q_closed_form_m512(self):
         q = 0.93
@@ -408,6 +444,32 @@ class TestDilatedTable:
     def test_r_validation(self, qcurve):
         with pytest.raises(DilationNotGreaterThanOne):
             dilated_table(grunsky_coefficients(qcurve, 4), 0.5)
+
+
+@pytest.mark.parametrize("curve", ["wobbly", "slow"])
+def test_ladder_grows_one_table(monkeypatch, request, a1_sym, curve):
+    from szegodet import grunsky, predict
+
+    mp = request.getfixturevalue(curve)
+    calls = []
+    grow = grunsky._grow
+
+    def spy(tail, a, size):
+        calls.append((len(a), size))
+        return grow(tail, a, size)
+
+    monkeypatch.setattr(grunsky, "_grow", spy)
+    table = predict._ladder(mp, a1_sym, None)[0]
+    # each rung computes only the entries outside the rung before it
+    sizes = [size for _, size in calls]
+    assert len(calls) > 2 and sizes[-1] == table.m
+    assert [lead for lead, _ in calls] == [0] + sizes[:-1]
+    ref = grunsky_coefficients(mp, table.m)
+    assert table.a.tobytes() == ref.a.tobytes()
+    assert table.asym_defect == ref.asym_defect
+    # wp-check reads the m-table off the 2m-table
+    top = grunsky_coefficients(mp, 2 * table.m).a
+    assert top[:table.m, :table.m].tobytes() == ref.a.tobytes()
 
 
 def test_suggest_truncation(qcurve, circle):
