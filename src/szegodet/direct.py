@@ -49,33 +49,37 @@ takes the same branch.  Past pi/2 the same formula runs unchanged
 without that guarantee: a zero pivot raises ZeroDeterminant, and grid
 refinement still gates convergence.
 
-``log_det_range`` starts at N = 2 n_hi + 64 nodes, rounded up to a
-multiple of 8, and doubles N until the whole requested range agrees
-between two consecutive grids.  Up to degree n_hi the Gram entries are
-trigonometric polynomials of degree about 2 n_hi times an analytic
-weight whose Fourier tail decays like rho**k (rho the critical radius of
-the exterior map), so the trapezoidal rule converges geometrically past
-2 n_hi nodes (Trefethen & Weideman, SIAM Rev. 56, 2014).  That error is
+Every direct determinant runs through one grid evaluator and one N
+ladder.  ``_grid_prefix`` evaluates one grid for a stack of maps, given
+as Laurent data (phi0, tail) with a leading axis, and for the values of
+g at the nodes of the grid: the nodes and weights
+of every map in one Horner pass, the Faber basis of every map in one
+run of ``_faber_basis`` over a (map, node, degree) array, then one geqrf
+per map, the routine looked up and its workspace queried once per grid.
+The stack is built in blocks of at most ``_STACK_ENTRIES`` entries, so
+its memory does not grow with the number of maps.  ``_refine`` starts at
+N = 2 n_hi + 64 nodes, rounded up to a multiple of 8, and doubles N;
+each item on it keeps its own two-grid gate and leaves once its two
+latest grids agree, and only the items still on it are evaluated on the
+next grid.  ``log_det_range`` is one map and one item, its whole n range
+(``log_det_Dn`` and ``quotient_ratio`` are ranges).  ``finite_energy``
+needs log D_n of the zero symbol on the level curves phi_r(z) =
+phi(r z)/r, with Laurent data phi0/r and t_k / r**(k+1)
+(``series._dilated_coeffs``, which ``dilate_map`` uses too): one map
+and one item per r, so every r settles on the grid its own
+``log_det_Dn`` call would.
+
+Up to degree n_hi the Gram entries are trigonometric polynomials of
+degree about 2 n_hi times an analytic weight whose Fourier tail decays
+like rho**k (rho the critical radius of the exterior map), so the
+trapezoidal rule converges geometrically past 2 n_hi nodes (Trefethen &
+Weideman, SIAM Rev. 56, 2014); the level curve phi_r has critical
+radius rho/r, so it converges on that at least as fast.  That error is
 not monotone in N, so under slower growth two grids can agree to the
 tolerance while both are off; doubling squares the error at each step,
 which keeps the gate honest near rho = 1.  Every row of a range carries
 the same ``N_nodes``; a row below the top of the range may sit on a
-finer grid than it would alone.  ``log_det_Dn`` is the one-row case.
-
-``finite_energy`` needs log D_n of the zero symbol on a whole family of
-level curves phi_r(z) = phi(r z)/r, with Laurent data phi0/r and
-t_k / r**(k+1) (``series._dilated_coeffs``, which ``dilate_map`` uses
-too).  The family runs through the same code as one stack: the nodes
-and weights of every curve in one Horner pass, the Faber basis of every
-curve in one run of ``_faber_basis`` over a (curve, node, degree) array,
-then one geqrf per curve, the routine looked up and its workspace
-queried once per grid.  The stack is built in blocks of at most
-``_STACK_ENTRIES`` entries, so its memory does not grow with the number
-of r.  Each r keeps its own two-grid gate, as if ``log_det_Dn`` ran on
-it alone: the ladder is shared, an r leaves it once its two latest grids
-agree, and only the r still on it are evaluated on the next grid.  The
-level curve phi_r has critical radius rho/r, so the trapezoidal rule
-converges on it at least as fast as on the curve itself.
+finer grid than it would alone.
 
 All quadrature runs on the cap-normalized curve; n**2 log cap is added
 analytically at the end.
@@ -101,7 +105,6 @@ from .series import (
     _dilated_coeffs,
     _phi_at,
     _phi_norm,
-    _unchecked_map,
     _unit_points,
 )
 from .symbol import FourierSymbol, theta_values
@@ -149,14 +152,6 @@ class ConvexityReport:
     tol_fd: float
     flagged: bool
     energy_at_rmax: float
-
-
-def _nodes_and_gvals(mp: ExteriorMap, sym: FourierSymbol, N: int):
-    theta = 2.0 * np.pi * np.arange(N) / N
-    z = np.exp(1j * theta)
-    pts = _phi_norm(mp, z, 0)
-    w = np.abs(_phi_norm(mp, z, 1)) * (2.0 * np.pi / N)
-    return pts, w, theta_values(sym, theta)
 
 
 def _faber_basis(phi0, tail, zeta: np.ndarray, n: int) -> np.ndarray:
@@ -216,44 +211,18 @@ def _lapack(name: str, A: np.ndarray, *args):
     return functools.partial(fn, lwork=lwork, overwrite_a=True)
 
 
-def _diag_prefix(diag: np.ndarray, n: int) -> np.ndarray:
+def _diag_prefix(diag: np.ndarray) -> np.ndarray:
     """2 sum_{i<j} log |R_ii| for j = 1..n, from the diagonal of each R.
 
     The diagonals run along the last axis.  A row comes out NaN when the
-    nodes do not support degree n: fewer than n entries, or some |R_jj|
-    not positive and finite.
+    nodes do not support degree n: some |R_jj| not positive and finite.
     """
     r = np.abs(diag)
-    if r.shape[-1] < n:
-        return np.full(r.shape[:-1] + (n,), np.nan)
     bad = ~((r > 0) & np.isfinite(r)).all(axis=-1)
     r[bad] = 1.0
     logdets = 2.0 * np.cumsum(np.log(r), axis=-1)
     logdets[bad] = np.nan
     return logdets
-
-
-def _faber_prefix(
-    mp: ExteriorMap, zeta: np.ndarray, s: np.ndarray, n: int, with_q: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """log D_j of the weight s**2 on zeta, j = 1..n, from one Householder QR.
-
-    The rows of the Faber basis of mp at zeta are scaled by s and
-    factored in place, A = QR.  The basis is monic, so
-    log D_j = 2 sum_{i<j} log |R_ii| for every j at once.  With
-    ``with_q`` the n-by-N array Q^t is returned as well (else None);
-    its rows are orthonormal and span the same flag of subspaces as
-    s * zeta**j, each up to a unit phase.
-    """
-    A = _faber_basis(mp.phi0, mp.tail, zeta, n)
-    A *= s[:, None]
-    qr, tau, _, _ = _lapack("geqrf", A)(A)
-    logdets = _diag_prefix(np.diagonal(qr), n)
-    if np.isnan(logdets[0]):
-        raise ZeroDeterminant(_NO_SUPPORT)
-    if not with_q:
-        return logdets, None
-    return logdets, _lapack("ungqr", qr, tau)(qr, tau)[0].T
 
 
 def _phase_prefix(Q: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -277,22 +246,86 @@ def _phase_prefix(Q: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return np.cumsum(np.log(piv))
 
 
-def _range_at(mp: ExteriorMap, sym: FourierSymbol, n_lo: int, n_hi: int, N: int):
-    """log D_n for n = n_lo..n_hi on one N-node grid, and the method used."""
-    pts, w, g = _nodes_and_gvals(mp, sym, N)
-    gscale = float(np.max(np.abs(g))) if len(g) else 0.0
-    phase = float(np.max(np.abs(g.imag))) > _REAL_TOL * max(1.0, gscale)
-    logdets, Q = _faber_prefix(mp, pts, np.sqrt(w * np.exp(g.real)), n_hi, phase)
-    vals = logdets.astype(complex)
+def _grid_prefix(phi0, tail, g: np.ndarray, n: int):
+    """log D_j[e^g], j = 1..n, on the N-node grid of each of k maps, and the method.
+
+    phi0 (k,) and tail (k, d) are cap-normalized, as ``_phi_at`` takes
+    them; g holds the symbol at the N = len(g) nodes.  The rows of each
+    basis are scaled by sqrt(|phi'| e^{Re g} 2pi/N) before its QR; when
+    Im g passes the ``_REAL_TOL`` test, each map adds the leading log dets
+    of its phase factor (ungqr, then ``_phase_prefix``).  The k-by-n
+    result is complex; a row is NaN where the nodes do not support degree n.
+    """
+    N = len(g)
+    z = _unit_points(N)
+    phase = float(np.max(np.abs(g.imag))) > _REAL_TOL * max(1.0, float(np.max(np.abs(g))))
+    weight = np.exp(g.real)
+    diag = np.empty((len(phi0), n), dtype=complex)
+    factors = []  # (qr, tau) of each map, kept on the phase path only
+    per = max(1, _STACK_ENTRIES // (N * n))
+    for lo in range(0, len(phi0), per):
+        p0, t = phi0[lo : lo + per], tail[lo : lo + per]
+        s = np.sqrt(np.abs(_phi_at(p0, t, z, 1)) * (2.0 * np.pi / N) * weight)
+        A = _faber_basis(p0, t, _phi_at(p0, t, z, 0), n)
+        A *= s[..., None]
+        if not lo:
+            geqrf = _lapack("geqrf", A[0])  # every block of the grid has this shape
+        factored = [geqrf(a)[:2] for a in A]  # (qr, tau) of each map, in place in A
+        diag[lo : lo + per] = [np.diagonal(qr) for qr, _ in factored]
+        if phase:
+            factors += factored
+        del A, factored  # one block alive at a time
+    logdets = _diag_prefix(diag).astype(complex)
     if not phase:
-        return vals[n_lo - 1 :], "qr_positive"
-    vals += _phase_prefix(Q, np.exp(1j * g.imag))
-    return vals[n_lo - 1 :], "qr_phase"
+        return logdets, "qr_positive"
+    ungqr = _lapack("ungqr", *factors[0])
+    unit = np.exp(1j * g.imag)
+    for row, (qr, tau) in zip(logdets, factors):
+        if not np.isnan(row[0]):
+            row += _phase_prefix(ungqr(qr, tau)[0].T, unit)
+    return logdets, "qr_phase"
 
 
 def _start_N(n: int) -> int:
     """First grid of the automatic ladder: 2n + 64 nodes, up to a multiple of 8."""
     return -(-(2 * n + 64) // 8) * 8
+
+
+def _refine(evaluate, count: int, start: int):
+    """The automatic N ladder for ``count`` items, each gated on its own.
+
+    ``evaluate(idx, N)`` gives the rows of the items idx on the N-node
+    grid and the method.  An item settles when every entry of its row
+    agrees to REFINE_TOL on its two latest grids.  A NaN row ends its item
+    with ZeroDeterminant, N past N_CAP with NotConverged; the error raised
+    is that of the first failing item, once every item before it has
+    settled.  Returns the settled rows and the N and method of the last grid.
+    """
+    errors: dict[int, Exception] = {}  # index of an item -> the error ending its ladder
+    live = np.arange(count)  # items still on the ladder
+    prev = np.nan
+    size = start
+    while True:
+        cur, method = evaluate(live, size)
+        if size == start:
+            rows = np.empty((count, cur.shape[1]), dtype=complex)
+        done = np.abs(cur - prev).max(axis=1) <= REFINE_TOL
+        rows[live[done]] = cur[done]
+        lost = np.isnan(cur[:, 0])  # a failed grid leaves the whole row NaN
+        if lost.any():
+            errors.update(dict.fromkeys(live[lost].tolist(), ZeroDeterminant(_NO_SUPPORT)))
+        keep = ~(done | lost)
+        live, prev = live[keep], cur[keep]
+        if len(live) and size > start and 2 * size > N_CAP:
+            capped = NotConverged(f"no convergence up to N = {N_CAP}")
+            errors.update(dict.fromkeys(live.tolist(), capped))
+            live = live[:0]
+        first = min(errors, default=count)
+        if first < (live[0] if len(live) else count):
+            raise errors[first]
+        if not len(live):
+            return rows, size, method
+        size *= 2
 
 
 def log_det_range(
@@ -312,31 +345,28 @@ def log_det_range(
         raise ValueError(f"empty range {n_lo}..{n_hi}")
     ns = np.arange(n_lo, n_hi + 1)
     cap_terms = ns * ns * float(np.log(mp.cap))
-    capless = _unchecked_map(1.0, mp.phi0, mp.tail)
-    if N is not None:
+    stack = np.array([mp.phi0]), mp.tail[None]
+
+    def evaluate(_, size):  # the whole range is one item
+        g = theta_values(sym, 2.0 * np.pi * np.arange(size) / size)
+        logdets, method = _grid_prefix(*stack, g, n_hi)
+        return logdets[:, n_lo - 1 :], method
+
+    if N is None:
+        vals, N, method = _refine(evaluate, 1, _start_N(n_hi))
+        agree = np.ones(len(ns), dtype=bool)
+    else:
         if N < 4 * n_hi:
             raise ValueError(f"N must be >= 4n = {4 * n_hi}")
-        size = N
-        vals, method = _range_at(capless, sym, n_lo, n_hi, N)
+        vals, method = evaluate(None, N)
         # refinement check halves instead of doubling once N hits the cap
-        N_check = 2 * N if 2 * N <= N_CAP else N // 2
-        vals2, _ = _range_at(capless, sym, n_lo, n_hi, N_check)
-        agree = np.abs(vals2 - vals) <= REFINE_TOL
-    else:
-        size = _start_N(n_hi)
-        vals, _ = _range_at(capless, sym, n_lo, n_hi, size)
-        while True:
-            size *= 2
-            prev = vals
-            vals, method = _range_at(capless, sym, n_lo, n_hi, size)
-            if np.max(np.abs(vals - prev)) <= REFINE_TOL:
-                break
-            if 2 * size > N_CAP:
-                raise NotConverged(f"no convergence up to N = {N_CAP}")
-        agree = np.ones(len(ns), dtype=bool)
+        vals2, _ = evaluate(None, 2 * N if 2 * N <= N_CAP else N // 2)
+        if np.isnan(vals + vals2).any():  # either grid failed
+            raise ZeroDeterminant(_NO_SUPPORT)
+        agree = np.abs(vals2[0] - vals[0]) <= REFINE_TOL
     return [
-        DirectResult(int(n), size, complex(v + c), method, bool(a))
-        for n, v, c, a in zip(ns, vals, cap_terms, agree)
+        DirectResult(int(n), N, complex(v + c), method, bool(a))
+        for n, v, c, a in zip(ns, vals[0], cap_terms, agree)
     ]
 
 
@@ -366,29 +396,6 @@ def quotient_ratio(mp: ExteriorMap, sym: FourierSymbol, n: int):
     return complex(val)
 
 
-def _dilation_logdets(mp: ExteriorMap, r: np.ndarray, n: int, N: int) -> np.ndarray:
-    """log D_n of the zero symbol on the N-node grid of each curve phi(r z)/r.
-
-    The curves go through ``_faber_basis`` as one stack, in blocks of at
-    most ``_STACK_ENTRIES`` basis entries, and each block of the stack
-    through one Householder QR.  NaN marks a curve whose nodes do not
-    support degree n.  The cap is left out, as in ``_range_at``.
-    """
-    z = _unit_points(N)
-    diag = np.empty((len(r), n), dtype=complex)
-    per = max(1, _STACK_ENTRIES // (N * n))
-    for lo in range(0, len(r), per):
-        phi0, tail = _dilated_coeffs(mp, r[lo : lo + per])
-        s = np.sqrt(np.abs(_phi_at(phi0, tail, z, 1)) * (2.0 * np.pi / N))
-        A = _faber_basis(phi0, tail, _phi_at(phi0, tail, z, 0), n)
-        A *= s[..., None]
-        if not lo:
-            geqrf = _lapack("geqrf", A[0])  # every block of the grid has this shape
-        diag[lo : lo + per] = [np.diagonal(geqrf(a)[0]) for a in A]
-        del A  # one block alive at a time
-    return _diag_prefix(diag, n)[:, -1]
-
-
 def finite_energy(mp: ExteriorMap, n: int, r_grid) -> EnergyCurve:
     """E_n(r) = log Z_n(dilated curve) - n log 2pi - n**2 log cap.
 
@@ -398,12 +405,13 @@ def finite_energy(mp: ExteriorMap, n: int, r_grid) -> EnergyCurve:
 
     The grid is checked before any quadrature: every r > 1
     (DilationNotGreaterThanOne) and strictly increasing (ValueError).
-    Each grid of the ladder is evaluated once for all r still on it
-    (``_dilation_logdets``), and each r keeps the gate of
-    ``log_det_Dn``: start at 2n + 64 nodes, double, accept when two
-    consecutive grids agree to 1e-8, NotConverged past 2**20 nodes.  So
-    every r settles on the grid its own ``log_det_Dn`` call would, and
-    when several r fail, the error is the one of the smallest r.
+    Each grid of the ladder is evaluated once for all r still on it, as
+    one stack of level curves in ``_grid_prefix``, and each r keeps the
+    gate of ``log_det_Dn`` (``_refine``): start at 2n + 64 nodes, double,
+    accept when two consecutive grids agree to 1e-8, NotConverged past
+    2**20 nodes.  So every r settles on the grid its own ``log_det_Dn``
+    call would, and when several r fail, the error is the one of the
+    smallest r.
     """
     r = np.asarray(r_grid, dtype=float)
     low = ~(r > 1)
@@ -413,29 +421,12 @@ def finite_energy(mp: ExteriorMap, n: int, r_grid) -> EnergyCurve:
         raise ValueError("r_grid must be strictly increasing")
     if n < 1:
         raise ValueError("n must be >= 1")
-    logdet = np.empty(len(r))
-    errors: dict[int, Exception] = {}  # index of r -> the error ending its ladder
-    live = np.arange(len(r))  # indices of r still on the ladder, increasing
-    prev = np.full(len(r), np.nan)
-    start = size = _start_N(n)
-    while True:
-        cur = _dilation_logdets(mp, r[live], n, size)
-        done = np.abs(cur - prev) <= REFINE_TOL
-        logdet[live[done]] = cur[done]
-        lost = np.isnan(cur)
-        errors.update(dict.fromkeys(live[lost].tolist(), ZeroDeterminant(_NO_SUPPORT)))
-        live, prev = live[~(done | lost)], cur[~(done | lost)]
-        if len(live) and size > start and 2 * size > N_CAP:
-            capped = NotConverged(f"no convergence up to N = {N_CAP}")
-            errors.update(dict.fromkeys(live.tolist(), capped))
-            live = live[:0]
-        # every r before the first failed one has settled
-        first = min(errors, default=len(r))
-        if first < (live[0] if len(live) else len(r)):
-            raise errors[first]
-        if not len(live):
-            return EnergyCurve(n, r, logdet - n * LOG_2PI)
-        size *= 2
+    def evaluate(live, size):  # one item per r: log D_n of g = 0 on its level curve
+        logdets, method = _grid_prefix(*_dilated_coeffs(mp, r[live]), np.zeros(size), n)
+        return logdets[:, -1:], method
+
+    rows, _, _ = _refine(evaluate, len(r), _start_N(n))
+    return EnergyCurve(n, r, rows[:, 0].real - n * LOG_2PI)
 
 
 def bruteforce_Dn(mp: ExteriorMap, sym: FourierSymbol, n: int, grid: int = 256):

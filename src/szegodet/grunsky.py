@@ -126,7 +126,9 @@ def _symmetrized(a: np.ndarray) -> GrunskyTable:
     """The table 0.5 (a + a^t), recording the relative asymmetry of a."""
     defect = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     scale = max(float(np.max(np.abs(a))) if a.size else 0.0, np.finfo(float).tiny)
-    return GrunskyTable(len(a), 0.5 * (a + a.T), defect / scale)
+    table = 0.5 * (a + a.T)
+    table.setflags(write=False)  # built here, so GrunskyTable keeps it as is
+    return GrunskyTable(len(a), table, defect / scale)
 
 
 def _grow(tail: np.ndarray, a: np.ndarray, size: int) -> np.ndarray:
@@ -324,6 +326,18 @@ def delta_m_tail(B: np.ndarray) -> float:
     return float(np.sqrt(np.sum(kl * np.abs(edge) ** 2)))
 
 
+def _checked_svdvals(B: np.ndarray) -> np.ndarray:
+    """Singular values of B, nonincreasing; SingularValueAtOne if the largest reaches 1 - 1e-10."""
+    # scipy, as for the Cholesky factor: numpy's OpenBLAS is a second
+    # thread pool that spins when idle
+    lam = scipy.linalg.svdvals(B, check_finite=False)
+    if len(lam) and lam[0] >= 1.0 - 1e-10:
+        raise SingularValueAtOne(
+            f"largest singular value {float(lam[0])!r} reaches 1; determinant diverges"
+        )
+    return lam
+
+
 def spectral_report(pair: OperatorPair) -> SpectralReport:
     """Determinant, energy and truncation diagnostics for one table.
 
@@ -335,14 +349,8 @@ def spectral_report(pair: OperatorPair) -> SpectralReport:
     vectors are needed (see ``takagi`` for the factorization
     B = U diag(lam) U^t).
     """
-    # scipy, as for the Cholesky factor: numpy's OpenBLAS is a second
-    # thread pool that spins when idle
-    lam = scipy.linalg.svdvals(pair.B, check_finite=False)
+    lam = _checked_svdvals(pair.B)
     kappa = float(lam[0]) if len(lam) else 0.0
-    if kappa >= 1.0 - 1e-10:
-        raise SingularValueAtOne(
-            f"largest singular value {kappa!r} reaches 1; determinant diverges"
-        )
     log_det_IplusK = 2.0 * float(np.sum(np.log(np.diag(_cholesky(pair)[0]))))
     log_det_ImBB = float(np.sum(np.log1p(-lam**2)))
     return SpectralReport(

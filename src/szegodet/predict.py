@@ -21,8 +21,15 @@ import numpy as np
 import scipy.linalg
 from scipy.special import gammaln
 
-from .errors import NonzeroMean, SingularValueAtOne
-from .grunsky import GrunskyTable, _cholesky, _doubling_tables, delta_m_tail, operators
+from .errors import NonzeroMean
+from .grunsky import (
+    GrunskyTable,
+    _checked_svdvals,
+    _cholesky,
+    _doubling_tables,
+    delta_m_tail,
+    operators,
+)
 from .series import ExteriorMap
 from .symbol import FourierSymbol, d_vector, g_vector, zero_symbol
 
@@ -133,9 +140,10 @@ def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
     Only the accepted rung is checked for a singular value of B at 1: B_m
     is the leading block of B_2m, so the largest one cannot fall as m grows.
     While half stays below ``_clearance``, the Cholesky factor alone proves
-    kappa < 1 - 1e-10 and no eigenvalues of K are needed; above it they
-    decide.  The ``--m auto`` log line, when its level is enabled, reads
-    kappa_hat off the eigenvalues of K and changes nothing else.
+    kappa < 1 - 1e-10; above it the singular values of B decide, by the
+    guard of ``spectral_report`` (``grunsky._checked_svdvals``).  The
+    ``--m auto`` log line, when its level is enabled, reads kappa_hat
+    from the same call and changes nothing else.
     """
     size = 8 if m is None else m
     tables = _doubling_tables(mp.tail, size)
@@ -152,17 +160,14 @@ def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
     level = logging.INFO if settled else logging.WARNING
     logged = m is None and log.isEnabledFor(level)
     if not cleared or logged:
-        # scipy, as for cho_factor: numpy's OpenBLAS is a second thread pool that spins when idle
-        w = scipy.linalg.eigvalsh(pair.K, check_finite=False)
-        if not cleared and (w[-1] >= 1.0 - 1e-10 or w[0] <= -1.0 + 1e-10):
-            raise SingularValueAtOne("spectrum of K reaches 1; determinant diverges")
-        if logged:  # w[-1], the largest singular value of B, is kappa_hat
+        kappa = float(_checked_svdvals(pair.B)[0])
+        if logged:
             log.log(
                 level,
                 "auto truncation m=%d%s: gaps quadform=%.3e halflogdet=%.3e "
                 "kappa_hat=%.6f delta_m_tail=%.3e",
                 size, "" if settled else " (cap reached, gaps not below 1e-9)",
-                *gaps, float(w[-1]), delta_m_tail(pair.B),
+                *gaps, kappa, delta_m_tail(pair.B),
             )
     return table, pair, cho, quad, half
 
@@ -214,11 +219,11 @@ def predict_log_Dn(
     less than 1e-9, or up to 512 with a logged warning.  Symbol coefficients
     beyond the stored truncation count as zero, so the ladder works for
     short symbols too.  A failed Cholesky factor of I + K raises
-    ``NotPositiveDefinite``; an eigenvalue of K within 1e-10 of +/-1 raises
-    ``SingularValueAtOne``.  That check needs the eigenvalues of K only when
-    -0.5 log det(I+K) reaches ``_clearance``, about 11; the ``--m auto``
-    log line runs them too when its level is enabled.  Neither the value
-    nor the error depends on the logging configuration.
+    ``NotPositiveDefinite``; a singular value of B within 1e-10 of 1 raises
+    ``SingularValueAtOne``.  That check needs the singular values of B only
+    when -0.5 log det(I+K) reaches ``_clearance``, about 11; the
+    ``--m auto`` log line runs them too when its level is enabled.
+    Neither the value nor the error depends on the logging configuration.
     """
     return predict_range(mp, sym, n, n, m)[0]
 

@@ -39,24 +39,16 @@ class FourierSymbol:
     def K_max(self) -> int:
         return len(self.a)
 
-    def coeff(self, k: int) -> tuple[complex, complex]:
-        """(a_k, b_k), zero beyond the stored truncation."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if k > self.K_max:
-            return 0.0 + 0.0j, 0.0 + 0.0j
-        return complex(self.a[k - 1]), complex(self.b[k - 1])
-
 
 def zero_symbol() -> FourierSymbol:
     return FourierSymbol(0.0, np.zeros(1, dtype=complex), np.zeros(1, dtype=complex))
 
 
-def symbol_from_coefficients(a0, a=(), b=(), pad_to: int | None = None) -> FourierSymbol:
-    """Build a symbol from explicit coefficient lists, optionally zero padded."""
+def symbol_from_coefficients(a0, a=(), b=()) -> FourierSymbol:
+    """Build a symbol from explicit coefficient lists, the shorter one zero padded."""
     a = np.atleast_1d(np.asarray(a, dtype=complex)) if len(np.atleast_1d(a)) else np.zeros(0, complex)
     b = np.atleast_1d(np.asarray(b, dtype=complex)) if len(np.atleast_1d(b)) else np.zeros(0, complex)
-    K = max(len(a), len(b), 1, pad_to or 0)
+    K = max(len(a), len(b), 1)
     aa = np.zeros(K, dtype=complex)
     bb = np.zeros(K, dtype=complex)
     aa[: len(a)] = a
@@ -114,8 +106,8 @@ class GVector:
 def g_vector(sym: FourierSymbol, m: int) -> GVector:
     """Vector data of the symbol at truncation m (a0 excluded).
 
-    Coefficients beyond the stored truncation count as zero, as in
-    ``FourierSymbol.coeff``; zero extension is exact for the stored data.
+    Coefficients beyond the stored truncation count as zero; zero
+    extension is exact for the stored data.
     """
     k = min(m, sym.K_max)
     a = np.zeros(m, dtype=complex)

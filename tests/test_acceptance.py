@@ -29,9 +29,9 @@ from szegodet import (
     takagi,
     zero_symbol,
 )
-from szegodet.direct import LOG_2PI, _faber_prefix
+from szegodet.direct import LOG_2PI, _grid_prefix
 from szegodet.grunsky import _k_matrix
-from szegodet.series import _unchecked_map
+from szegodet.symbol import theta_values
 
 from conftest import q_energy_limit
 from test_grunsky import random_symmetric_contraction, rotated, rotated_symbol
@@ -233,7 +233,9 @@ def test_criterion_10_invariance_suite(qcurve):
     z = np.exp(2j * np.pi * np.arange(N) / N)
     pts = z + 0.5 / z
     w = np.abs(1 - 0.5 / z**2) * (2 * np.pi / N) * np.exp(np.cos(np.angle(z)))
-    base = _faber_prefix(_unchecked_map(1.0, 0.0, [0.5]), pts, np.sqrt(w), n)[0][-1]
+    # the one-map evaluator on the same nodes, weighted by e^{g} = e^{cos theta}
+    g = theta_values(sym, 2 * np.pi * np.arange(N) / N)
+    base = _grid_prefix(np.zeros(1), np.array([[0.5]]), g, n)[0][0, -1].real
     V = np.vander(pts, n, increasing=True)
     gap_basis = 0.0
     for _ in range(3):

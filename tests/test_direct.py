@@ -16,9 +16,10 @@ from szegodet import (
     symbol_from_coefficients,
     zero_symbol,
 )
-from szegodet.direct import EnergyCurve, LOG_2PI, _faber_prefix, _range_at
+from szegodet.direct import EnergyCurve, LOG_2PI, _grid_prefix
 from szegodet.errors import DilationNotGreaterThanOne, GridTooCoarse, SzegoError
-from szegodet.series import _unchecked_map
+from szegodet.series import _phi_norm
+from szegodet.symbol import theta_values
 
 from test_grunsky import rotated, rotated_symbol
 
@@ -65,20 +66,25 @@ class TestLogDetDn:
 
     def test_real_complex_paths_agree(self, qcurve, monkeypatch):
         import szegodet.direct as direct_mod
-        from szegodet.direct import _faber_prefix, _nodes_and_gvals, _phase_prefix
-        from szegodet.series import _unchecked_map
 
-        # a unit phase compresses to the identity: log det C_j = 0 for all j
         sym = symbol_from_coefficients(0.0, [0.3], [0.1])
-        capless = _unchecked_map(1.0, qcurve.phi0, qcurve.tail)
-        pts, w, g = _nodes_and_gvals(capless, sym, 512)
-        _, Q = _faber_prefix(capless, pts, np.sqrt(w * np.exp(g.real)), 24, True)
-        assert np.max(np.abs(_phase_prefix(Q, np.ones(512)))) <= 1e-14
-        # Im g = 1e-20 forced down the phase path matches the real result;
-        # a constant phase e^{i eps} multiplies D_n by e^{i n eps}
         tiny = symbol_from_coefficients(2e-20j, [0.3], [0.1])
         real = log_det_Dn(qcurve, sym, 12)
+        # Im g = 1e-20 forced down the phase path: its Q comes from the
+        # weights of sym, and a unit phase compresses to the identity,
+        # log det C_j = 0 for all j
+        phase_prefix = direct_mod._phase_prefix
+        unit = []
         monkeypatch.setattr(direct_mod, "_REAL_TOL", 0.0)
+        monkeypatch.setattr(
+            direct_mod, "_phase_prefix",
+            lambda Q, phase: unit.append(phase_prefix(Q, np.ones(len(phase))))
+            or phase_prefix(Q, phase),
+        )
+        _one_map_prefix(qcurve, tiny, 24, 512)
+        assert np.max(np.abs(unit[0])) <= 1e-14
+        # and matches the real result; a constant phase e^{i eps}
+        # multiplies D_n by e^{i n eps}
         res = log_det_Dn(qcurve, tiny, 12)
         assert res.method == "qr_phase" and real.method == "qr_positive"
         assert res.N_nodes == real.N_nodes
@@ -96,13 +102,30 @@ class TestLogDetDn:
         with pytest.raises(NotConverged):
             direct_mod.log_det_Dn(qcurve, rough, 4)
 
-    def test_zero_determinant_guard(self):
-        from szegodet.direct import _faber_prefix, _phase_prefix
+    def test_zero_determinant_guard(self, qcurve, zero_sym, monkeypatch):
+        import szegodet.direct as direct_mod
+        from szegodet.direct import _phase_prefix
         from szegodet.errors import ZeroDeterminant
 
-        z = np.array([1.0 + 0j, 1.0 + 0j, 2.0 + 0j])
+        # e^{Re g} = e^{-1000} underflows: every weight is zero, so every
+        # |R_jj| is zero, the row is NaN and each caller raises
+        dead = symbol_from_coefficients(-2000.0)
+        assert np.all(np.isnan(_one_map_prefix(qcurve, dead, 2, 64)))
+        for N in (None, 64):
+            with pytest.raises(ZeroDeterminant):
+                log_det_Dn(qcurve, dead, 2, N)
+        # an explicit N raises when either of its two grids fails
+        grid_prefix = direct_mod._grid_prefix
+
+        def check_grid_fails(phi0, tail, g, n):
+            logdets, method = grid_prefix(phi0, tail, g, n)
+            if len(g) == 128:
+                logdets[:] = np.nan
+            return logdets, method
+
+        monkeypatch.setattr(direct_mod, "_grid_prefix", check_grid_fails)
         with pytest.raises(ZeroDeterminant):
-            _faber_prefix(_unchecked_map(1.0, 0.0, []), z, np.zeros(3), 2)
+            log_det_Dn(qcurve, zero_sym, 2, 64)
         # the phase sums to zero against the first row, so C_11 = 0 exactly
         # although C itself is the (nonsingular) exchange matrix
         Q = np.array([[1, 1, 1, 1], [1, -1, 1, -1]], dtype=complex) / 2
@@ -196,7 +219,7 @@ class TestInvariance:
         z = np.exp(1j * theta)
         pts = z + 0.5 / z
         w = np.abs(1 - 0.5 / z**2) * (2 * np.pi / N)
-        base = _faber_prefix(_unchecked_map(1.0, 0.0, [0.5]), pts, np.sqrt(w), n)[0][-1]
+        base = _one_map_prefix(qcurve, zero_symbol(), n, N)[-1].real
         V = np.vander(pts, n, increasing=True)
         for _ in range(3):
             U = np.eye(n) + np.triu(0.5 * rng.standard_normal((n, n)), 1)
@@ -333,19 +356,38 @@ class TestEnergyFamily:
                 for rho, degree in ((0.5, 2), (0.7, 3), (0.85, 4), (0.95, 5))]
 
     @staticmethod
-    def _spy(monkeypatch):
-        """Record, per r, the grid sizes the family was evaluated on."""
+    def _on_each_grid(monkeypatch, edit):
+        """Call edit(r, N, logdets) on each grid finite_energy evaluates:
+        r the radii of its stack of level curves, logdets the rows the
+        evaluator returns for them, which edit may change in place."""
         import szegodet.direct as direct_mod
 
-        grids = {}
-        real = direct_mod._dilation_logdets
+        radii = []
+        dilated_coeffs, grid_prefix = direct_mod._dilated_coeffs, direct_mod._grid_prefix
 
-        def spy(mp, r, n, N):
+        def coeffs(mp, r):
+            radii.append(np.asarray(r))
+            return dilated_coeffs(mp, r)
+
+        def grid(phi0, tail, g, n):
+            logdets, method = grid_prefix(phi0, tail, g, n)
+            if radii:  # a stack of level curves, not a log_det_Dn call
+                edit(radii.pop(), len(g), logdets)
+            return logdets, method
+
+        monkeypatch.setattr(direct_mod, "_dilated_coeffs", coeffs)
+        monkeypatch.setattr(direct_mod, "_grid_prefix", grid)
+
+    @classmethod
+    def _spy(cls, monkeypatch):
+        """Record, per r, the grid sizes the family was evaluated on."""
+        grids = {}
+
+        def record(r, N, _):
             for ri in r:
                 grids.setdefault(float(ri), []).append(N)
-            return real(mp, r, n, N)
 
-        monkeypatch.setattr(direct_mod, "_dilation_logdets", spy)
+        cls._on_each_grid(monkeypatch, record)
         return grids
 
     @pytest.mark.parametrize("n", [2, 5, 30, 60])
@@ -374,27 +416,24 @@ class TestEnergyFamily:
         from szegodet.direct import _start_N
         from szegodet.errors import NotConverged, ZeroDeterminant
 
-        real = direct_mod._dilation_logdets
         calls = []
+        nan_at = drift_at = np.nan  # the radii to fault, set per case
 
-        def faulty(nan_at, drift_at):
-            def run(mp, r, n, N):
-                calls.append(N)
-                out = real(mp, r, n, N)
-                out[r == nan_at] = np.nan
-                out[r == drift_at] += 1.0 / N
-                return out
-            return run
+        def faulty(r, N, logdets):
+            calls.append(N)
+            logdets[r == nan_at] = np.nan
+            logdets[r == drift_at] += 1.0 / N
 
         monkeypatch.setattr(direct_mod, "N_CAP", 4 * _start_N(2))
-        monkeypatch.setattr(direct_mod, "_dilation_logdets", faulty(2.0, None))
+        self._on_each_grid(monkeypatch, faulty)
+        nan_at = 2.0
         with pytest.raises(ZeroDeterminant):
             finite_energy(qcurve, 2, [1.5, 2.0, 3.0])
-        monkeypatch.setattr(direct_mod, "_dilation_logdets", faulty(2.0, 1.5))
+        drift_at = 1.5
         with pytest.raises(NotConverged):
             finite_energy(qcurve, 2, [1.5, 2.0, 3.0])
         calls.clear()
-        monkeypatch.setattr(direct_mod, "_dilation_logdets", faulty(1.5, 2.0))
+        nan_at, drift_at = 1.5, 2.0
         with pytest.raises(ZeroDeterminant):
             finite_energy(qcurve, 2, [1.5, 2.0, 3.0])
         assert calls == [_start_N(2)]  # settled once the smallest r failed
@@ -470,10 +509,26 @@ def _near_unit_curve(rng, r, degree, extra=0.05):
             continue
 
 
+def _one_map_prefix(mp, sym, n, N):
+    """log D_1..log D_n of e^g on the N-node grid of mp, cap left out:
+    the evaluator run on a stack of one map."""
+    g = theta_values(sym, 2 * np.pi * np.arange(N) / N)
+    return _grid_prefix(np.array([mp.phi0]), mp.tail[None], g, n)[0][0]
+
+
+def _grid(mp, sym, N):
+    """Nodes, trapezoidal |dzeta| weights and g on the N-node grid of mp,
+    cap left out: the inputs of the reference determinants."""
+    theta = 2 * np.pi * np.arange(N) / N
+    z = np.exp(1j * theta)
+    w = np.abs(_phi_norm(mp, z, 1)) * (2 * np.pi / N)
+    return _phi_norm(mp, z, 0), w, theta_values(sym, theta)
+
+
 def _fixed_grid_values(mp, sym, n_lo, n_hi, N):
     """log D_n, n = n_lo..n_hi, on one N-node grid: what an explicit N
     returns, without the cost of its 2N check grid."""
-    vals, _ = _range_at(_unchecked_map(1.0, mp.phi0, mp.tail), sym, n_lo, n_hi, N)
+    vals = _one_map_prefix(mp, sym, n_hi, N)[n_lo - 1 :]
     return vals + np.arange(n_lo, n_hi + 1) ** 2 * np.log(mp.cap)
 
 
@@ -548,42 +603,44 @@ class TestFaberBasis:
         return curves
 
     @pytest.mark.parametrize("n", [40, 120])
-    def test_matches_arnoldi(self, n):
+    def test_matches_arnoldi(self, n, monkeypatch):
         # same nodes, same weights: every log D_j and every leading
         # log det of the phase factor agree with the Arnoldi reference
-        from szegodet.direct import _nodes_and_gvals, _phase_prefix, _start_N
+        import szegodet.direct as direct_mod
+        from szegodet.direct import _phase_prefix, _start_N
 
         sym = symbol_from_coefficients(0.2, [0.3, 0.1j, -0.05], [0.2j, 0.1])
         N = 2 * _start_N(n)
+        factors = []  # the Q^t the evaluator builds, one per call
+        monkeypatch.setattr(direct_mod, "_phase_prefix",
+                            lambda Q, phase: factors.append(Q) or _phase_prefix(Q, phase))
         for mp in self._curves():
-            capless = _unchecked_map(1.0, mp.phi0, mp.tail)
-            pts, w, g = _nodes_and_gvals(capless, sym, N)
+            pts, w, g = _grid(mp, sym, N)
             u = w * np.exp(g.real)
             ref, Q_ref = _arnoldi_columns(pts, u, n)
-            got, Q = _faber_prefix(capless, pts, np.sqrt(u), n, True)
-            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+            factors.clear()
+            total = _one_map_prefix(mp, sym, n, N)
+            (Q,) = factors
             phase = np.exp(1j * g.imag)
             assert np.max(np.abs(g.imag)) > 0.1
             c_ref = _phase_prefix(Q_ref.T, phase)
             c = _phase_prefix(Q, phase)
+            got = total - c  # the QR part, 2 sum log |R_ii|
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
             assert np.all(np.abs(c - c_ref) <= 1e-12 * np.maximum(1.0, np.abs(c_ref)))
 
 
 class TestRange:
-    """One Gram-Schmidt pass per grid for a whole n range, at sweep sizes."""
+    """One Householder QR per grid for a whole n range, at sweep sizes."""
 
     SYM = symbol_from_coefficients(0.3, [0.4, 0.1], [0.2])
 
     def test_prefix_matches_per_n(self, wobbly):
-        from szegodet.direct import _nodes_and_gvals
-        from szegodet.series import _unchecked_map
-
         rows = log_det_range(wobbly, self.SYM, 8, 100)
         assert [r.n for r in rows] == list(range(8, 101))
         N = rows[0].N_nodes
         assert all(r.N_nodes == N and r.converged for r in rows)
-        capless = _unchecked_map(1.0, wobbly.phi0, wobbly.tail)
-        pts, w, g = _nodes_and_gvals(capless, self.SYM, N)
+        pts, w, g = _grid(wobbly, self.SYM, N)
         u = w * np.exp(g.real)
         ref = _logdet_columns(pts, u, 100)
         log_cap = np.log(wobbly.cap)
@@ -592,20 +649,16 @@ class TestRange:
             tol = 1e-12 * max(1.0, abs(r.log_Dn.real))
             assert r.log_Dn.imag == 0.0
             assert abs(val - ref[r.n - 1]) <= tol
-            one = _faber_prefix(capless, pts, np.sqrt(u), r.n)[0][-1]
+            one = _one_map_prefix(wobbly, self.SYM, r.n, N)[-1]
             assert abs(val - one) <= tol
 
     def test_range_to_200_matches_reference(self, wobbly):
         # the top of the n range the auto policies reach
-        from szegodet.direct import _nodes_and_gvals
-        from szegodet.series import _unchecked_map
-
         rows = log_det_range(wobbly, self.SYM, 8, 200)
         assert [r.n for r in rows] == list(range(8, 201))
         N = rows[0].N_nodes
         assert all(r.N_nodes == N and r.converged for r in rows)
-        capless = _unchecked_map(1.0, wobbly.phi0, wobbly.tail)
-        pts, w, g = _nodes_and_gvals(capless, self.SYM, N)
+        pts, w, g = _grid(wobbly, self.SYM, N)
         ref = _logdet_columns(pts, w * np.exp(g.real), 200)
         log_cap = np.log(wobbly.cap)
         for r in rows:
@@ -617,21 +670,20 @@ class TestRange:
         from szegodet.direct import _start_N
 
         assert log_det_range(wobbly, self.SYM, 4, 12)[0].N_nodes == 2 * _start_N(12)
-        real = direct_mod._range_at
+        real = direct_mod._grid_prefix
         # the lowest row is off on every grid below 1000 nodes, so the
         # ladder must pass the first grid beyond that and confirm it once
         settled = _start_N(12)
         while settled < 1000:
             settled *= 2
 
-        def lowest_row_settles_late(mp, sym, n_lo, n_hi, N):
-            vals, method = real(mp, sym, n_lo, n_hi, N)
-            if N < 1000:
-                vals = vals.copy()
-                vals[0] += 1.0 / N
-            return vals, method
+        def lowest_row_settles_late(phi0, tail, g, n):
+            logdets, method = real(phi0, tail, g, n)
+            if len(g) < 1000:
+                logdets[:, 3] += 1.0 / len(g)  # log D_4, the lowest row
+            return logdets, method
 
-        monkeypatch.setattr(direct_mod, "_range_at", lowest_row_settles_late)
+        monkeypatch.setattr(direct_mod, "_grid_prefix", lowest_row_settles_late)
         rows = log_det_range(wobbly, self.SYM, 4, 12)
         assert all(r.N_nodes == 2 * settled for r in rows)
 
@@ -686,3 +738,58 @@ class TestRange:
             assert abs(r.log_Dn - one.log_Dn) <= 1e-12 * max(1.0, abs(one.log_Dn))
         with pytest.raises(ValueError):
             log_det_range(wobbly, self.SYM, 8, 21, N=80)
+
+
+class TestOneEvaluator:
+    """Every direct determinant runs through ``_grid_prefix`` and ``_refine``."""
+
+    def test_grids_only_through_the_evaluator(self, qcurve, monkeypatch):
+        # no basis, QR or phase factor is built outside _grid_prefix, and
+        # every automatic ladder doubles from _start_N of its top degree
+        import szegodet.direct as direct_mod
+        from szegodet.direct import _start_N
+
+        grids, stray = [], []
+        depth = [0]  # _grid_prefix calls in progress
+
+        def guard(name):
+            real = getattr(direct_mod, name)
+
+            def run(*args):
+                if not depth[0]:
+                    stray.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(direct_mod, name, run)
+
+        for name in ("_faber_basis", "_lapack", "_diag_prefix", "_phase_prefix"):
+            guard(name)
+        grid_prefix = direct_mod._grid_prefix
+
+        def grid(phi0, tail, g, n):
+            grids.append(len(g))
+            depth[0] += 1
+            try:
+                return grid_prefix(phi0, tail, g, n)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(direct_mod, "_grid_prefix", grid)
+        sym = symbol_from_coefficients(0.0, [0.5], [0.2j])
+
+        def ladder(n_hi):
+            return [_start_N(n_hi) * 2**k for k in range(len(grids))]
+
+        for call, n_hi in (
+            (lambda: log_det_Dn(qcurve, sym, 6), 6),
+            (lambda: log_det_range(qcurve, sym, 4, 30), 30),
+            (lambda: quotient_ratio(qcurve, sym, 7), 8),
+            (lambda: finite_energy(qcurve, 5, [1.5, 3.0]), 5),
+        ):
+            grids.clear()
+            call()
+            assert len(grids) >= 2 and grids == ladder(n_hi)
+        grids.clear()
+        rows = log_det_range(qcurve, sym, 4, 30, N=128)
+        assert grids == [128, 256] and rows[0].method == "qr_phase"
+        assert stray == []

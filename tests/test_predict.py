@@ -43,14 +43,14 @@ class TestQuadraticForm:
         # K is diagonal for the q-curve: the a-block solves against 1 + q**k,
         # so a_1 = 1 gives (1/2)**2 / (1 + q) = 1/6
         pair = operators(grunsky_coefficients(qcurve, 8))
-        v = g_vector(symbol_from_coefficients(0.0, [1.0], pad_to=8), 8)
+        v = g_vector(symbol_from_coefficients(0.0, [1.0]), 8)
         assert _solve_form(_cholesky(pair), v.entries) == pytest.approx(1.0 / 6.0, abs=1e-14)
 
     def test_q_diagonal_b_block(self, qcurve):
         # b-block diagonal entry is 1 - q: (1/2)**2 / (1 - 0.5) = 1/2.
         # (The oracle value is forced by the diagonal solve.)
         pair = operators(grunsky_coefficients(qcurve, 8))
-        v = g_vector(symbol_from_coefficients(0.0, [], [1.0], pad_to=8), 8)
+        v = g_vector(symbol_from_coefficients(0.0, [], [1.0]), 8)
         assert _solve_form(_cholesky(pair), v.entries) == pytest.approx(0.5, abs=1e-14)
 
     def test_not_positive_definite(self):
@@ -62,7 +62,7 @@ class TestQuadraticForm:
 
     def test_length_check(self, qcurve):
         pair = operators(grunsky_coefficients(qcurve, 8))
-        v = g_vector(symbol_from_coefficients(0.0, [1.0], pad_to=4), 4)
+        v = g_vector(symbol_from_coefficients(0.0, [1.0]), 4)
         with pytest.raises(ValueError):
             _solve_form(_cholesky(pair), v.entries)
 
@@ -102,7 +102,7 @@ class TestPredictLogDn:
             assert b <= 0.25 * a + 1e-15  # ratio well under q**2
 
     def test_auto_ladder_log_line(self, qcurve, caplog):
-        # kappa_hat comes from the eigenvalues of K, not a Takagi factor
+        # kappa_hat comes from the singular values of B, not a Takagi factor
         with caplog.at_level(logging.INFO, logger="szegodet.predict"):
             predict_log_Zn(qcurve, 4)
         assert "kappa_hat=0.500000" in caplog.text
@@ -169,21 +169,22 @@ class TestLadder:
         (1.2, NotPositiveDefinite),
     ])
     def test_guard_at_any_log_level(self, caplog, level, m, q, error):
-        # the log line's eigenvalues of K must not change the verdict
+        # the log line's singular values of B must not change the verdict
         with caplog.at_level(level, logger="szegodet.predict"):
             self.test_guard(m, q, error)
 
     @pytest.mark.parametrize("curve", ["circle", "qcurve", "wobbly", "slow", "pairing", "q093"])
     def test_no_eigensolve_when_the_log_is_off(self, request, caplog, monkeypatch, curve):
-        # with INFO dropped, the Cholesky factor alone clears kappa < 1 - 1e-10
+        # with INFO dropped, the Cholesky factor alone clears kappa < 1 - 1e-10:
+        # no singular values of B are computed
         mp = make_map(1.0, 0.0, [0.93]) if curve == "q093" else request.getfixturevalue(curve)
         ref = predict_log_Dn(mp, symbol_from_coefficients(0.0, [1.0]), 30)
 
         def fail(*args, **kwargs):
-            raise AssertionError("eigvalsh ran")
+            raise AssertionError("svdvals ran")
 
-        monkeypatch.setattr(scipy.linalg, "eigvalsh", fail)
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        monkeypatch.setattr(scipy.linalg, "svdvals", fail)
+        monkeypatch.setattr(np.linalg, "svdvals", fail)
         with caplog.at_level(logging.WARNING, logger="szegodet.predict"):
             b = predict_log_Dn(mp, symbol_from_coefficients(0.0, [1.0]), 30)
         assert b == ref
@@ -192,11 +193,11 @@ class TestLadder:
 
     def test_exact_check_above_the_clearance(self, monkeypatch):
         # q = 0.99 at m = 512: half is far above the clearance, so the
-        # eigenvalues of K run once, find kappa = 0.99 and let the value through
+        # singular values of B run once, find kappa = 0.99 and let the value through
         calls = []
-        eigvalsh = scipy.linalg.eigvalsh
-        monkeypatch.setattr(scipy.linalg, "eigvalsh",
-                            lambda *a, **kw: calls.append(1) or eigvalsh(*a, **kw))
+        svdvals = scipy.linalg.svdvals
+        monkeypatch.setattr(scipy.linalg, "svdvals",
+                            lambda *a, **kw: calls.append(1) or svdvals(*a, **kw))
         b = predict_log_Zn(make_map(1.0, 0.0, [0.99]), 4, 512)
         assert b.term_halflogdet > _clearance(1024) + 20.0
         assert calls == [1]

@@ -62,25 +62,25 @@ class TestAnalysis:
 
 class TestGVector:
     def test_a1_block(self):
-        sym = symbol_from_coefficients(0.0, [1.0], pad_to=4)  # a_1 = 2t, t = 0.5
+        sym = symbol_from_coefficients(0.0, [1.0])  # a_1 = 2t, t = 0.5
         v = g_vector(sym, 4)
         assert np.allclose(v.entries, [0.5, 0, 0, 0, 0, 0, 0, 0])
 
     def test_b2_block(self):
-        sym = symbol_from_coefficients(0.0, [], [0.0, 1.0], pad_to=4)
+        sym = symbol_from_coefficients(0.0, [], [0.0, 1.0])
         v = g_vector(sym, 4)
         expect = np.zeros(8)
         expect[5] = 0.5 * np.sqrt(2)
         assert np.allclose(v.entries, expect)
 
     def test_zero_symbol(self):
-        sym = symbol_from_coefficients(0.0, pad_to=3)
+        sym = symbol_from_coefficients(0.0)
         assert np.max(np.abs(g_vector(sym, 3).entries)) == 0.0
 
     def test_truncation_error(self):
         # past the stored truncation the coefficients count as zero
         v = g_vector(symbol_from_coefficients(0.0, [1.0]), 2)
-        padded = g_vector(symbol_from_coefficients(0.0, [1.0], pad_to=2), 2)
+        padded = g_vector(symbol_from_coefficients(0.0, [1.0, 0.0]), 2)
         assert np.array_equal(v.entries, padded.entries)
 
     def test_linearity(self):
