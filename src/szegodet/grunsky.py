@@ -383,7 +383,7 @@ def dilated_table(table: GrunskyTable, r: float) -> GrunskyTable:
 # Words come from byte strings and are combined by & and | only, so the
 # layout does not depend on the machine's byte order.
 
-_CSV_BLOCK = 4096  # table entries per pass; temporaries stay O(block)
+_CSV_BLOCK = 4096  # values per formatting pass, table entries per block of rows
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280  # magnitudes printed without '%.17g'
 _TIE_WIDTH = 1e-6  # scaled values this close to a half-integer go to '%.17g'
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
@@ -534,34 +534,76 @@ def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
         text[i][:len(s)] = np.frombuffer(s, dtype=np.uint8)
 
 
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values of a to format and the m x m map from entries to them.
+
+    A table equal bit for bit to its transpose gives its upper triangle,
+    row by row, behind one shared +0+0j (both sign bits clear) that every
+    such entry maps to; any other table gives all its entries in row-major
+    order and the identity map.
+    """
+    m = len(a)
+    bits = a.view(np.uint64)  # re and im of a[k, l] at [k, 2l] and [k, 2l + 1]
+    if not np.array_equal(bits, a.T.copy().view(np.uint64)):
+        return a.reshape(-1), np.arange(m * m).reshape(m, m)
+    k = np.arange(m)
+    keep = (bits[:, 0::2] | bits[:, 1::2]) != 0
+    keep &= k[:, None] <= k
+    slot = np.cumsum(keep, axis=None).reshape(m, m)
+    slot *= keep  # 0, the shared zero, off the kept entries
+    return (np.concatenate([np.zeros(1, dtype=complex), a.reshape(-1)[keep.reshape(-1)]]),
+            np.maximum(slot, slot.T))
+
+
+def _csv_bytes(table: GrunskyTable) -> bytearray:
+    """The text of ``table_to_csv`` as ASCII bytes."""
+    m = table.m
+    width = len(str(m))
+    pre = (2 * width + 9) // 8  # words of "k,l,"
+    k_words = _words((b"%d," % i).ljust(8 * pre, b"\0") for i in range(1, m + 1)).reshape(m, pre)
+    l_words = _words((bytes(width + 1) + b"%d," % i).ljust(8 * pre, b"\0")
+                     for i in range(1, m + 1)).reshape(m, pre)
+    values, slot = _distinct(np.ascontiguousarray(table.a))
+    # one row of words per value: room for the prefix, then re and im, with
+    # the separators written once
+    encoded = np.empty((len(values), pre + 12), dtype=np.uint64)
+    for start in range(0, len(values), _CSV_BLOCK):
+        block = values[start:start + _CSV_BLOCK]
+        _write_g17(block.view(np.float64).reshape(-1, 2),
+                   encoded[start:start + len(block), pre:].reshape(-1, 2, 6))
+    chars = encoded.view(np.uint8)
+    chars[:, 8 * pre + 47] = ord(",")
+    chars[:, -1] = ord("\n")
+    # blocks of whole table rows, gathered into one reused buffer; mode
+    # "clip" lets take write there directly ("raise" buffers its output)
+    rows = max(1, min(m, _CSV_BLOCK // max(m, 1)))
+    text = bytearray(8 * rows * m * (pre + 12))
+    buf = np.frombuffer(text, dtype=np.uint64).reshape(rows, m, pre + 12)
+    csv = bytearray(b"k,l,re_a,im_a\n")
+    for start in range(0, m, rows):
+        n = min(rows, m - start)
+        np.take(encoded, slot[start:start + n], axis=0, out=buf[:n], mode="clip")
+        buf[:n, :, :pre] = k_words[start:start + n, None] | l_words
+        buf[n:] = 0  # rows past the end of the last block
+        # bytes.translate deletes the NULs faster than np.compress on a
+        # mask: their places repeat from row to row
+        csv += text.translate(None, b"\0")
+    return csv
+
+
 def table_to_csv(table: GrunskyTable) -> str:
     """Row-major CSV dump with header k,l,re_a,im_a at 17 significant digits.
 
     Every row is byte-identical to ``"%d,%d,%.17g,%.17g\\n" % (k, l, re, im)``.
-    The digits of a value come from an exact double-double scaling by a
-    power of ten, done on blocks of the table at a time.  The values that
-    path does not decide are formatted by ``'%.17g'`` itself: NaN and
-    infinities, magnitudes outside [1e-280, 1e280], and values within
-    1e-6 of a tie at the 18th significant digit.
+    Each distinct entry is formatted once: a table equal bit for bit to
+    its transpose (as the symmetrized tables are) formats its upper
+    triangle, with every +0+0j sharing one value, and rows gather the
+    formatted words through an m x m map.  The digits of a value come
+    from an exact double-double scaling by a power of ten, done on blocks
+    of values at a time.  The values that path does not decide are
+    formatted by ``'%.17g'`` itself: NaN and infinities, magnitudes
+    outside [1e-280, 1e280], and values within 1e-6 of a tie at the 18th
+    significant digit.
     """
-    m = table.m
-    width = len(str(m))
-    size = 8 * ((2 * width + 9) // 8)  # bytes of "k,l," in whole words
-    k_words = _words((b"%d," % i).ljust(size, b"\0") for i in range(1, m + 1)).reshape(m, -1)
-    l_words = _words((bytes(width + 1) + b"%d," % i).ljust(size, b"\0")
-                     for i in range(1, m + 1)).reshape(m, -1)
-    flat = table.a.reshape(-1)
-    parts = ["k,l,re_a,im_a\n"]
-    for start in range(0, m * m, _CSV_BLOCK):
-        stop = min(start + _CSV_BLOCK, m * m)
-        idx = np.arange(start, stop)
-        buf = np.empty((stop - start, size // 8 + 12), dtype=np.uint64)
-        buf[:, :size // 8] = np.take(k_words, idx // m, axis=0) | np.take(l_words, idx % m, axis=0)
-        _write_g17(flat[start:stop].view(np.float64).reshape(-1, 2),
-                   buf[:, size // 8:].reshape(-1, 2, 6))
-        text = buf.view(np.uint8)
-        text[:, size + 47] = ord(",")
-        text[:, -1] = ord("\n")
-        text = text.ravel()
-        parts.append(np.compress(text != 0, text).tobytes().decode("ascii"))
-    return "".join(parts)
+    # the words of the dump are freed before its text is copied into a str
+    return _csv_bytes(table).decode("ascii")

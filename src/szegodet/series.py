@@ -101,7 +101,12 @@ def _phi_at(phi0, tail, z, deriv_order: int = 0):
     for j in range(t.shape[-1] - 1, -1, -1):
         acc += c[..., j]
         acc *= w
-    return base + acc * w ** (shift - 1)
+    # in place, so acc stays the first operand at every size: numpy's
+    # temporary elision would swap the operands of ``acc * w**(shift-1)``
+    # on large unstacked arrays, and its complex multiply rounds the
+    # imaginary part by operand order
+    np.multiply(acc, w ** (shift - 1), out=acc)
+    return base + acc
 
 
 def eval_map(mp: ExteriorMap, z, deriv_order: int = 0):

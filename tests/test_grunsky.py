@@ -512,6 +512,104 @@ def test_table_csv_special_values():
     assert table_to_csv(table).split("\n")[1] == "1,1,-0,0"
 
 
+def test_table_csv_empty_table():
+    from szegodet.grunsky import GrunskyTable
+
+    assert table_to_csv(GrunskyTable(0, np.zeros((0, 0), dtype=complex))) == "k,l,re_a,im_a\n"
+
+
+def _formatted(monkeypatch):
+    """Spy on the formatter: the complex values each dump formats, in order."""
+    from szegodet import grunsky
+
+    seen = []
+    write = grunsky._write_g17
+
+    def spy(x, out):
+        seen.extend(np.ascontiguousarray(x).view(complex).ravel().tolist())
+        write(x, out)
+
+    monkeypatch.setattr(grunsky, "_write_g17", spy)
+    return seen
+
+
+def _mirrored_specials():
+    """A bitwise-symmetric 8 x 8 table holding +0+0j, -0+0j, +0-0j, NaN,
+    infinities, subnormals and near-ties, mirrored by copying bits."""
+    from szegodet.grunsky import GrunskyTable
+
+    values = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.nan, 1.0),
+              complex(np.inf, -np.inf), complex(-np.inf, np.nan), complex(5e-324, -5e-324),
+              complex(2.2250738585072014e-308, 1e-310), complex(1e-300, -2.5)]
+    values += [complex(v, -v) for v in _near_ties()[:12]]
+    m = 8
+    iu = np.triu_indices(m)
+    upper = np.resize(np.array(values), len(iu[0]))
+    upper[::5] = 0j  # more entries that share the zero
+    a = np.empty((m, m), dtype=complex)
+    a[iu] = upper
+    a[iu[1], iu[0]] = upper
+    return GrunskyTable(m, a)
+
+
+def _bits(z):
+    return np.array([z]).view(np.uint64).tolist()
+
+
+def test_table_csv_symmetric_specials(monkeypatch):
+    table = _mirrored_specials()
+    assert table.a.tobytes() == table.a.T.copy().tobytes()
+    seen = _formatted(monkeypatch)
+    assert table_to_csv(table) == table_to_csv_reference(table)
+    # one +0+0j stands for all of them; the signed zeros keep slots of their own
+    formatted = [_bits(z) for z in seen]
+    assert formatted.count([0, 0]) == 1
+    for z in (complex(-0.0, 0.0), complex(0.0, -0.0)):
+        assert _bits(z) in formatted
+    assert len(seen) == 1 + sum(_bits(z) != [0, 0] for z in table.a[np.triu_indices(8)])
+
+
+@pytest.mark.parametrize("i, j, nudge", [
+    pytest.param(1, 6, lambda v: complex(np.nextafter(v.real, np.inf), v.imag), id="one-ulp"),
+    # equal to its mirror as a value, not bit for bit
+    pytest.param(0, 5, lambda v: complex(v.real, -0.0), id="signed-zero"),
+])
+def test_table_csv_not_bitwise_symmetric(monkeypatch, i, j, nudge):
+    from szegodet.grunsky import GrunskyTable
+
+    a = _mirrored_specials().a.copy()
+    assert np.isfinite(a[i, j])
+    a[i, j] = nudge(a[i, j])
+    assert a.tobytes() != a.T.copy().tobytes()
+    table = GrunskyTable(8, a)
+    seen = _formatted(monkeypatch)
+    assert table_to_csv(table) == table_to_csv_reference(table)
+    assert len(seen) == 64
+
+
+@pytest.mark.parametrize("i, j, nudge", [
+    pytest.param(0, 1, lambda v: complex(v.real, np.nextafter(v.imag, np.inf)), id="one-ulp"),
+    # an entry of the zero wedge, equal to its mirror as a value only
+    pytest.param(0, 63, lambda v: complex(-0.0, v.imag), id="signed-zero"),
+])
+def test_table_csv_formats_each_distinct_entry_once(monkeypatch, slow, i, j, nudge):
+    from szegodet.grunsky import GrunskyTable
+
+    m = 64
+    table = grunsky_coefficients(slow, m)
+    seen = _formatted(monkeypatch)
+    assert table_to_csv(table) == table_to_csv_reference(table)
+    assert len(seen) <= m * (m + 1) // 2 + 1
+    # the zero wedge of a degree-3 curve shares one formatted value
+    assert len(seen) < m * (m + 1) // 2
+    seen.clear()
+    a = table.a.copy()
+    a[i, j] = nudge(a[i, j])
+    asym = GrunskyTable(m, a)
+    assert table_to_csv(asym) == table_to_csv_reference(asym)
+    assert len(seen) == m * m
+
+
 def _near_ties():
     """Doubles whose 17-digit scaled value is 1-3 units of 2**-L from a tie.
 

@@ -8,7 +8,7 @@ from szegodet import (
     eval_map,
     make_map,
 )
-from szegodet.series import _polyline_self_intersects, _segments_cross
+from szegodet.series import _phi_at, _polyline_self_intersects, _segments_cross, _unit_points
 from szegodet.errors import (
     CurveSelfIntersects,
     DerivativeVanishes,
@@ -144,6 +144,16 @@ class TestEvalMap:
             fd = (eval_map(wobbly, z + h, order - 1) - eval_map(wobbly, z - h, order - 1)) / (2 * h)
             val = eval_map(wobbly, z, order)
             assert abs(fd - val) <= 1e-6 * max(1.0, abs(val))
+
+    @pytest.mark.parametrize("N", [4096, 8192, 16384, 32768, 65536])
+    def test_one_map_rounds_as_a_stack(self, slow, N):
+        # from 2**14 nodes on, numpy's temporary elision may swap the
+        # operands of a product, and the complex product rounds by order
+        z = _unit_points(N)
+        for order in range(4):
+            one = _phi_at(slow.phi0, slow.tail, z, order)
+            stacked = _phi_at(np.array([slow.phi0]), slow.tail[None], z, order)
+            assert one.tobytes() == stacked[0].tobytes(), order
 
 
 class TestCurveSamples:
