@@ -82,6 +82,10 @@ def load_curve(path: str):
         cap = _finite(doc["cap"], "cap")
         phi0 = _parse_complex(doc["phi0"], "phi0")
         tail = [_parse_complex(t, "tail") for t in doc["tail"]]
+        if not cap > 0:
+            raise ValueError(f"cap must be > 0, got {cap}")
+        if not tail:
+            raise ValueError("tail must hold at least one coefficient")
     except (KeyError, TypeError, ValueError) as exc:
         raise CLIInputError(f"curve file {path} has a bad schema: {exc}") from exc
     return make_map(cap, phi0, tail)

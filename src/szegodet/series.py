@@ -191,18 +191,111 @@ def _polyline_self_intersects(pts: np.ndarray, tol: float) -> bool:
     return False
 
 
+def _tail_certifies(tail: np.ndarray) -> bool:
+    """True when s = sum k|t_k| proves that the sampled checks pass.
+
+    The sampled polyline of phi - phi0 has any two non-adjacent segments
+    at least (1 - s) 2 sin(h/2) - M2 h**2 / 4 apart, h = 2 pi / 4096 and
+    M2 = 1 + s + sum k(k+1)|t_k| (proof in ``make_map``); this returns
+    whether that gap exceeds ``SELF_INTERSECT_TOL`` plus the rounding
+    allowance ``_rounding_allowance``.
+    """
+    k = np.arange(1, len(tail) + 1, dtype=float)
+    a = np.abs(tail)
+    with np.errstate(over="ignore"):  # a huge tail gives s = inf: not certified
+        s = float(np.sum(k * a))
+        m2 = 1.0 + s + float(np.sum(k * (k + 1.0) * a))
+    h = 2.0 * np.pi / UNIVALENCE_GRID
+    gap = (1.0 - s) * 2.0 * np.sin(h / 2.0) - m2 * h * h / 4.0
+    return gap > SELF_INTERSECT_TOL + _rounding_allowance(len(tail))
+
+
+def _rounding_allowance(degree: int) -> float:
+    """Bound on how far rounding moves the sampled segment distances.
+
+    With s < 1 every vertex and every |phi'| on the circle is below 2, a
+    computed vertex (``exp`` of a rounded angle, then Horner over
+    ``degree`` terms) is within (2 degree + 8) eps of the exact phi at
+    the exact root of unity, and the point-segment distances of
+    ``_segments_cross`` add about 16 eps; 64 (degree + 4) eps covers both
+    with room to spare.
+    """
+    return 64.0 * (degree + 4) * np.finfo(float).eps
+
+
+def _sampled_checks(tail: np.ndarray) -> None:
+    """The grid checks of ``make_map`` on phi - phi0 = z + sum t_k z**-k.
+
+    Raises ``DerivativeVanishes`` when |phi'| <= 1e-12 at a grid point,
+    ``CurveSelfIntersects`` when the sampled curve is not positively
+    oriented (a NaN or overflowing area counts as not positive) or when
+    two non-adjacent segments come within ``SELF_INTERSECT_TOL``.
+    """
+    z = _unit_points(UNIVALENCE_GRID)
+    if np.min(np.abs(_phi_at(0.0, tail, z, 1))) <= 1e-12:
+        raise DerivativeVanishes("phi' vanishes on the unit circle grid")
+    pts = _phi_at(0.0, tail, z, 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives NaN: rejected
+        area2 = float(np.sum(pts.real * np.roll(pts.imag, -1) - pts.imag * np.roll(pts.real, -1)))
+    if not area2 > 0:
+        raise CurveSelfIntersects("sampled curve is negatively oriented")
+    if _polyline_self_intersects(pts, SELF_INTERSECT_TOL):
+        raise CurveSelfIntersects("sampled curve intersects itself")
+
+
 def make_map(cap: float, phi0: complex, tail) -> ExteriorMap:
     """Validate Laurent data and return the curve model.
 
     ``cap``, ``phi0`` and every tail entry must be finite (``ValueError``
-    otherwise, before any grid work).  Univalence is checked
-    heuristically: phi' must not vanish on a 4096-point boundary grid,
-    the sampled curve must be positively oriented (an orientation flip
-    means the data cannot come from a univalent map even when the image
-    curve is simple, e.g. z + q/z with q > 1), and it must be simple
-    within tolerance 1e-9.  The simplicity sweep builds its candidate
-    segment pairs in time linear in their number, O(N) for a curve-ordered
-    sample, and tests only those whose boxes overlap.
+    otherwise, before any grid work), ``cap`` must be positive
+    (``NonPositiveCapacity``) and the tail must hold at least one
+    coefficient (``ValueError``).  Univalence depends on the tail alone,
+    so it is judged on the normalized map f(z) = phi(z) - phi0 =
+    z + sum t_k z**-k, whose capacity is 1: the verdict does not change
+    with ``cap`` or ``phi0``, and the tolerance is relative to the
+    capacity.
+
+    Certified tails.  Let s = sum k|t_k|.  On |z| = |w| = 1,
+    |z**-k - w**-k| = |z**k - w**k| <= k|z - w|, so
+
+        |f(z) - f(w)| >= (1 - s) |z - w|   and   |f'(z)| >= 1 - s.
+
+    Take the 4096-point grid z_j = exp(i j h), h = 2 pi / 4096, and
+    g(theta) = f(exp(i theta)).  Then |g''| = |z f' + z**2 f''| <= M2 =
+    1 + s + sum k(k+1)|t_k|, so the chord of each grid arc stays within
+    M2 h**2 / 8 of the arc (linear interpolation error).  Two non-adjacent
+    arcs are at least h apart in angle, hence their images at least
+    (1 - s) 2 sin(h/2) apart, and two non-adjacent chords at least
+
+        gap = (1 - s) 2 sin(h/2) - M2 h**2 / 4.
+
+    When gap > ``SELF_INTERSECT_TOL`` plus ``_rounding_allowance`` (which
+    covers the rounding of the computed vertices and distances), the
+    three sampled checks below pass: no two non-adjacent segments come
+    within the tolerance; a gap above 1e-9 forces s < 1 - 6e-7, so
+    |f'| >= 1 - s is far above 1e-12; and twice the polygon's area is
+    positive, since the curve encloses area pi (1 - sum k|t_k|**2) >=
+    pi (1 - s**2) (Parseval), the polygon differs from it by at most its
+    length 2 pi (1 + s) times M2 h**2 / 8 < (1 - s) h / 2, and the
+    shoelace sum over 4096 vertices of modulus below 2 rounds by less
+    than 1e-9.  The one step taken on trust is that the orientation signs
+    of ``_segments_cross`` do not both flip for segments that far apart,
+    which needs four sample points collinear to rounding.  A certified
+    tail returns without the sampled checks; s < 1 is also a classical
+    sufficient condition for f to be univalent on |z| > 1, so no
+    non-univalent map is accepted.  Every tail of degree up to 20 with
+    s <= 0.99 is certified.
+
+    Other tails (s near or above 1, e.g. z + q/z with q >= 1 or a valid
+    [0.6, 0.25j] with s = 1.1) take the sampled checks, a grid heuristic:
+    phi' must not vanish on the 4096-point grid, the sampled curve must be
+    positively oriented (an orientation flip means the data cannot come
+    from a univalent map even when the image curve is simple, e.g.
+    z + q/z with q > 1), and it must be simple within 1e-9 (times the
+    capacity, on the normalized map).
+    The simplicity sweep builds its candidate segment pairs in time
+    linear in their number, O(N) for a curve-ordered sample, and tests
+    only those whose boxes overlap.
     """
     tail = np.atleast_1d(np.asarray(tail, dtype=complex))
     if not (np.isfinite(cap) and np.isfinite(phi0) and np.isfinite(tail).all()):
@@ -211,18 +304,9 @@ def make_map(cap: float, phi0: complex, tail) -> ExteriorMap:
         raise NonPositiveCapacity(f"cap must be > 0, got {cap}")
     if tail.ndim != 1 or len(tail) < 1:
         raise ValueError("tail must be a list of at least one coefficient")
-    mp = ExteriorMap(float(cap), complex(phi0), tail)
-    z = _unit_points(UNIVALENCE_GRID)
-    dphi = _phi_norm(mp, z, 1)
-    if np.min(np.abs(dphi)) <= 1e-12:
-        raise DerivativeVanishes("phi' vanishes on the unit circle grid")
-    pts = float(cap) * _phi_norm(mp, z, 0)
-    area2 = float(np.sum(pts.real * np.roll(pts.imag, -1) - pts.imag * np.roll(pts.real, -1)))
-    if area2 <= 0:
-        raise CurveSelfIntersects("sampled curve is negatively oriented")
-    if _polyline_self_intersects(pts, SELF_INTERSECT_TOL):
-        raise CurveSelfIntersects("sampled curve intersects itself")
-    return mp
+    if not _tail_certifies(tail):
+        _sampled_checks(tail)
+    return ExteriorMap(float(cap), complex(phi0), tail)
 
 
 def _unchecked_map(cap: float, phi0: complex, tail) -> ExteriorMap:

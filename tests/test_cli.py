@@ -421,6 +421,22 @@ class TestExitCodes:
         assert out == ""
         assert "bad schema" in err
 
+    @pytest.mark.parametrize("text, why", [
+        ('{"cap": 1.0, "phi0": [0, 0], "tail": []}', "tail"),
+        ('{"cap": 0, "phi0": [0, 0], "tail": [[0.5, 0]]}', "cap"),
+        ('{"cap": -1.5, "phi0": [0, 0], "tail": [[0.5, 0]]}', "cap"),
+    ])
+    @pytest.mark.parametrize("command", [["predict", "--n", "4"], ["grunsky", "--m", "8"]])
+    def test_bad_curve_data(self, capsys, tmp_path, text, why, command):
+        # an empty tail or a capacity that is not positive is a bad schema
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        code, out, err = run(capsys, command[0], "--curve", str(p), *command[1:])
+        assert code == 2
+        assert out == ""
+        assert "bad schema" in err and why in err
+        assert "failure" not in err
+
     def test_explicit_m_and_N(self, capsys, curve_file):
         path = curve_file("q.json")
         code, out, _ = run(capsys, "direct", "--curve", path, "--n", "8",

@@ -8,7 +8,18 @@ from szegodet import (
     eval_map,
     make_map,
 )
-from szegodet.series import _phi_at, _polyline_self_intersects, _segments_cross, _unit_points
+from szegodet import series as series_mod
+from szegodet.series import (
+    SELF_INTERSECT_TOL,
+    UNIVALENCE_GRID,
+    _phi_at,
+    _polyline_self_intersects,
+    _rounding_allowance,
+    _sampled_checks,
+    _segments_cross,
+    _tail_certifies,
+    _unit_points,
+)
 from szegodet.errors import (
     CurveSelfIntersects,
     DerivativeVanishes,
@@ -74,6 +85,95 @@ class TestMakeMap:
     def test_empty_tail(self):
         with pytest.raises(ValueError):
             make_map(1.0, 0.0, [])
+
+
+def _verdict(cap, phi0, tail):
+    """make_map's outcome: "ok" or the error type and message."""
+    try:
+        make_map(cap, phi0, tail)
+    except (CurveSelfIntersects, DerivativeVanishes) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok"
+
+
+# tails that make_map rejects above, each with s = sum k|t_k| >= 1
+REJECTED_TAILS = [[1.0], [1.4], [0.0, 0.0, 0.9], [0.0, 0.6], [0.0, 0.0, 0.0, 0.3]]
+
+
+class TestCertifiedTail:
+    @pytest.mark.parametrize("tail", [
+        [0.1], [0.5], [0.6, 0.25j], [1.4], [1.0], [0.0, 0.6], [1e150],
+        [0.3, 0.1j, -0.05, 0.02 + 0.02j],
+    ])
+    def test_verdict_ignores_cap_and_phi0(self, tail):
+        # univalence depends on the tail alone: checks on cap * phi with an
+        # absolute tolerance reject [0.1] at (1, 1e15) and (1e-7, 0), and
+        # at (1e155, 0) their area overflows to NaN
+        want = _verdict(1.0, 0.0, tail)
+        for cap in [1e-12, 1e-7, 1.0, 1e155, 1e300]:
+            for phi0 in [0.0, 1e15, 1e300]:
+                assert _verdict(cap, phi0, tail) == want, (cap, phi0)
+
+    def test_overflowing_area_rejected(self):
+        # z + q/z with q > 1 runs backwards; at q = 1e200 the shoelace sum
+        # overflows to NaN, which must not pass as a positive area
+        with pytest.raises(CurveSelfIntersects, match="negatively oriented"):
+            make_map(1.0, 0.0, [1e200])
+
+    @pytest.mark.parametrize("tail", REJECTED_TAILS)
+    def test_rejected_tails_are_not_certified(self, tail):
+        tail = np.asarray(tail, dtype=complex)
+        assert np.sum(np.arange(1, len(tail) + 1) * np.abs(tail)) >= 1.0
+        assert not _tail_certifies(tail)
+
+    def test_fixtures_skip_the_sampled_checks(self, monkeypatch, circle, qcurve,
+                                              wobbly, slow):
+        calls = []
+
+        def spy(pts, tol):
+            calls.append(len(pts))
+            return _polyline_self_intersects(pts, tol)
+
+        monkeypatch.setattr(series_mod, "_polyline_self_intersects", spy)
+        for mp in [circle, qcurve, wobbly, slow]:
+            again = make_map(mp.cap, mp.phi0, mp.tail)
+            assert (again.cap, again.phi0) == (mp.cap, mp.phi0)
+            assert again.tail.tobytes() == mp.tail.tobytes()
+        assert calls == []
+        # s = 0.6 + 2 * 0.25 = 1.1: valid, but only the sampled checks say so
+        mp = make_map(1.0, 0.0, [0.6, 0.25j])
+        assert calls == [UNIVALENCE_GRID]
+        assert mp.tail.tolist() == [0.6, 0.25j]
+
+    def test_bound_never_accepts_a_rejected_tail(self):
+        # seeded tails of degree 1-8 with s in [0, 1.05]; a third of them
+        # put the certificate's gap within 1e-3 (relative) of its threshold
+        rng = np.random.default_rng(19)
+        h = 2.0 * np.pi / UNIVALENCE_GRID
+        c1, c2 = 2.0 * np.sin(h / 2.0), h * h / 4.0
+        certified = 0
+        for draw in range(1200):
+            degree = int(rng.integers(1, 9))
+            k = np.arange(1, degree + 1)
+            w = rng.dirichlet(np.full(degree, 0.5)) * np.exp(2j * np.pi * rng.random(degree))
+            unit = w / k  # sum k|unit_k| = 1
+            if draw % 3 == 0:
+                # gap(s) = (1 - s) c1 - (1 + s (1 + m)) c2 closes at this s
+                m = float(np.sum(k * (k + 1) * np.abs(unit)))
+                thr = SELF_INTERSECT_TOL + _rounding_allowance(degree)
+                s = (c1 - c2 - thr) / (c1 + (1.0 + m) * c2)
+                u = rng.uniform(-1.0, 1.0)
+                s *= 1.0 + 1e-3 * u
+            else:
+                u, s = None, rng.uniform(0.0, 1.05)
+            tail = s * unit
+            if u is not None:
+                # the gap closes at the threshold: below it certified, above not
+                assert _tail_certifies(tail) == (u < 0), (degree, s)
+            if _tail_certifies(tail):
+                certified += 1
+                _sampled_checks(tail)  # raises if the sampled checks reject
+        assert 600 <= certified <= 1000
 
 
 def _all_pairs_intersect(pts, tol):
