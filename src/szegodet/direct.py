@@ -19,7 +19,7 @@ amplified along the recurrence.
 
 The weight splits into its positive part w e^{Re g} and the phase
 e^{i Im g}.  The array A[i, j] = sqrt(w_i e^{Re g_i}) F_j(zeta_i) is
-factored by one Householder QR, A = QR with Q N-by-n, and
+factored by Householder QR, A = QR with Q N-by-n, and
 
     log det M = 2 sum_j log |R_jj| + log det C,    C = Q^t diag(e^{i Im g}) conj(Q).
 
@@ -39,35 +39,60 @@ an n-by-n compression of a unitary diagonal, so ||C|| <= 1, and the
 leading j-block of M only sees the leading j-block of C.  Householder
 fixes each column of Q only up to a unit phase, and such phases leave
 every leading minor of C unchanged.  Gaussian elimination without
-pivoting gives log det C_j for every j as a running sum of pivot logs,
-again one pass for the whole range.  When max |Im g| < pi/2 the
-Hermitian part of C is positive definite, so every pivot has positive
-real part, elimination without pivoting is stable, and the sum of
-principal pivot logs is the branch of log D_n that is continuous along
-t -> t Im g from the real symbol at t = 0; the asymptotic prediction
-takes the same branch.  Past pi/2 the same formula runs unchanged
+pivoting (blocked, ``_phase_prefix``) gives log det C_j for every j as
+a running sum of pivot logs, again one pass for the whole range.  When
+max |Im g| < pi/2 the Hermitian part of C is positive definite, so
+every pivot has positive real part, elimination without pivoting is
+stable, and the sum of principal pivot logs is the branch of log D_n
+that is continuous along t -> t Im g from the real symbol at t = 0; the
+asymptotic prediction takes the same branch.  Past pi/2 the same formula runs unchanged
 without that guarantee: a zero pivot raises ZeroDeterminant, and grid
 refinement still gates convergence.
+
+The grids of a ladder are nested: the 2N nodes are the N nodes and N
+odd ones.  The rows of A carry sqrt(|phi'| e^{Re g}) without the 2pi/N
+of the trapezoidal weight, which scales each |R_jj| by sqrt(2pi/N) only
+when the logs are taken, so the N-grid array is exactly the even rows
+of the 2N-grid array, and
+
+    A_2N^H A_2N = R_N^H R_N + A_odd^H A_odd:
+
+R_2N is the R of [R_N; A_odd], one triangular-pentagonal QR (LAPACK
+tpqrt) at the cost of a QR of the N new rows, and the Faber basis is
+evaluated at the odd nodes only.  With A_2N = [Q_N, 0; 0, I] [R_N; A_odd]
+and [R_N; A_odd] = Q' R_2N, Q_2N = [Q_N Q'_top; Q'_bot], so the phase
+factor, kept un-eliminated from grid to grid, extends as
+
+    C_2N = Q'_top^t C_N conj(Q'_top) + Q'_bot^t diag(e^{i Im g_odd}) conj(Q'_bot),
+
+[Q'_top; Q'_bot] = Q'[I; 0] from tpmqrt: Q_2N itself is never formed.
+A ladder thus costs its first grid plus one extension per doubling, and
+each extension costs about as much as the grid it confirms.  The
+real/phase decision is made once per ladder, on its first grid.
 
 Every direct determinant runs through one grid evaluator and one N
 ladder.  ``_grid_prefix`` evaluates one grid for a stack of maps, given
 as Laurent data (phi0, tail) with a leading axis, and for the values of
 g at the nodes of the grid: the nodes and weights
 of every map in one Horner pass, the Faber basis of every map in one
-run of ``_faber_basis`` over a (map, node, degree) array, then one geqrf
-per map, the routine looked up and its workspace queried once per grid.
-The stack is built in blocks of at most ``_STACK_ENTRIES`` entries, so
-its memory does not grow with the number of maps.  ``_refine`` starts at
-N = 2 n_hi + 64 nodes, rounded up to a multiple of 8, and doubles N;
-each item on it keeps its own two-grid gate and leaves once its two
-latest grids agree, and only the items still on it are evaluated on the
-next grid.  ``log_det_range`` is one map and one item, its whole n range
-(``log_det_Dn`` and ``quotient_ratio`` are ranges).  ``finite_energy``
-needs log D_n of the zero symbol on the level curves phi_r(z) =
-phi(r z)/r, with Laurent data phi0/r and t_k / r**(k+1)
-(``series._dilated_coeffs``, which ``dilate_map`` uses too): one map
-and one item per r, so every r settles on the grid its own
-``log_det_Dn`` call would.
+run of ``_faber_basis`` over a (map, node, degree) array, then per map
+one geqrf on a first grid or one tpqrt on the factors of the previous
+grid, the routines looked up once per grid.  The stack is built in
+blocks of at most ``_STACK_ENTRIES`` entries, so its memory does not
+grow with the number of maps.  ``_refine`` starts at N = 2 n_hi + 64
+nodes, rounded up to a multiple of 8, and doubles N; each item on it
+keeps its own two-grid gate and leaves once its two latest grids agree,
+and only the items still on it are evaluated, each extending its own
+factors, on the next grid.  ``log_det_range`` is one map and one item,
+its whole n range (``log_det_Dn`` and ``quotient_ratio`` are ranges);
+an explicit N evaluates the coarser of its two grids first and extends
+it.  ``finite_energy`` needs log D_n of the zero symbol on the level
+curves phi_r(z) = phi(r z)/r, with Laurent data phi0/r and
+t_k / r**(k+1) (``series._dilated_coeffs``, which ``dilate_map`` uses
+too): one map and one item per r, so every r settles on the grid its
+own ``log_det_Dn`` call would.  Its r run in ladders of as many r as
+have n-by-n factors within ``_STACK_ENTRIES``, so the factors held from
+grid to grid do not grow with the number of r either.
 
 Up to degree n_hi the Gram entries are trigonometric polynomials of
 degree about 2 n_hi times an analytic weight whose Fourier tail decays
@@ -92,6 +117,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import ztrsm
 
 from .errors import (
     DilationNotGreaterThanOne,
@@ -116,6 +142,8 @@ _NO_SUPPORT = "quadrature nodes do not support this degree"
 # complex entries of one stacked Faber basis in finite_energy (256 KiB); the
 # node arrays of the block about double its working set at small n
 _STACK_ENTRIES = 1 << 14
+_TP_BLOCK = 16  # block size of tpqrt
+_LU_BLOCK = 32  # columns per block of the phase factor's elimination
 
 
 @dataclass(frozen=True)
@@ -225,65 +253,109 @@ def _diag_prefix(diag: np.ndarray) -> np.ndarray:
     return logdets
 
 
-def _phase_prefix(Q: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """log det C_j for j = 1..n, where C = Q diag(phase) Q^H.
+def _phase_prefix(C: np.ndarray) -> np.ndarray:
+    """log det C_j for j = 1..n of the n-by-n phase factor C, left unchanged.
 
     Gaussian elimination without pivoting makes pivot k the ratio
     det C_{k+1} / det C_k, so the running sum of the principal pivot logs
-    is every leading log det at once.  The module docstring gives the
-    condition |arg phase| < pi/2 under which this is stable and follows
-    the continuous branch.
+    is every leading log det at once.  The elimination is blocked: per
+    block of ``_LU_BLOCK`` columns, an unblocked elimination of the
+    diagonal block, two triangular solves for the blocks beside it and
+    one matrix product for the trailing matrix.  The module docstring
+    gives the condition |arg phase| < pi/2 under which this is stable and
+    follows the continuous branch.
     """
-    C = (Q * phase) @ Q.conj().T
-    n = len(C)
-    piv = np.empty(n, dtype=complex)
-    for k in range(n):
-        p = C[k, k]
-        if not abs(p) > 0:
-            raise ZeroDeterminant("a leading minor of the phase factor vanished")
-        piv[k] = p
-        C[k + 1 :, k + 1 :] -= np.outer(C[k + 1 :, k] / p, C[k, k + 1 :])
-    return np.cumsum(np.log(piv))
+    A = np.array(C, dtype=complex)  # L below the diagonal, U on and above it
+    n = len(A)
+    for k in range(0, n, _LU_BLOCK):
+        e = min(k + _LU_BLOCK, n)
+        for j in range(k, e):
+            p = A[j, j]
+            if not abs(p) > 0:
+                raise ZeroDeterminant("a leading minor of the phase factor vanished")
+            A[j + 1 : e, j] /= p
+            A[j + 1 : e, j + 1 : e] -= np.outer(A[j + 1 : e, j], A[j, j + 1 : e])
+        if e < n:
+            D = A[k:e, k:e]
+            A[k:e, e:] = ztrsm(1.0, D, A[k:e, e:], lower=1, diag=1)  # L_11^-1 C_12
+            A[e:, k:e] = ztrsm(1.0, D, A[e:, k:e], side=1)  # C_21 U_11^-1
+            A[e:, e:] -= A[e:, k:e] @ A[k:e, e:]
+    return np.cumsum(np.log(np.diagonal(A)))
 
 
-def _grid_prefix(phi0, tail, g: np.ndarray, n: int):
-    """log D_j[e^g], j = 1..n, on the N-node grid of each of k maps, and the method.
+def _grid_prefix(phi0, tail, g: np.ndarray, n: int, prev=None):
+    """log D_j[e^g], j = 1..n, on the N-node grid of each of k maps, the
+    method, and the factors that extend to the next grid of the ladder.
 
     phi0 (k,) and tail (k, d) are cap-normalized, as ``_phi_at`` takes
-    them; g holds the symbol at the N = len(g) nodes.  The rows of each
-    basis are scaled by sqrt(|phi'| e^{Re g} 2pi/N) before its QR; when
-    Im g passes the ``_REAL_TOL`` test, each map adds the leading log dets
-    of its phase factor (ungqr, then ``_phase_prefix``).  The k-by-n
-    result is complex; a row is NaN where the nodes do not support degree n.
+    them; g holds the symbol at the N = len(g) nodes.  With prev None this
+    is the first grid of a ladder: the basis at every node, one geqrf per
+    map, and the phase path when Im g fails the ``_REAL_TOL`` test.
+    Otherwise prev is what this function returned for the same maps on
+    the N/2-node grid (the even nodes of this one): the basis at the N/2
+    odd nodes only, one tpqrt per map on the previous R, and the path of
+    prev.  The rows of each basis are scaled by sqrt(|phi'| e^{Re g}), and
+    the diagonal of each R by sqrt(2pi/N), the trapezoidal weight.  The
+    factors are (R, C): the k stacked n-by-n triangular factors and, on
+    the phase path, the un-eliminated phase factors (None on the real
+    path); prev is left unchanged.  The k-by-n result is complex; a row is
+    NaN where the nodes do not support degree n.
     """
     N = len(g)
-    z = _unit_points(N)
-    phase = float(np.max(np.abs(g.imag))) > _REAL_TOL * max(1.0, float(np.max(np.abs(g))))
-    weight = np.exp(g.real)
-    diag = np.empty((len(phi0), n), dtype=complex)
-    factors = []  # (qr, tau) of each map, kept on the phase path only
-    per = max(1, _STACK_ENTRIES // (N * n))
-    for lo in range(0, len(phi0), per):
+    if prev is None:
+        z, new = _unit_points(N), g
+        phase = float(np.max(np.abs(g.imag))) > _REAL_TOL * max(1.0, float(np.max(np.abs(g))))
+    else:
+        z, new = np.exp(1j * (2.0 * np.pi * np.arange(1, N, 2) / N)), g[1::2]
+        R_prev, C_prev = prev
+        phase = C_prev is not None
+    weight = np.exp(new.real)
+    unit = np.exp(1j * new.imag) if phase else None
+    k = len(phi0)
+    R = np.empty((k, n, n), dtype=complex).swapaxes(-1, -2)  # each R[i] Fortran-ordered
+    C = np.empty((k, n, n), dtype=complex) if phase else None
+    per = max(1, _STACK_ENTRIES // (len(z) * n))
+    for lo in range(0, k, per):
         p0, t = phi0[lo : lo + per], tail[lo : lo + per]
-        s = np.sqrt(np.abs(_phi_at(p0, t, z, 1)) * (2.0 * np.pi / N) * weight)
+        s = np.sqrt(np.abs(_phi_at(p0, t, z, 1)) * weight)
         A = _faber_basis(p0, t, _phi_at(p0, t, z, 0), n)
         A *= s[..., None]
-        if not lo:
-            geqrf = _lapack("geqrf", A[0])  # every block of the grid has this shape
-        factored = [geqrf(a)[:2] for a in A]  # (qr, tau) of each map, in place in A
-        diag[lo : lo + per] = [np.diagonal(qr) for qr, _ in factored]
-        if phase:
-            factors += factored
-        del A, factored  # one block alive at a time
+        if not lo:  # every block of the grid has this shape
+            if prev is None:
+                geqrf = _lapack("geqrf", A[0])
+                if phase:
+                    ungqr = _lapack("ungqr", A[0], np.empty(n, dtype=complex))
+            else:
+                tpqrt, tpmqrt = scipy.linalg.get_lapack_funcs(("tpqrt", "tpmqrt"), (A[0],))
+                nb = min(n, _TP_BLOCK)
+        for i, a in enumerate(A, lo):
+            if prev is None:
+                qr, tau = geqrf(a)[:2]  # in place in A
+                R[i] = qr[:n]  # R is the upper triangle; no routine reads the rest
+                if phase:
+                    Q = ungqr(qr, tau)[0]
+                    C[i] = (Q.T * unit) @ Q.conj()
+            else:
+                R[i] = R_prev[i]
+                # the R of [R_prev; a] (in place in R[i]), the reflectors V
+                # (in place in a) and T, their block factors
+                R[i], V, T = tpqrt(0, nb, R[i], a, overwrite_a=True, overwrite_b=True)[:3]
+                if phase:
+                    # [top; bot] = Q'[I; 0], the first n columns of the Q' of [R_prev; a]
+                    top, bot = tpmqrt(0, V, T, np.eye(n, dtype=complex, order="F"),
+                                      np.zeros_like(V, order="F"),
+                                      overwrite_a=True, overwrite_b=True)[:2]
+                    C[i] = top.T @ C_prev[i] @ top.conj() + (bot.T * unit) @ bot.conj()
+        del A  # one block alive at a time
+    # sqrt(2pi/N) goes onto each |R_jj| before its log: added afterwards as
+    # j log(2pi/N), it would cancel most of the sum (R_jj grows like sqrt(N))
+    diag = np.diagonal(R, axis1=-2, axis2=-1) * np.sqrt(2.0 * np.pi / N)
     logdets = _diag_prefix(diag).astype(complex)
-    if not phase:
-        return logdets, "qr_positive"
-    ungqr = _lapack("ungqr", *factors[0])
-    unit = np.exp(1j * g.imag)
-    for row, (qr, tau) in zip(logdets, factors):
-        if not np.isnan(row[0]):
-            row += _phase_prefix(ungqr(qr, tau)[0].T, unit)
-    return logdets, "qr_phase"
+    if phase:
+        for row, c in zip(logdets, C):
+            if not np.isnan(row[0]):
+                row += _phase_prefix(c)
+    return logdets, "qr_phase" if phase else "qr_positive", (R, C)
 
 
 def _start_N(n: int) -> int:
@@ -337,7 +409,8 @@ def log_det_range(
     multiple of 8) and doubles until two consecutive grids agree to 1e-8
     on every n of the range (error NotConverged past 2**20 nodes).  An
     explicit N (at least 4 n_hi) is honored as stated and each row's N vs
-    2N agreement only sets its ``converged`` flag.
+    2N agreement (N vs N // 2 once 2N passes 2**20) only sets its
+    ``converged`` flag.
     """
     if n_lo < 1:
         raise ValueError("n must be >= 1")
@@ -347,9 +420,12 @@ def log_det_range(
     cap_terms = ns * ns * float(np.log(mp.cap))
     stack = np.array([mp.phi0]), mp.tail[None]
 
+    factors = None  # of the latest grid, which the next one extends
+
     def evaluate(_, size):  # the whole range is one item
+        nonlocal factors
         g = theta_values(sym, 2.0 * np.pi * np.arange(size) / size)
-        logdets, method = _grid_prefix(*stack, g, n_hi)
+        logdets, method, factors = _grid_prefix(*stack, g, n_hi, factors)
         return logdets[:, n_lo - 1 :], method
 
     if N is None:
@@ -358,9 +434,16 @@ def log_det_range(
     else:
         if N < 4 * n_hi:
             raise ValueError(f"N must be >= 4n = {4 * n_hi}")
-        vals, method = evaluate(None, N)
-        # refinement check halves instead of doubling once N hits the cap
-        vals2, _ = evaluate(None, 2 * N if 2 * N <= N_CAP else N // 2)
+        # the coarser grid first, so that the finer one extends it; the
+        # check grid halves instead of doubling once N hits the cap
+        if 2 * N <= N_CAP:
+            vals, method = evaluate(None, N)
+            vals2, _ = evaluate(None, 2 * N)
+        else:
+            vals2, _ = evaluate(None, N // 2)
+            if N % 2:  # an odd N holds no N // 2 grid: a ladder of its own
+                factors = None
+            vals, method = evaluate(None, N)
         if np.isnan(vals + vals2).any():  # either grid failed
             raise ZeroDeterminant(_NO_SUPPORT)
         agree = np.abs(vals2[0] - vals[0]) <= REFINE_TOL
@@ -405,13 +488,15 @@ def finite_energy(mp: ExteriorMap, n: int, r_grid) -> EnergyCurve:
 
     The grid is checked before any quadrature: every r > 1
     (DilationNotGreaterThanOne) and strictly increasing (ValueError).
-    Each grid of the ladder is evaluated once for all r still on it, as
-    one stack of level curves in ``_grid_prefix``, and each r keeps the
-    gate of ``log_det_Dn`` (``_refine``): start at 2n + 64 nodes, double,
-    accept when two consecutive grids agree to 1e-8, NotConverged past
-    2**20 nodes.  So every r settles on the grid its own ``log_det_Dn``
-    call would, and when several r fail, the error is the one of the
-    smallest r.
+    The r run in ladders of consecutive r, as many as have n-by-n
+    factors within ``_STACK_ENTRIES`` (``_energy_ladder``).  Each grid of
+    a ladder is evaluated once for all its r still on it, as one stack of
+    level curves in ``_grid_prefix``, and each r keeps the gate of
+    ``log_det_Dn`` (``_refine``): start at 2n + 64 nodes, double, accept
+    when two consecutive grids agree to 1e-8, NotConverged past 2**20
+    nodes.  So every r settles on the grid its own ``log_det_Dn`` call
+    would, and when several r fail, the error is the one of the smallest
+    r: the ladders run in order of r.
     """
     r = np.asarray(r_grid, dtype=float)
     low = ~(r > 1)
@@ -421,12 +506,29 @@ def finite_energy(mp: ExteriorMap, n: int, r_grid) -> EnergyCurve:
         raise ValueError("r_grid must be strictly increasing")
     if n < 1:
         raise ValueError("n must be >= 1")
-    def evaluate(live, size):  # one item per r: log D_n of g = 0 on its level curve
-        logdets, method = _grid_prefix(*_dilated_coeffs(mp, r[live]), np.zeros(size), n)
+    # one ladder per block of r whose n-by-n factors, held from grid to
+    # grid, fit in _STACK_ENTRIES
+    per = max(1, _STACK_ENTRIES // (n * n))
+    rows = [_energy_ladder(mp, r[lo : lo + per], n) for lo in range(0, len(r), per)]
+    return EnergyCurve(n, r, np.concatenate(rows)[:, 0].real - n * LOG_2PI)
+
+
+def _energy_ladder(mp: ExteriorMap, r: np.ndarray, n: int) -> np.ndarray:
+    """log D_n of the zero symbol on the level curve of each r: one
+    ``_refine`` ladder, one item per r."""
+    factors, held = None, None  # of the latest grid, and the items they belong to
+
+    def evaluate(live, size):
+        nonlocal factors, held
+        if factors is not None:  # the items that left the ladder drop theirs
+            factors = factors[0][np.searchsorted(held, live)], None  # g = 0: no C
+        logdets, method, factors = _grid_prefix(
+            *_dilated_coeffs(mp, r[live]), np.zeros(size), n, factors
+        )
+        held = live
         return logdets[:, -1:], method
 
-    rows, _, _ = _refine(evaluate, len(r), _start_N(n))
-    return EnergyCurve(n, r, rows[:, 0].real - n * LOG_2PI)
+    return _refine(evaluate, len(r), _start_N(n))[0]
 
 
 def bruteforce_Dn(mp: ExteriorMap, sym: FourierSymbol, n: int, grid: int = 256):

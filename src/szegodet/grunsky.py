@@ -534,18 +534,17 @@ def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
         text[i][:len(s)] = np.frombuffer(s, dtype=np.uint8)
 
 
-def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The values of a to format and the m x m map from entries to them.
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The values to format of a table equal bit for bit to its transpose,
+    and the m x m map from its entries to them; None for any other table.
 
-    A table equal bit for bit to its transpose gives its upper triangle,
-    row by row, behind one shared +0+0j (both sign bits clear) that every
-    such entry maps to; any other table gives all its entries in row-major
-    order and the identity map.
+    The values are the upper triangle, row by row, behind one shared +0+0j
+    (both sign bits clear) that every such entry maps to.
     """
     m = len(a)
     bits = a.view(np.uint64)  # re and im of a[k, l] at [k, 2l] and [k, 2l + 1]
     if not np.array_equal(bits, a.T.copy().view(np.uint64)):
-        return a.reshape(-1), np.arange(m * m).reshape(m, m)
+        return None
     k = np.arange(m)
     keep = (bits[:, 0::2] | bits[:, 1::2]) != 0
     keep &= k[:, None] <= k
@@ -553,6 +552,15 @@ def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slot *= keep  # 0, the shared zero, off the kept entries
     return (np.concatenate([np.zeros(1, dtype=complex), a.reshape(-1)[keep.reshape(-1)]]),
             np.maximum(slot, slot.T))
+
+
+def _encode(values: np.ndarray, out: np.ndarray, pre: int) -> None:
+    """Words of the re and im of each value, with the ',' between them and
+    the closing newline, into row i of out from word pre on."""
+    _write_g17(values.view(np.float64).reshape(-1, 2), out[:, pre:].reshape(-1, 2, 6))
+    chars = out.view(np.uint8)
+    chars[:, 8 * pre + 47] = ord(",")
+    chars[:, -1] = ord("\n")
 
 
 def _csv_bytes(table: GrunskyTable) -> bytearray:
@@ -563,26 +571,27 @@ def _csv_bytes(table: GrunskyTable) -> bytearray:
     k_words = _words((b"%d," % i).ljust(8 * pre, b"\0") for i in range(1, m + 1)).reshape(m, pre)
     l_words = _words((bytes(width + 1) + b"%d," % i).ljust(8 * pre, b"\0")
                      for i in range(1, m + 1)).reshape(m, pre)
-    values, slot = _distinct(np.ascontiguousarray(table.a))
-    # one row of words per value: room for the prefix, then re and im, with
-    # the separators written once
-    encoded = np.empty((len(values), pre + 12), dtype=np.uint64)
-    for start in range(0, len(values), _CSV_BLOCK):
-        block = values[start:start + _CSV_BLOCK]
-        _write_g17(block.view(np.float64).reshape(-1, 2),
-                   encoded[start:start + len(block), pre:].reshape(-1, 2, 6))
-    chars = encoded.view(np.uint8)
-    chars[:, 8 * pre + 47] = ord(",")
-    chars[:, -1] = ord("\n")
-    # blocks of whole table rows, gathered into one reused buffer; mode
-    # "clip" lets take write there directly ("raise" buffers its output)
+    a = np.ascontiguousarray(table.a)
+    shared = _distinct(a)
+    if shared is not None:
+        # one row of words per distinct value, room for the prefix first
+        values, slot = shared
+        encoded = np.empty((len(values), pre + 12), dtype=np.uint64)
+        for start in range(0, len(values), _CSV_BLOCK):
+            _encode(values[start:start + _CSV_BLOCK], encoded[start:start + _CSV_BLOCK], pre)
+    # blocks of whole table rows in one reused buffer: gathered from the
+    # distinct values by take (mode "clip" writes there directly, "raise"
+    # buffers its output), or formatted there
     rows = max(1, min(m, _CSV_BLOCK // max(m, 1)))
     text = bytearray(8 * rows * m * (pre + 12))
     buf = np.frombuffer(text, dtype=np.uint64).reshape(rows, m, pre + 12)
     csv = bytearray(b"k,l,re_a,im_a\n")
     for start in range(0, m, rows):
         n = min(rows, m - start)
-        np.take(encoded, slot[start:start + n], axis=0, out=buf[:n], mode="clip")
+        if shared is None:
+            _encode(a[start:start + n].reshape(-1), buf[:n].reshape(n * m, -1), pre)
+        else:
+            np.take(encoded, slot[start:start + n], axis=0, out=buf[:n], mode="clip")
         buf[:n, :, :pre] = k_words[start:start + n, None] | l_words
         buf[n:] = 0  # rows past the end of the last block
         # bytes.translate deletes the NULs faster than np.compress on a
@@ -598,7 +607,9 @@ def table_to_csv(table: GrunskyTable) -> str:
     Each distinct entry is formatted once: a table equal bit for bit to
     its transpose (as the symmetrized tables are) formats its upper
     triangle, with every +0+0j sharing one value, and rows gather the
-    formatted words through an m x m map.  The digits of a value come
+    formatted words through an m x m map.  Any other table is formatted
+    block of rows by block of rows, with no map and no words kept past
+    their block.  The digits of a value come
     from an exact double-double scaling by a power of ten, done on blocks
     of values at a time.  The values that path does not decide are
     formatted by ``'%.17g'`` itself: NaN and infinities, magnitudes

@@ -74,15 +74,15 @@ class TestLogDetDn:
         # weights of sym, and a unit phase compresses to the identity,
         # log det C_j = 0 for all j
         phase_prefix = direct_mod._phase_prefix
-        unit = []
+        factors = []
         monkeypatch.setattr(direct_mod, "_REAL_TOL", 0.0)
-        monkeypatch.setattr(
-            direct_mod, "_phase_prefix",
-            lambda Q, phase: unit.append(phase_prefix(Q, np.ones(len(phase))))
-            or phase_prefix(Q, phase),
-        )
+        monkeypatch.setattr(direct_mod, "_phase_prefix",
+                            lambda C: factors.append(C) or phase_prefix(C))
         _one_map_prefix(qcurve, tiny, 24, 512)
-        assert np.max(np.abs(unit[0])) <= 1e-14
+        # e^{i 1e-20} is 1 to double precision, so C = Q^t conj(Q) = I
+        (C,) = factors
+        assert np.max(np.abs(C - np.eye(24))) <= 1e-14
+        assert np.max(np.abs(phase_prefix(C))) <= 1e-14
         # and matches the real result; a constant phase e^{i eps}
         # multiplies D_n by e^{i n eps}
         res = log_det_Dn(qcurve, tiny, 12)
@@ -117,11 +117,11 @@ class TestLogDetDn:
         # an explicit N raises when either of its two grids fails
         grid_prefix = direct_mod._grid_prefix
 
-        def check_grid_fails(phi0, tail, g, n):
-            logdets, method = grid_prefix(phi0, tail, g, n)
+        def check_grid_fails(phi0, tail, g, n, prev=None):
+            logdets, method, factors = grid_prefix(phi0, tail, g, n, prev)
             if len(g) == 128:
                 logdets[:] = np.nan
-            return logdets, method
+            return logdets, method, factors
 
         monkeypatch.setattr(direct_mod, "_grid_prefix", check_grid_fails)
         with pytest.raises(ZeroDeterminant):
@@ -129,8 +129,10 @@ class TestLogDetDn:
         # the phase sums to zero against the first row, so C_11 = 0 exactly
         # although C itself is the (nonsingular) exchange matrix
         Q = np.array([[1, 1, 1, 1], [1, -1, 1, -1]], dtype=complex) / 2
+        C = (Q * np.array([1, -1, 1, -1])) @ Q.conj().T
+        assert np.array_equal(C, [[0, 1], [1, 0]])
         with pytest.raises(ZeroDeterminant):
-            _phase_prefix(Q, np.array([1, -1, 1, -1], dtype=complex))
+            _phase_prefix(C)
 
     def test_triangular_diagonal_positive(self, wobbly, zero_sym):
         # positive weights force a positive triangular diagonal; the value
@@ -369,11 +371,11 @@ class TestEnergyFamily:
             radii.append(np.asarray(r))
             return dilated_coeffs(mp, r)
 
-        def grid(phi0, tail, g, n):
-            logdets, method = grid_prefix(phi0, tail, g, n)
+        def grid(phi0, tail, g, n, prev=None):
+            logdets, method, factors = grid_prefix(phi0, tail, g, n, prev)
             if radii:  # a stack of level curves, not a log_det_Dn call
                 edit(radii.pop(), len(g), logdets)
-            return logdets, method
+            return logdets, method, factors
 
         monkeypatch.setattr(direct_mod, "_dilated_coeffs", coeffs)
         monkeypatch.setattr(direct_mod, "_grid_prefix", grid)
@@ -437,6 +439,37 @@ class TestEnergyFamily:
         with pytest.raises(ZeroDeterminant):
             finite_energy(qcurve, 2, [1.5, 2.0, 3.0])
         assert calls == [_start_N(2)]  # settled once the smallest r failed
+
+    def test_each_r_extends_its_own_factors(self, qcurve, monkeypatch):
+        # the middle r is held on the ladder (its value is off by 1/N below
+        # 1000 nodes) after the r on either side of it have settled: it
+        # must go on extending its own factors, not those of another r
+        from szegodet import dilate_map
+        from szegodet.direct import _start_N
+
+        def hold_middle(r, N, logdets):
+            if N < 1000:
+                logdets[r == 2.0] += 1.0 / N
+
+        self._on_each_grid(monkeypatch, hold_middle)
+        held = _start_N(5)  # the first grid past 1000 nodes, then one to confirm it
+        while held < 1000:
+            held *= 2
+        r = np.array([1.5, 2.0, 3.0])
+        values = finite_energy(qcurve, 5, r).values
+        for ri, e, N in zip(r, values, (None, 2 * held, None)):
+            if N is None:
+                N = log_det_Dn(dilate_map(qcurve, ri), zero_symbol(), 5).N_nodes
+            want = _one_map_prefix(dilate_map(qcurve, ri), zero_symbol(), 5, N)[-1].real
+            assert abs(e - (want - 5 * LOG_2PI)) <= 1e-12 * abs(want)
+
+    def test_errors_follow_the_smallest_r_one_ladder_per_r(self, qcurve, monkeypatch):
+        # with 4 stack entries every r runs a ladder of its own, one after
+        # the other; the same errors come out
+        import szegodet.direct as direct_mod
+
+        monkeypatch.setattr(direct_mod, "_STACK_ENTRIES", 4)
+        self.test_errors_follow_the_smallest_r(qcurve, monkeypatch)
 
     def test_memory_bounded_at_n200(self, wobbly):
         # the stack is built in blocks of at most 2**14 entries, one curve a
@@ -611,20 +644,20 @@ class TestFaberBasis:
 
         sym = symbol_from_coefficients(0.2, [0.3, 0.1j, -0.05], [0.2j, 0.1])
         N = 2 * _start_N(n)
-        factors = []  # the Q^t the evaluator builds, one per call
+        factors = []  # the phase factor C the evaluator builds, one per call
         monkeypatch.setattr(direct_mod, "_phase_prefix",
-                            lambda Q, phase: factors.append(Q) or _phase_prefix(Q, phase))
+                            lambda C: factors.append(C) or _phase_prefix(C))
         for mp in self._curves():
             pts, w, g = _grid(mp, sym, N)
             u = w * np.exp(g.real)
             ref, Q_ref = _arnoldi_columns(pts, u, n)
             factors.clear()
             total = _one_map_prefix(mp, sym, n, N)
-            (Q,) = factors
+            (C,) = factors
             phase = np.exp(1j * g.imag)
             assert np.max(np.abs(g.imag)) > 0.1
-            c_ref = _phase_prefix(Q_ref.T, phase)
-            c = _phase_prefix(Q, phase)
+            c_ref = _phase_prefix((Q_ref.T * phase) @ Q_ref.conj())
+            c = _phase_prefix(C)
             got = total - c  # the QR part, 2 sum log |R_ii|
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
             assert np.all(np.abs(c - c_ref) <= 1e-12 * np.maximum(1.0, np.abs(c_ref)))
@@ -677,11 +710,11 @@ class TestRange:
         while settled < 1000:
             settled *= 2
 
-        def lowest_row_settles_late(phi0, tail, g, n):
-            logdets, method = real(phi0, tail, g, n)
+        def lowest_row_settles_late(phi0, tail, g, n, prev=None):
+            logdets, method, factors = real(phi0, tail, g, n, prev)
             if len(g) < 1000:
                 logdets[:, 3] += 1.0 / len(g)  # log D_4, the lowest row
-            return logdets, method
+            return logdets, method, factors
 
         monkeypatch.setattr(direct_mod, "_grid_prefix", lowest_row_settles_late)
         rows = log_det_range(wobbly, self.SYM, 4, 12)
@@ -750,6 +783,7 @@ class TestOneEvaluator:
         from szegodet.direct import _start_N
 
         grids, stray = [], []
+        firsts = []  # per grid: whether it was a first grid, not an extension
         depth = [0]  # _grid_prefix calls in progress
 
         def guard(name):
@@ -766,11 +800,12 @@ class TestOneEvaluator:
             guard(name)
         grid_prefix = direct_mod._grid_prefix
 
-        def grid(phi0, tail, g, n):
+        def grid(phi0, tail, g, n, prev=None):
             grids.append(len(g))
+            firsts.append(prev is None)
             depth[0] += 1
             try:
-                return grid_prefix(phi0, tail, g, n)
+                return grid_prefix(phi0, tail, g, n, prev)
             finally:
                 depth[0] -= 1
 
@@ -787,9 +822,160 @@ class TestOneEvaluator:
             (lambda: finite_energy(qcurve, 5, [1.5, 3.0]), 5),
         ):
             grids.clear()
+            firsts.clear()
             call()
             assert len(grids) >= 2 and grids == ladder(n_hi)
+            # every later grid extends the one before it
+            assert firsts == [True] + [False] * (len(grids) - 1)
         grids.clear()
+        firsts.clear()
         rows = log_det_range(qcurve, sym, 4, 30, N=128)
         assert grids == [128, 256] and rows[0].method == "qr_phase"
+        assert firsts == [True, False]
         assert stray == []
+
+
+def _phase_prefix_reference(C):
+    """log det C_j, j = 1..n, by the unblocked rank-1 elimination loop."""
+    from szegodet.errors import ZeroDeterminant
+
+    C = np.array(C)
+    n = len(C)
+    piv = np.empty(n, dtype=complex)
+    for k in range(n):
+        p = C[k, k]
+        if not abs(p) > 0:
+            raise ZeroDeterminant("a leading minor of the phase factor vanished")
+        piv[k] = p
+        C[k + 1 :, k + 1 :] -= np.outer(C[k + 1 :, k] / p, C[k, k + 1 :])
+    return np.cumsum(np.log(piv))
+
+
+class TestPhasePrefix:
+    """The blocked elimination of the phase factor against the rank-1 loop."""
+
+    @pytest.mark.parametrize("n", [40, 120, 200])
+    def test_matches_rank_one_loop(self, n):
+        from szegodet.direct import _phase_prefix
+
+        # C = Q^t diag(e^{i Im g}) conj(Q) with max |Im g| = 1.4 < pi/2
+        rng = np.random.default_rng(n)
+        N = 3 * n
+        A = rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n))
+        Q = np.linalg.qr(A)[0]
+        theta = 2 * np.pi * np.arange(N) / N
+        unit = np.exp(1.4j * np.sin(3 * theta + 0.5))
+        C = (Q.T * unit) @ Q.conj()
+        before = C.copy()
+        got, ref = _phase_prefix(C), _phase_prefix_reference(C)
+        assert np.array_equal(C, before)  # the factor is left as it was
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("k", [0, 5, 31, 32, 40, 70])
+    def test_zero_pivot_in_any_block(self, k):
+        # C = L U with integer entries and unit pivots except U_kk = 0:
+        # elimination is exact, so leading minor k + 1 vanishes exactly,
+        # inside the first block of 32 columns or a later one
+        from szegodet.direct import _phase_prefix
+        from szegodet.errors import ZeroDeterminant
+
+        rng = np.random.default_rng(k)
+        n = 80
+        L = np.tril(rng.integers(-2, 3, (n, n)), -1) + np.eye(n)
+        U = np.triu(rng.integers(-2, 3, (n, n)), 1) + np.eye(n)
+        U[k, k] = 0
+        C = (L @ U).astype(complex)
+        for prefix in (_phase_prefix, _phase_prefix_reference):
+            with pytest.raises(ZeroDeterminant):
+                prefix(C)
+        U[k, k] = 1  # the same matrix with every pivot 1: log det C_j = 0
+        C = (L @ U).astype(complex)
+        assert np.all(_phase_prefix(C) == 0)
+
+
+class TestNestedLadder:
+    """Every grid after the first extends the previous grid's factors."""
+
+    SYMS = {
+        "real": symbol_from_coefficients(0.3, [0.4, 0.1], [0.2]),
+        "complex": symbol_from_coefficients(0.2, [0.3, 0.1j, -0.05], [0.2j, 0.1]),
+    }
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("name", ["circle", "qcurve", "wobbly", "slow"])
+    def test_extension_matches_fresh_qr(self, request, name, kind):
+        # N0 -> 2 N0 -> 4 N0 by extension against a first-grid QR on all
+        # the nodes of each grid: every log D_j, and on the phase path
+        # every leading log det of the phase factor
+        from szegodet.direct import _phase_prefix, _start_N
+
+        mp = request.getfixturevalue(name)
+        sym = self.SYMS[kind]
+        stack = np.array([mp.phi0]), mp.tail[None]
+        n = 200
+        factors = None
+        for N in (_start_N(n), 2 * _start_N(n), 4 * _start_N(n)):
+            g = theta_values(sym, 2 * np.pi * np.arange(N) / N)
+            nested, method, factors = _grid_prefix(*stack, g, n, factors)
+            fresh, fresh_method, (_, C) = _grid_prefix(*stack, g, n)
+            assert method == fresh_method == ("qr_phase" if kind == "complex" else "qr_positive")
+            assert np.all(np.abs(nested - fresh) <= 1e-12 * np.maximum(1.0, np.abs(fresh)))
+            if kind == "complex":
+                got, want = _phase_prefix(factors[1][0]), _phase_prefix(C[0])
+                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+                assert np.max(np.abs(want)) > 1e-3  # the phase is not trivial
+            else:
+                assert factors[1] is None and C is None
+
+    @staticmethod
+    def _spy(monkeypatch, push=False):
+        """Record (N, method, whether prev was given) per evaluated grid;
+        with push, the top row is off by 1/N on every grid below 1000 nodes."""
+        import szegodet.direct as direct_mod
+
+        seen = []
+        grid_prefix = direct_mod._grid_prefix
+
+        def grid(phi0, tail, g, n, prev=None):
+            logdets, method, factors = grid_prefix(phi0, tail, g, n, prev)
+            seen.append((len(g), method, prev is not None))
+            if push and len(g) < 1000:
+                logdets[:, -1] += 1.0 / len(g)
+            return logdets, method, factors
+
+        monkeypatch.setattr(direct_mod, "_grid_prefix", grid)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_one_decision_per_ladder(self, wobbly, kind, monkeypatch):
+        from szegodet.direct import _start_N
+
+        seen = self._spy(monkeypatch, push=True)  # a ladder of three grids or more
+        rows = log_det_range(wobbly, self.SYMS[kind], 4, 12)
+        method = "qr_phase" if kind == "complex" else "qr_positive"
+        assert len(seen) >= 3 and rows[0].method == method
+        assert seen == [(_start_N(12) * 2**k, method, k > 0) for k in range(len(seen))]
+
+    @pytest.mark.parametrize("N", [160, 161])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_explicit_N_at_the_cap(self, wobbly, kind, N, monkeypatch):
+        # 2N past the cap: the N // 2 grid is evaluated first and extended
+        # to N (a fresh grid when N is odd); each row keeps the value of
+        # the N grid and the flag of its N vs N // 2 agreement
+        import szegodet.direct as direct_mod
+
+        sym = self.SYMS[kind]
+        fine = _fixed_grid_values(wobbly, sym, 4, 20, N)
+        coarse = _fixed_grid_values(wobbly, sym, 4, 20, N // 2)
+        monkeypatch.setattr(direct_mod, "N_CAP", 256)
+        seen = self._spy(monkeypatch)
+        rows = direct_mod.log_det_range(wobbly, sym, 4, 20, N=N)
+        method = rows[0].method
+        assert method == ("qr_phase" if kind == "complex" else "qr_positive")
+        assert seen == [(N // 2, method, False), (N, method, N % 2 == 0)]
+        flags = [r.converged for r in rows]
+        assert flags == list(np.abs(fine - coarse) <= 1e-8)
+        assert flags[0] and not flags[-1]
+        for r, v in zip(rows, fine):
+            assert r.N_nodes == N
+            assert abs(r.log_Dn - v) <= 1e-12 * max(1.0, abs(v))

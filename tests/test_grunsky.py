@@ -610,6 +610,31 @@ def test_table_csv_formats_each_distinct_entry_once(monkeypatch, slow, i, j, nud
     assert len(seen) == m * m
 
 
+def test_table_csv_memory_not_above_symmetric(slow):
+    # a table that is not bitwise symmetric is formatted row block by row
+    # block, with no buffer of all its values and no slot map, so its dump
+    # peaks no higher than that of the symmetric table it was made from
+    import tracemalloc
+
+    from szegodet.grunsky import GrunskyTable
+
+    m = 1024
+    table = grunsky_coefficients(slow, m)
+    a = table.a.copy()
+    a[0, 1] = complex(a[0, 1].real, np.nextafter(a[0, 1].imag, np.inf))
+    peaks = []
+    for t in (table, GrunskyTable(m, a)):
+        tracemalloc.start()
+        try:
+            text = table_to_csv(t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == m * m + 1
+        del text
+    assert peaks[1] <= peaks[0]
+
+
 def _near_ties():
     """Doubles whose 17-digit scaled value is 1-3 units of 2**-L from a tie.
 
