@@ -14,18 +14,25 @@ recurrence
 with t_j = 0 for j > d (cap and phi0 drop out).  Entry (k, l) reads only
 entries whose two indices are both smaller, so the m-table is exactly the
 leading block of any larger table, and a_{kl} = 0 whenever
-max(k, l) > d min(k, l).  A 2-D FFT of samples of the logarithm on a
-torus |zeta| = |z| = radius is kept as an independent cross-check.
+max(k, l) > d min(k, l).  The table is symmetric, a_{kl} = a_{lk}, and is
+built so: row k is computed on l <= k only and mirrored into column k, and
+each entry above the diagonal that a later row reads is such a mirror.
+``asym_defect`` checks the rounding by recomputing the last row from the
+transposed recurrence, l a_{kl} = l t_{k+l-1} + sum t_{p+q-1} (l-q)
+a_{k-p,l-q}.  A 2-D FFT of samples of the logarithm on a torus
+|zeta| = |z| = radius is kept as an independent cross-check.
 
 B is the matrix sqrt(k*l) a_{kl}; K is the real symmetric doubling
 
     K = [[B1, B2], [B2, -B1]],   B = B1 + i B2,
 
-whose eigenvalues are +/- the singular values of B.  The spectral report
-takes the singular values from one complex SVD of B and checks them
-against the Cholesky factor of I + K through the determinant identity.  The
-Takagi factorization B = U Lambda U^t comes from one complex SVD of B as
-well; it is a standalone routine that no report path calls.
+whose eigenvalues are +/- the singular values of B.  K is formed only on
+request: the Cholesky factor of I + K is taken from a buffer written
+straight from B.  The spectral report takes the singular values from one
+complex SVD of B and checks them against that factor through the
+determinant identity.  The Takagi factorization B = U Lambda U^t comes
+from one complex SVD of B as well; it is a standalone routine that no
+report path calls.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf as _potrf
 
 from .errors import (
     AliasingDetected,
@@ -51,10 +59,13 @@ _DELTA_EPS = 0.1  # fixed exponent offset in the tail diagnostic
 
 @dataclass(frozen=True)
 class GrunskyTable:
-    """Symmetrized m-by-m table of Grunsky coefficients.
+    """Symmetric m-by-m table of Grunsky coefficients.
 
-    ``asym_defect`` records the relative asymmetry max|a - a^t| / max|a|
-    seen before symmetrization.
+    ``asym_defect`` is a rounding check: for the recurrence's tables
+    (``grunsky_coefficients`` and the m ladder's accepted table), the
+    largest relative gap between the last row and that row recomputed by
+    the transposed recurrence; for the sampled cross-check table, the
+    relative asymmetry max|a - a^t| / max|a| it had before averaging.
     """
 
     m: int
@@ -70,33 +81,57 @@ class GrunskyTable:
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """B = sqrt(k l) a_{kl} and its real symmetric doubling K (2m x 2m)."""
+    """B = sqrt(k l) a_{kl} and its real symmetric doubling K (2m x 2m).
+
+    K = [[B1, B2], [B2, -B1]] with B = B1 + i B2 is built from B on first
+    access and kept, read-only.  Nothing on the prediction path reads it:
+    ``_cholesky`` writes I + K from B itself.
+    """
 
     B: np.ndarray
-    K: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "B", _readonly(self.B))
-        object.__setattr__(self, "K", _readonly(self.K, float))
 
     @property
     def m(self) -> int:
         return self.B.shape[0]
 
+    @functools.cached_property
+    def K(self) -> np.ndarray:
+        K = _k_matrix(self.B)
+        K.setflags(write=False)
+        return K
+
 
 def _cholesky(pair: OperatorPair) -> tuple:
-    """``cho_factor`` of I + K: the one factorization that gives both
-    (I+K)^{-1} and log det(I+K), twice the sum of the logs of its diagonal."""
-    A = pair.K.copy()
-    A[np.diag_indices_from(A)] += 1.0
-    try:
-        # K is symmetric, so A.T is I + K too, already in the Fortran order
-        # that potrf factors in place without a transposing copy
-        return scipy.linalg.cho_factor(A.T, overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+    """Cholesky factor of I + K as ``(c, lower)``, the form ``potrs`` takes:
+    the one factorization that gives both (I+K)^{-1} and log det(I+K),
+    twice the sum of the logs of its diagonal.
+
+    I + K is written from B straight into one buffer, factored in place by
+    LAPACK ``potrf``; the upper triangle of c holds the factor, the lower
+    one I + K.  Raises ``NotPositiveDefinite`` when ``potrf`` meets a
+    nonpositive pivot.
+    """
+    B = pair.B
+    m = len(B)
+    A = np.empty((2 * m, 2 * m))
+    A[:m, :m] = B.real
+    A[:m, m:] = B.imag
+    A[m:, :m] = B.imag
+    np.negative(B.real, out=A[m:, m:])
+    A.reshape(-1)[::2 * m + 1] += 1.0
+    # I + K is symmetric, so A.T holds it too, in the Fortran order that
+    # potrf factors in place
+    c, info = _potrf(A.T, lower=0, clean=0, overwrite_a=1)
+    if info > 0:
         raise NotPositiveDefinite(
             "I + K is not positive definite; the Grunsky norm reaches 1"
-        ) from exc
+        )
+    if info < 0:
+        raise ValueError(f"potrf: illegal value in argument {-info}")
+    return c, False
 
 
 @dataclass(frozen=True)
@@ -122,60 +157,90 @@ class SpectralReport:
     kappa_hat: float
 
 
-def _symmetrized(a: np.ndarray) -> GrunskyTable:
-    """The table 0.5 (a + a^t), recording the relative asymmetry of a."""
-    defect = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    scale = max(float(np.max(np.abs(a))) if a.size else 0.0, np.finfo(float).tiny)
-    table = 0.5 * (a + a.T)
-    table.setflags(write=False)  # built here, so GrunskyTable keeps it as is
-    return GrunskyTable(len(a), table, defect / scale)
-
-
 def _grow(tail: np.ndarray, a: np.ndarray, size: int) -> np.ndarray:
-    """The unsymmetrized size x size table whose leading block is a.
+    """The size x size table whose leading block is a, symmetric by construction.
 
-    Only the entries outside a are computed, each once, by the recurrence
-    of the module docstring, row by row and in the same order of (p, q)
-    whatever the size of a, so growing a table rung by rung gives the bits
-    of building the largest rung at once.  Entries with max(k, l) >
+    Each new row k = len(a)+1..size is computed on its columns
+    ceil(k/d) <= l <= k by the recurrence of the module docstring and
+    mirrored into column k at once; every entry above the diagonal that
+    the recurrence reads was mirrored there by an earlier row.  Rows run
+    in the same order, each over the same (p, q) in the same order,
+    whatever the size of a, so growing a table rung by rung gives the
+    bits of building the largest rung at once.  Entries with max(k, l) >
     d min(k, l) are exact zeros and are not computed; nor are the (p, q)
-    with t_{p+q-1} = 0.
+    with t_{p+q-1} = 0, nor the a_{k-p,l-q} with l - q < 1.  The table is
+    returned write-protected, so ``GrunskyTable`` keeps it as is.
     """
     if size < 1:
         raise ValueError("table size must be >= 1")
-    nonzero = np.flatnonzero(tail) + 1
-    d = int(nonzero[-1]) if nonzero.size else 0
-    # column l of the table sits at l - 1 + d, behind d zero columns that
-    # stand in for a_{k,l-q} with l - q < 1
-    out = np.zeros((size, size + d), dtype=complex)
+    out = np.zeros((size, size), dtype=complex)
     lead = len(a)
-    out[:lead, d:lead + d] = a
-    if not d:
-        return out
-    t = np.zeros(max(2 * size, d + 1), dtype=complex)  # t[j] is t_j
+    out[:lead, :lead] = a
+    nonzero = np.flatnonzero(tail) + 1
+    if nonzero.size:
+        d = int(nonzero[-1])
+        t = np.zeros(max(2 * size, d + 1), dtype=complex)  # t[j] is t_j
+        t[1:d + 1] = tail[:d]
+        pairs = [(complex(t[j]), p, j + 1 - p) for j in nonzero.tolist() for p in range(1, j + 1)]
+        for k in range(lead + 1, size + 1):
+            lo = -(-k // d)
+            row = out[k - 1, lo - 1:k]
+            row[:] = t[k + lo - 1:2 * k]
+            if k > d * d:  # lo > d >= p, q: every (p, q) reads a whole slice
+                for tj, p, q in pairs:
+                    row += (tj * (k - p) / k) * out[k - p - 1, lo - q - 1:k - q]
+            else:
+                for tj, p, q in pairs:
+                    if p < k and q < k:
+                        start = max(lo, q + 1)  # first column with l - q >= 1
+                        row[start - lo:] += (tj * (k - p) / k) * out[k - p - 1, start - q - 1:k - q]
+            out[lo - 1:k - 1, k - 1] = row[:-1]
+    out.setflags(write=False)
+    return out
+
+
+def _asym_defect(tail: np.ndarray, a: np.ndarray) -> float:
+    """Largest relative gap between the last row of a and that row
+    recomputed by the transposed recurrence
+
+        l a_{kl} = l t_{k+l-1} + sum_{p,q>=1} t_{p+q-1} (l-q) a_{k-p,l-q},
+
+    over the nonzero entries of the row (0 if it has none).  ``_grow``
+    builds row k by the recurrence in k, so the two agree to rounding
+    only if the entries it read (half of them mirrored) are right.
+    """
+    m = len(a)
+    nonzero = np.flatnonzero(tail) + 1
+    if not m or not nonzero.size:
+        return 0.0
+    d = int(nonzero[-1])
+    t = np.zeros(max(2 * m, d + 1), dtype=complex)
     t[1:d + 1] = tail[:d]
-    pairs = [(complex(t[j]), p, j + 1 - p) for j in nonzero.tolist() for p in range(1, j + 1)]
-    for k in range(1, size + 1):
-        lo = max(-(-k // d), lead + 1 if k <= lead else 1)
-        hi = min(size, d * k)
-        if lo > hi:
-            continue
-        row = out[k - 1, lo - 1 + d:hi + d]
-        row[:] = t[k + lo - 1:k + hi]
-        for tj, p, q in pairs:
-            if p < k:
-                row += (tj * (k - p) / k) * out[k - p - 1, lo - 1 - q + d:hi - q + d]
-    return out[:, d:]
+    j = np.repeat(nonzero, nonzero)
+    p = np.concatenate([np.arange(1, i + 1) for i in nonzero.tolist()])
+    q = j + 1 - p
+    keep = p < m
+    j, p, q = j[keep], p[keep], q[keep]
+    el = np.arange(1, m + 1)
+    lq = el - q[:, None]  # one row of column offsets l - q per (p, q)
+    weight = t[j][:, None] * np.maximum(lq, 0)
+    terms = a[(m - p - 1)[:, None], np.maximum(lq - 1, 0)]
+    again = t[m:2 * m] + np.sum(weight * terms, axis=0) / el
+    row = a[-1]
+    nz = row != 0
+    return float(np.max(np.abs(again[nz] - row[nz]) / np.abs(row[nz]), initial=0.0))
 
 
 def _doubling_tables(tail: np.ndarray, size: int):
-    """Tables of size, 2 size, 4 size, ..., each grown from the one before,
-    so each entry is computed once and every table has the bits of
-    ``grunsky_coefficients`` at its size."""
+    """Tables of size, 2 size, 4 size, ..., each grown from the one before
+    by its new rows only, so each entry is computed once and every table
+    has the bits of ``grunsky_coefficients`` at its size.  Their
+    ``asym_defect`` is NaN, not measured: a ladder measures it on the one
+    table it keeps (``_asym_defect``)."""
     raw = np.zeros((0, 0), dtype=complex)
     while True:
         raw = _grow(tail, raw, size)
-        yield _symmetrized(raw)
+        yield GrunskyTable(size, raw, float("nan"))
         size *= 2
 
 
@@ -185,10 +250,12 @@ def grunsky_coefficients(mp: ExteriorMap, size: int) -> GrunskyTable:
     The recurrence of the module docstring needs no working truncation:
     the size-m table is exactly the leading block of the size-2m table.
     Entries in the wedge max(k, l) > d min(k, l) are exact zeros.  The
-    recurrence is not symmetric in floating point, so the table is
-    symmetrized and ``asym_defect`` records how far apart a and a^t were.
+    table is symmetric by construction (each row is mirrored into its
+    column), and ``asym_defect`` records how far its last row is from
+    the same row recomputed by the transposed recurrence.
     """
-    return _symmetrized(_grow(mp.tail, np.zeros((0, 0), dtype=complex), size))
+    a = _grow(mp.tail, np.zeros((0, 0), dtype=complex), size)
+    return GrunskyTable(size, a, _asym_defect(mp.tail, a))
 
 
 def grunsky_coefficients_sampled(
@@ -239,23 +306,27 @@ def grunsky_coefficients_sampled(
         )
     k = np.arange(1, size + 1)
     a = -C[np.ix_((-k) % grid, (-k) % grid)] * radius ** (k[:, None] + k[None, :]).astype(float)
-    return _symmetrized(a)
+    # the sampled table is symmetric only to rounding: average it with its
+    # transpose and record how far apart the two were
+    defect = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+    scale = max(float(np.max(np.abs(a))) if a.size else 0.0, np.finfo(float).tiny)
+    table = 0.5 * (a + a.T)
+    table.setflags(write=False)  # built here, so GrunskyTable keeps it as is
+    return GrunskyTable(size, table, defect / scale)
 
 
 def operators(table: GrunskyTable) -> OperatorPair:
-    """Assemble B = sqrt(k l) a_{kl} and K = [[B1, B2], [B2, -B1]].
-
-    Each is built once and frozen here, so ``OperatorPair`` keeps it as is.
+    """B = sqrt(k l) a_{kl}, built once and frozen here, so ``OperatorPair``
+    keeps it as is; K follows from B when it is first read.
     """
     k = np.sqrt(np.arange(1, table.m + 1, dtype=float))
     B = table.a * np.outer(k, k)
     B.setflags(write=False)
-    K = _k_matrix(B)
-    K.setflags(write=False)
-    return OperatorPair(B, K)
+    return OperatorPair(B)
 
 
 def _k_matrix(B: np.ndarray) -> np.ndarray:
+    """K = [[B1, B2], [B2, -B1]] of B = B1 + i B2."""
     B1, B2 = B.real, B.imag
     return np.block([[B1, B2], [B2, -B1]])
 
@@ -605,7 +676,7 @@ def table_to_csv(table: GrunskyTable) -> str:
 
     Every row is byte-identical to ``"%d,%d,%.17g,%.17g\\n" % (k, l, re, im)``.
     Each distinct entry is formatted once: a table equal bit for bit to
-    its transpose (as the symmetrized tables are) formats its upper
+    its transpose (as the library's tables are) formats its upper
     triangle, with every +0+0j sharing one value, and rows gather the
     formatted words through an m x m map.  Any other table is formatted
     block of rows by block of rows, with no map and no words kept past

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrs as _potrs
 from scipy.special import gammaln
 
 from .errors import NonzeroMean
 from .grunsky import (
     GrunskyTable,
+    _asym_defect,
     _checked_svdvals,
     _cholesky,
     _doubling_tables,
@@ -89,14 +90,20 @@ class PredictionBreakdown:
 
 
 def _solve_form(cho: tuple, v: np.ndarray) -> complex:
-    """v^t (I+K)^{-1} v from the Cholesky factor of I + K."""
-    vr = np.ascontiguousarray(v.real)
-    vi = np.ascontiguousarray(v.imag)
-    xr = scipy.linalg.cho_solve(cho, vr, check_finite=False)
-    xi = scipy.linalg.cho_solve(cho, vi, check_finite=False)
-    re = float(vr @ xr - vi @ xi)
-    im = float(vr @ xi + vi @ xr)
-    return complex(re, im)
+    """v^t (I+K)^{-1} v from the Cholesky factor of I + K: Re v and Im v
+    are solved for together, by one ``potrs`` on two columns."""
+    c, lower = cho
+    if len(v) != len(c):
+        raise ValueError(f"vector of length {len(v)} against a {len(c)} x {len(c)} factor")
+    if not len(v):
+        return 0j
+    rhs = np.array([v.real, v.imag])
+    x, info = _potrs(c, rhs.T, lower=lower)
+    if info < 0:
+        raise ValueError(f"potrs: illegal value in argument {-info}")
+    # contiguous rows, so the dot products round as on one-column solves
+    (vr, vi), (xr, xi) = rhs, x.T
+    return complex(float(vr @ xr - vi @ xi), float(vr @ xi + vi @ xr))
 
 
 def _rung(table: GrunskyTable, sym: FourierSymbol):
@@ -134,8 +141,9 @@ def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
     """``_rung`` at a fixed m, or at the first doubling m = 8, 16, ..., 512
     where quad and half both move by less than 1e-9.
 
-    The tables come from ``_doubling_tables``: each rung computes only the
-    entries outside the rung before it.
+    The tables come from ``_doubling_tables``: each rung computes only its
+    new rows.  The accepted table is the one handed out, so only its
+    ``asym_defect`` is measured.
 
     Only the accepted rung is checked for a singular value of B at 1: B_m
     is the leading block of B_2m, so the largest one cannot fall as m grows.
@@ -169,6 +177,7 @@ def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
                 size, "" if settled else " (cap reached, gaps not below 1e-9)",
                 *gaps, kappa, delta_m_tail(pair.B),
             )
+    table = replace(table, asym_defect=_asym_defect(mp.tail, table.a))
     return table, pair, cho, quad, half
 
 

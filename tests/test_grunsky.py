@@ -472,6 +472,75 @@ def test_ladder_grows_one_table(monkeypatch, request, a1_sym, curve):
     assert top[:table.m, :table.m].tobytes() == ref.a.tobytes()
 
 
+@pytest.mark.parametrize("curve", ["wobbly", "slow"])
+def test_table_bitwise_symmetric_m512(request, curve):
+    a = grunsky_coefficients(request.getfixturevalue(curve), 512).a
+    assert a.tobytes() == a.T.copy().tobytes()
+
+
+@pytest.mark.parametrize("curve", ["wobbly", "slow"])
+def test_ladder_growth_to_512_equals_one_build(request, curve):
+    from szegodet.grunsky import _doubling_tables
+
+    mp = request.getfixturevalue(curve)
+    tables = _doubling_tables(mp.tail, 8)
+    table = next(tables)
+    while table.m < 512:
+        assert table.a.tobytes() == table.a.T.copy().tobytes()
+        table = next(tables)
+    assert table.a.tobytes() == grunsky_coefficients(mp, 512).a.tobytes()
+
+
+@pytest.mark.parametrize("curve", ["wobbly", "slow"])
+def test_asym_defect_flags_perturbed_last_row(request, curve):
+    from szegodet.grunsky import _asym_defect
+
+    mp = request.getfixturevalue(curve)
+    table = grunsky_coefficients(mp, 64)
+    assert table.asym_defect <= 1e-14
+    row = table.a[-1]
+    for el in np.flatnonzero(row)[[0, -1]]:
+        a = table.a.copy()
+        a[-1, el] *= 1.0 + 1e-9
+        assert _asym_defect(mp.tail, a) > 1e-10
+
+
+def test_k_is_the_documented_doubling(wobbly):
+    pair = operators(grunsky_coefficients(wobbly, 24))
+    B = pair.B
+    assert "K" not in pair.__dict__
+    assert np.array_equal(pair.K, np.block([[B.real, B.imag], [B.imag, -B.real]]))
+    assert not pair.K.flags.writeable
+    assert pair.K is pair.K
+
+
+@pytest.mark.parametrize("curve", ["wobbly", "slow"])
+def test_prediction_path_never_builds_k(request, a1_sym, curve):
+    from szegodet import predict
+
+    _, pair, _, _, _ = predict._ladder(request.getfixturevalue(curve), a1_sym, None)
+    assert "K" not in pair.__dict__
+
+
+@pytest.mark.parametrize("curve", ["wobbly", "slow"])
+def test_two_column_form_matches_two_solves(request, curve):
+    import scipy.linalg
+
+    from szegodet.grunsky import _cholesky
+    from szegodet.predict import _solve_form
+
+    mp = request.getfixturevalue(curve)
+    rng = np.random.default_rng(4)
+    for m in (8, 16, 32, 64, 128, 256, 512):
+        cho = _cholesky(operators(grunsky_coefficients(mp, m)))
+        v = rng.standard_normal(2 * m) + 1j * rng.standard_normal(2 * m)
+        vr, vi = v.real.copy(), v.imag.copy()
+        xr = scipy.linalg.cho_solve(cho, vr, check_finite=False)
+        xi = scipy.linalg.cho_solve(cho, vi, check_finite=False)
+        ref = complex(vr @ xr - vi @ xi, vr @ xi + vi @ xr)
+        assert abs(_solve_form(cho, v) - ref) <= 1e-15 * abs(ref)
+
+
 def test_suggest_truncation(qcurve, circle):
     assert suggest_truncation(circle) == 16
     m = suggest_truncation(qcurve)
