@@ -9,12 +9,16 @@ significant digits.  Exit codes: 0 success, 2 parse/validation error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
+import glob
 import json
 import math
+import os
 import sys
 
 import numpy as np
+import scipy
 
 from . import direct, grunsky, mcbeta, predict, symbol
 from .errors import SzegoError
@@ -426,7 +430,30 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _blas_thread_setters() -> tuple:
+    """Thread-count setters of the OpenBLAS builds that numpy and scipy
+    bundle: ``scipy_openblas_set_num_threads64_`` in numpy.libs and
+    ``scipy_openblas_set_num_threads`` in scipy.libs, looked up once by
+    ctypes.  Both libraries are loaded by then, so ctypes gets the
+    instances numpy and scipy call.  A build without them gives none."""
+    setters = []
+    for mod, symbol in ((np, "scipy_openblas_set_num_threads64_"),
+                        (scipy, "scipy_openblas_set_num_threads")):
+        libs = os.path.dirname(mod.__file__) + ".libs"
+        for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+            setter = getattr(ctypes.CDLL(path), symbol, None)
+            if setter is not None:
+                setters.append(setter)
+    return tuple(setters)
+
+
 def main(argv=None) -> int:
+    # one BLAS thread in both pools: most LAPACK calls here are small and
+    # slower with a second one, and the output then has the same bits at
+    # any OPENBLAS_NUM_THREADS
+    for set_threads in _blas_thread_setters():
+        set_threads(1)
     try:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:

@@ -28,21 +28,34 @@ B is the matrix sqrt(k*l) a_{kl}; K is the real symmetric doubling
 
 whose eigenvalues are +/- the singular values of B.  K is formed only on
 request: the Cholesky factor of I + K is taken from a buffer written
-straight from B.  The spectral report takes the singular values from one
-complex SVD of B and checks them against that factor through the
-determinant identity.  The Takagi factorization B = U Lambda U^t comes
-from one complex SVD of B as well; it is a standalone routine that no
-report path calls.
+straight from B.  No report, guard or log path runs a dense SVD.  The
+spectral report takes log det(I - B*B) from H = B^H B (one ``zherk``)
+and one complex Cholesky factor of I - H, and checks it against the
+real Cholesky factor of I + K through the determinant identity.  Its
+kappa_hat, the largest singular value of B, is the largest eigenvalue of
+K, from Lanczos on the real-linear map v -> B conj(v) from m = 100 on and
+from the dense eigenvalues of H below that; ``_kappa`` is the one routine
+that computes it, for the report and for the guard of the m ladder.  The
+Takagi factorization B = U Lambda U^t comes from one complex SVD of B; it
+is a standalone routine that no report path calls.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemv as _dgemv
+from scipy.linalg.blas import dnrm2 as _dnrm2
+from scipy.linalg.blas import zgemv as _zgemv
+from scipy.linalg.blas import zherk as _zherk
 from scipy.linalg.lapack import dpotrf as _potrf
+from scipy.linalg.lapack import dstemr as _stemr
+from scipy.linalg.lapack import zheevr as _heevr
+from scipy.linalg.lapack import zpotrf as _zpotrf
 
 from .errors import (
     AliasingDetected,
@@ -55,6 +68,17 @@ from .errors import (
 from .series import ExteriorMap, _phi_norm, _readonly
 
 _DELTA_EPS = 0.1  # fixed exponent offset in the tail diagnostic
+_KAPPA_MAX = 1.0 - 1e-10  # a singular value of B at or above this is at 1
+# estimates of kappa this close below _KAPPA_MAX do not decide the guard
+# alone: over 40 times the rounding error of either estimate (about
+# m eps) at m <= 1024
+_KAPPA_MARGIN = 1e-11
+# table size from which kappa comes from Lanczos, measured on one thread
+# on six curves like the benchmark's (critical radius 0.89 and 0.94,
+# degree 3): Lanczos takes 0.40-0.48 ms against 0.35 ms for the dense
+# eigenvalue at m = 80, 0.43-0.53 against 0.51-0.56 ms at m = 96, and
+# 0.48-0.59 against 0.72-0.82 ms at m = 112
+_LANCZOS_MIN = 100
 
 
 @dataclass(frozen=True)
@@ -397,39 +421,142 @@ def delta_m_tail(B: np.ndarray) -> float:
     return float(np.sqrt(np.sum(kl * np.abs(edge) ** 2)))
 
 
-def _checked_svdvals(B: np.ndarray) -> np.ndarray:
-    """Singular values of B, nonincreasing; SingularValueAtOne if the largest reaches 1 - 1e-10."""
-    # scipy, as for the Cholesky factor: numpy's OpenBLAS is a second
-    # thread pool that spins when idle
-    lam = scipy.linalg.svdvals(B, check_finite=False)
-    if len(lam) and lam[0] >= 1.0 - 1e-10:
-        raise SingularValueAtOne(
-            f"largest singular value {float(lam[0])!r} reaches 1; determinant diverges"
-        )
-    return lam
+def _gram(B: np.ndarray) -> np.ndarray:
+    """Upper triangle of H = B^H B, whose eigenvalues are the squares of
+    the singular values of B, in Fortran order from one ``zherk``; the
+    lower triangle is 0.  B is symmetric, so B.T holds it in the order
+    zherk reads, with no copy.  B must not be empty."""
+    return _zherk(1.0, B.T, trans=2)
+
+
+def _lanczos_top(B: np.ndarray, steps: int) -> float | None:
+    """Largest eigenvalue of K by Lanczos, or None if ``steps`` steps do
+    not converge.
+
+    K acts on R^{2m} as the real-linear map v -> B conj(v) acts on C^m
+    (v = x + i y is the vector (x, y)), and Re(u^H v) is the inner product
+    of R^{2m}: each step is one complex ``zgemv`` with the conjugated
+    Lanczos vector.  The new vector is orthogonalized against all earlier
+    ones twice, classical Gram-Schmidt by real ``dgemv`` on the real view
+    of the stored vectors, so they stay orthonormal to rounding.  The
+    start vector is fixed (seeded normal), so the value is deterministic.
+
+    From step 8 on, every fourth step, LAPACK ``stemr`` gives the top
+    eigenpair (theta, s) of the tridiagonal T_j; the Ritz vector's residual
+    has norm beta_j |s_j|, and the loop stops once that is at most
+    eps |theta|, which puts theta within eps |theta| of an eigenvalue of
+    K.  The last step is checked too.  A zero beta_j (an invariant
+    subspace, as for B = 0) passes that test at once, and step 2m, where
+    T_j is K in an orthonormal basis, ends the loop.
+    """
+    m = len(B)
+    n = 2 * m
+    steps = min(steps, n)
+    Q = np.empty((steps, m), dtype=complex)
+    R = Q.view(float)  # row j is q_j as a vector of R^{2m}
+    R[0] = np.random.default_rng(0).standard_normal(n)
+    R[0] /= _dnrm2(R[0])
+    d, e = np.zeros(steps), np.zeros(steps)  # diagonal and subdiagonal of T
+    x = np.empty(m, dtype=complex)
+    eps = float(np.finfo(float).eps)
+    check = 8
+    for j in range(steps):
+        np.conjugate(Q[j], out=x)
+        w = _zgemv(1.0, B.T, x).view(float)
+        V = R[:j + 1].T  # q_0..q_j as columns, in Fortran order
+        for _ in range(2):
+            c = _dgemv(1.0, V, w, trans=1)
+            w = _dgemv(-1.0, V, c, beta=1.0, y=w, overwrite_y=1)
+            d[j] += c[j]
+        beta = _dnrm2(w)
+        if j + 1 in (check, steps) or beta == 0.0:
+            check += 4
+            # stemr overwrites its subdiagonal; e[j] is still 0 here
+            _, theta, s, info = _stemr(d[:j + 1], e[:j + 1].copy(), 2, 0.0, 0.0, j + 1, j + 1)
+            if info != 0:
+                raise ValueError(f"stemr: info {info}")
+            if beta * abs(s[j, 0]) <= eps * abs(theta[0]) or j + 1 == n:
+                return float(theta[0])
+        if j + 1 < steps:
+            e[j] = beta
+            R[j + 1] = w / beta
+    return None
+
+
+def _kappa(B: np.ndarray, H: np.ndarray | None = None) -> float:
+    """kappa, the largest singular value of B, converged to rounding;
+    ``SingularValueAtOne`` if it reaches 1 - 1e-10.
+
+    From m = 100 on it is the largest eigenvalue of K by Lanczos
+    (``_lanczos_top``, at most m/2 steps, a few dozen on curves whose top
+    singular values are not clustered).  Below that, or when Lanczos has
+    not converged, it is the square root of the largest eigenvalue of
+    H = B^H B by LAPACK ``heevr``; H is the caller's ``_gram(B)``, or formed
+    here.  An estimate within 1e-11 of 1 - 1e-10 or above does not decide
+    alone: the Cholesky factor of (1 - 1e-10)**2 I - H does, and the error
+    is raised when ``potrf`` meets a nonpositive pivot.
+    """
+    m = len(B)
+    if not m:
+        return 0.0
+    kappa = _lanczos_top(B, m // 2) if m >= _LANCZOS_MIN else None
+    if kappa is None:
+        if H is None:
+            H = _gram(B)
+        w, _, _, _, info = _heevr(H, compute_v=0, range="I", il=m, iu=m, lower=0)
+        if info != 0:
+            raise ValueError(f"heevr: info {info}")
+        kappa = math.sqrt(max(float(w[0]), 0.0))
+    if kappa >= _KAPPA_MAX - _KAPPA_MARGIN:
+        A = -(_gram(B) if H is None else H)
+        A.T.reshape(-1)[::m + 1] += _KAPPA_MAX**2  # A is in Fortran order
+        _, info = _zpotrf(A, lower=0, clean=0, overwrite_a=1)
+        if info > 0:
+            raise SingularValueAtOne(
+                f"largest singular value {kappa!r} reaches 1; determinant diverges"
+            )
+    return kappa
+
+
+def _log_det_I_minus(H: np.ndarray) -> float:
+    """log det(I - H) from H = ``_gram(B)``, which is overwritten with
+    I - H and factored in place by one complex ``potrf``: twice the sum
+    of the logs of the factor's diagonal."""
+    m = len(H)
+    np.negative(H, out=H)
+    H.T.reshape(-1)[::m + 1] += 1.0  # H is in Fortran order
+    c, info = _zpotrf(H, lower=0, clean=0, overwrite_a=1)
+    if info > 0:
+        raise NotPositiveDefinite("I - B*B is not positive definite")
+    if info < 0:
+        raise ValueError(f"zpotrf: illegal value in argument {-info}")
+    return 2.0 * float(np.sum(np.log(np.diagonal(c).real)))
 
 
 def spectral_report(pair: OperatorPair) -> SpectralReport:
     """Determinant, energy and truncation diagnostics for one table.
 
-    The singular values of B come from one complex SVD (values only) and
-    give kappa_hat, log det(I - B*B) and the energy; log det(I+K) comes
-    from the diagonal of the Cholesky factor of I + K.  The two are
-    independent LAPACK routines, so their agreement exercises the
-    determinant identity det(I+K) = prod(1 - lam_j**2).  No singular
-    vectors are needed (see ``takagi`` for the factorization
-    B = U diag(lam) U^t).
+    H = B^H B comes from one ``zherk``.  kappa_hat comes from ``_kappa``
+    (Lanczos on K from m = 100 on, the dense eigenvalues of H below), which
+    raises ``SingularValueAtOne`` first.  log det(I - B*B), and the energy
+    from it, comes from the complex Cholesky factor of I - H, and
+    log det(I+K) from the diagonal of the real Cholesky factor of I + K.
+    The two factorizations are independent LAPACK routines on different
+    matrices, so their agreement exercises the determinant identity
+    det(I+K) = prod(1 - lam_j**2).  No SVD runs (see ``takagi`` for the
+    factorization B = U diag(lam) U^t).
     """
-    lam = _checked_svdvals(pair.B)
-    kappa = float(lam[0]) if len(lam) else 0.0
+    B = pair.B
+    H = _gram(B) if len(B) else None
+    kappa = _kappa(B, H)
     log_det_IplusK = 2.0 * float(np.sum(np.log(np.diag(_cholesky(pair)[0]))))
-    log_det_ImBB = float(np.sum(np.log1p(-lam**2)))
+    log_det_ImBB = _log_det_I_minus(H) if H is not None else 0.0
     return SpectralReport(
         log_det_IplusK=log_det_IplusK,
         log_det_IminusBstarB=log_det_ImBB,
         szego_energy=-0.5 * log_det_ImBB + 0.0,
-        hs_norm_sq=float(np.sum(np.abs(pair.B) ** 2)),
-        delta_m_tail=delta_m_tail(pair.B),
+        hs_norm_sq=float(np.sum(np.abs(B) ** 2)),
+        delta_m_tail=delta_m_tail(B),
         kappa_hat=kappa,
     )
 

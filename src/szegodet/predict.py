@@ -25,9 +25,9 @@ from .errors import NonzeroMean
 from .grunsky import (
     GrunskyTable,
     _asym_defect,
-    _checked_svdvals,
     _cholesky,
     _doubling_tables,
+    _kappa,
     delta_m_tail,
     operators,
 )
@@ -148,8 +148,10 @@ def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
     Only the accepted rung is checked for a singular value of B at 1: B_m
     is the leading block of B_2m, so the largest one cannot fall as m grows.
     While half stays below ``_clearance``, the Cholesky factor alone proves
-    kappa < 1 - 1e-10; above it the singular values of B decide, by the
-    guard of ``spectral_report`` (``grunsky._checked_svdvals``).  The
+    kappa < 1 - 1e-10; above it ``grunsky._kappa`` decides, the routine
+    that gives ``spectral_report`` its kappa_hat: Lanczos on K from
+    m = 100 on, the dense eigenvalues of B^H B below, and a Cholesky
+    certificate when the estimate is within 1e-11 of 1 - 1e-10.  The
     ``--m auto`` log line, when its level is enabled, reads kappa_hat
     from the same call and changes nothing else.
     """
@@ -168,7 +170,7 @@ def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
     level = logging.INFO if settled else logging.WARNING
     logged = m is None and log.isEnabledFor(level)
     if not cleared or logged:
-        kappa = float(_checked_svdvals(pair.B)[0])
+        kappa = _kappa(pair.B)
         if logged:
             log.log(
                 level,
@@ -229,9 +231,10 @@ def predict_log_Dn(
     beyond the stored truncation count as zero, so the ladder works for
     short symbols too.  A failed Cholesky factor of I + K raises
     ``NotPositiveDefinite``; a singular value of B within 1e-10 of 1 raises
-    ``SingularValueAtOne``.  That check needs the singular values of B only
-    when -0.5 log det(I+K) reaches ``_clearance``, about 11; the
-    ``--m auto`` log line runs them too when its level is enabled.
+    ``SingularValueAtOne``.  That check computes the largest singular value
+    of B (``grunsky._kappa``, no SVD) only when -0.5 log det(I+K) reaches
+    ``_clearance``, about 11; the ``--m auto`` log line computes it too
+    when its level is enabled.
     Neither the value nor the error depends on the logging configuration.
     """
     return predict_range(mp, sym, n, n, m)[0]

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from szegodet import grunsky
 from szegodet.cli import build_parser, main
 from szegodet.predict import LOG_2PI
 
@@ -244,28 +246,70 @@ class TestEnergyAndWp:
         assert doc["bounded_verdict"] is True
 
 
-def test_grunsky_output_independent_of_blas_threads(curve_file, tmp_path):
-    """The table does no BLAS calls, so its CSV has the same bytes at any
-    BLAS thread count.  So has the report, except log_det_IplusK: with two
-    threads OpenBLAS factors the 1024 x 1024 I + K by its threaded potrf,
-    which rounds differently."""
-    path = curve_file("wobbly.json", cap=1.3, phi0=(0.2, 0.1),
-                      tail=((0.3, 0.0), (0.0, 0.1), (-0.05, 0.0), (0.02, 0.02)))
+_WOBBLY = dict(cap=1.3, phi0=(0.2, 0.1),
+               tail=((0.3, 0.0), (0.0, 0.1), (-0.05, 0.0), (0.02, 0.02)))
+
+
+def _stdout_at_blas_threads(*argv) -> list[bytes]:
+    """stdout of ``python -m szegodet.cli *argv`` at OPENBLAS_NUM_THREADS=1 and 2."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    runs = []
+    outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        table, report = tmp_path / f"t{threads}.csv", tmp_path / f"r{threads}.json"
-        subprocess.run([sys.executable, "-m", "szegodet.cli", "grunsky", "--curve", path,
-                        "--m", "512", "--table-out", str(table), "--report-out", str(report)],
-                       env=env, check=True)
-        runs.append((table.read_bytes(), json.loads(report.read_text())))
-    (table1, report1), (table2, report2) = runs
-    assert table1 == table2
-    ldk1, ldk2 = report1.pop("log_det_IplusK"), report2.pop("log_det_IplusK")
-    assert report1 == report2
-    assert abs(ldk1 - ldk2) <= 1e-14 * abs(ldk1)
+        outs.append(subprocess.run([sys.executable, "-m", "szegodet.cli", *argv],
+                                   env=env, check=True, capture_output=True).stdout)
+    return outs
+
+
+# ``main`` pins both OpenBLAS pools to one thread, so CLI output has the
+# same bytes at any BLAS thread count.  Without the pin each of these
+# differs at two threads: the threaded potrf of the 1024 x 1024 I + K,
+# and the QR and complex products of the direct layer, round differently.
+
+
+def test_grunsky_output_independent_of_blas_threads(curve_file):
+    path = curve_file("wobbly.json", **_WOBBLY)
+    one, two = _stdout_at_blas_threads("grunsky", "--curve", path, "--m", "512")
+    assert one == two
+    report = json.loads(one[one.index(b"{"):])
+    assert report["m"] == 512
+    assert abs(report["log_det_IplusK"] - report["log_det_IminusBstarB"]) <= 1e-12
+
+
+def test_convergence_output_independent_of_blas_threads(curve_file, tmp_path):
+    path = curve_file("wobbly.json", **_WOBBLY)
+    sym = tmp_path / "complex.json"
+    sym.write_text(json.dumps(
+        {"a0": [0.0, 0.0], "a": [[1.0, 0.0], [0.3, 0.0], [0.0, 0.1]], "b": []}
+    ))
+    one, two = _stdout_at_blas_threads("convergence", "--curve", path,
+                                       "--symbol", str(sym), "--n", "8..200")
+    assert one == two
+    assert one.count(b"\n") == 194
+
+
+def test_energy_output_independent_of_blas_threads(curve_file, tmp_path):
+    path = curve_file("wobbly.json", **_WOBBLY)
+    one, two = _stdout_at_blas_threads("energy", "--curve", path, "--n", "60",
+                                       "--r", "1.05:4:49", "--report-out", str(tmp_path / "r.json"))
+    assert one == two
+    assert one.count(b"\n") == 50
+
+
+def test_grunsky_runs_no_svd(capsys, curve_file, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("an SVD ran")
+
+    for mod in (scipy.linalg, np.linalg):
+        monkeypatch.setattr(mod, "svd", fail)
+        monkeypatch.setattr(mod, "svdvals", fail)
+    monkeypatch.setattr(grunsky, "takagi", fail)
+    path = curve_file("wobbly.json", **_WOBBLY)
+    code, out, err = run(capsys, "grunsky", "--curve", path, "--m", "256")
+    assert code == 0, err
+    report = json.loads(out[out.index("{"):])
+    assert report["kappa_hat"] == pytest.approx(0.3768103383162, rel=1e-12)
 
 
 class TestBetaMc:

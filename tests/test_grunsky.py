@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from szegodet import (
     dilate_map,
@@ -18,7 +19,8 @@ from szegodet.errors import (
     NotSymmetric,
     SingularValueAtOne,
 )
-from szegodet.grunsky import table_to_csv
+from szegodet import grunsky
+from szegodet.grunsky import GrunskyTable, OperatorPair, _kappa, _lanczos_top, table_to_csv
 
 from conftest import q_energy_limit
 from laurent import LaurentSeries, laurent_mul
@@ -388,10 +390,9 @@ class TestSpectralReport:
         assert abs(spectral_report(pair).log_det_IplusK - x) <= 1e-12 * max(1.0, abs(x))
 
     def test_empty_table(self):
-        from szegodet.grunsky import GrunskyTable
-
         rep = spectral_report(operators(GrunskyTable(0, np.zeros((0, 0), dtype=complex))))
         assert rep.log_det_IplusK == 0.0 and rep.kappa_hat == 0.0
+        assert rep.log_det_IminusBstarB == 0.0 and rep.szego_energy == 0.0
 
     def test_curve_where_takagi_pairing_fails(self, pairing):
         pair = operators(grunsky_coefficients(pairing, 32))
@@ -422,6 +423,94 @@ class TestSpectralReport:
         assert all(b >= a for a, b in zip(energies, energies[1:]))
         for m, (a, b) in zip((4, 8, 16), zip(energies, energies[1:])):
             assert b - a <= 0.5 ** (2 * m)
+
+
+def _spectral_curve(request, name):
+    """A conftest fixture, or the ellipse z + q/z for name "q093" / "q099"."""
+    if name.startswith("q0"):
+        return make_map(1.0, 0.0, [int(name[1:]) / 100])
+    return request.getfixturevalue(name)
+
+
+def _rel_err(got, want):
+    return abs(got - want) / max(1.0, abs(want))
+
+
+class TestKappaWithoutSvd:
+    """kappa_hat from ``_kappa`` (Lanczos on K from m = 100 on, the dense
+    eigenvalues of B^H B below) and log det(I - B*B) from one complex
+    Cholesky factor, against the singular values of B."""
+
+    @pytest.mark.parametrize("m", [8, 16, 32, 64, 96, 128, 256, 512])
+    @pytest.mark.parametrize("curve", ["qcurve", "wobbly", "slow", "pairing", "q093", "q099"])
+    def test_fixtures_against_svdvals(self, request, curve, m):
+        # q099 has its top singular values 1 % apart: at m = 128 Lanczos
+        # stops at m/2 steps unconverged and the dense route takes over
+        B = operators(grunsky_coefficients(_spectral_curve(request, curve), m)).B
+        sv = scipy.linalg.svdvals(B)
+        rep = spectral_report(OperatorPair(B))
+        assert abs(rep.kappa_hat - sv[0]) <= 1e-12 * sv[0]
+        assert _rel_err(rep.log_det_IminusBstarB, float(np.sum(np.log1p(-sv**2)))) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_seeded_curves_against_svdvals(self, seed):
+        from test_direct import _near_unit_curve  # test_direct imports this module
+
+        rng = np.random.default_rng([22, seed])
+        mp = _near_unit_curve(rng, float(rng.uniform(0.5, 0.96)), int(rng.integers(1, 6)))
+        for m in (24, 99, 100, 200):  # the dense route up to 99, then Lanczos
+            B = operators(grunsky_coefficients(mp, m)).B
+            sv = scipy.linalg.svdvals(B)
+            assert abs(_kappa(B) - sv[0]) <= 1e-12 * sv[0]
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 40])
+    def test_lanczos_to_full_dimension(self, wobbly, m):
+        # at step 2m the tridiagonal is K in an orthonormal basis
+        B = operators(grunsky_coefficients(wobbly, m)).B
+        sv = scipy.linalg.svdvals(B)
+        assert abs(_lanczos_top(B, 2 * m) - sv[0]) <= 1e-12 * sv[0]
+
+    @pytest.mark.parametrize("m", [16, 128, 512])
+    @pytest.mark.parametrize("curve", ["wobbly", "q093"])
+    def test_both_determinants_against_k_eigenvalues(self, request, curve, m):
+        pair = operators(grunsky_coefficients(_spectral_curve(request, curve), m))
+        rep = spectral_report(pair)
+        x = float(np.sum(np.log1p(np.linalg.eigvalsh(pair.K))))
+        assert _rel_err(rep.log_det_IplusK, x) <= 1e-12
+        assert _rel_err(rep.log_det_IminusBstarB, x) <= 1e-12
+
+    @pytest.mark.parametrize("m", [8, 128, 256])
+    def test_zero_operator(self, circle, m):
+        # the circle's B = 0: a zero Lanczos step ends the loop at once
+        rep = spectral_report(operators(grunsky_coefficients(circle, m)))
+        assert rep.kappa_hat == 0.0
+        assert rep.log_det_IminusBstarB == 0.0 and rep.log_det_IplusK == 0.0
+        assert _lanczos_top(np.zeros((m, m), dtype=complex), m // 2) == 0.0
+
+    @pytest.mark.parametrize("m", [2, 128])
+    def test_singular_value_at_one_before_any_cholesky(self, m):
+        # I + K and I - B*B are singular too; the guard must speak first
+        B = np.diag(np.linspace(1.0, 0.25, m)).astype(complex)
+        with pytest.raises(SingularValueAtOne):
+            spectral_report(OperatorPair(B))
+
+    @pytest.mark.parametrize("m", [2, 128])
+    @pytest.mark.parametrize("top, raises, certified", [
+        (1 - 0.95e-10, True, True),
+        (1 - 1.05e-10, False, True),  # within 1e-11 below the threshold
+        (1 - 2e-10, False, False),  # clears it alone
+    ])
+    def test_certificate_decides_near_the_threshold(self, monkeypatch, m, top, raises, certified):
+        calls = []
+        potrf = grunsky._zpotrf
+        monkeypatch.setattr(grunsky, "_zpotrf", lambda *a, **kw: calls.append(1) or potrf(*a, **kw))
+        B = np.diag(np.linspace(top, 0.25, m)).astype(complex)
+        if raises:
+            with pytest.raises(SingularValueAtOne):
+                _kappa(B)
+        else:
+            assert _kappa(B) == pytest.approx(top, rel=1e-14)
+        assert len(calls) == int(certified)
 
 
 class TestDilatedTable:

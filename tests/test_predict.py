@@ -3,7 +3,6 @@ import logging
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from szegodet import (
     grunsky_coefficients,
@@ -21,6 +20,7 @@ from szegodet import (
     zero_symbol,
     zn_beta_circle,
 )
+from szegodet import predict as predict_module
 from szegodet.errors import NonzeroMean, NotPositiveDefinite, SingularValueAtOne
 from szegodet.grunsky import _cholesky
 from szegodet.predict import LOG_2PI, _clearance, _solve_form
@@ -102,7 +102,7 @@ class TestPredictLogDn:
             assert b <= 0.25 * a + 1e-15  # ratio well under q**2
 
     def test_auto_ladder_log_line(self, qcurve, caplog):
-        # kappa_hat comes from the singular values of B, not a Takagi factor
+        # kappa_hat comes from the kappa routine of the report, not a Takagi factor
         with caplog.at_level(logging.INFO, logger="szegodet.predict"):
             predict_log_Zn(qcurve, 4)
         assert "kappa_hat=0.500000" in caplog.text
@@ -149,7 +149,7 @@ class TestLadder:
         rep = spectral_report(operators(grunsky_coefficients(mp, m)))
         assert abs(b.term_halflogdet + 0.5 * rep.log_det_IplusK) <= 1e-12
 
-    @pytest.mark.parametrize("m", [8, None])
+    @pytest.mark.parametrize("m", [8, 256, None])  # 256: the Lanczos route's table size
     @pytest.mark.parametrize("q, error", [
         (1 - 1e-11, SingularValueAtOne),  # I + K factors, K has eigenvalue -q
         (1.2, NotPositiveDefinite),  # I + K has a negative eigenvalue
@@ -176,15 +176,14 @@ class TestLadder:
     @pytest.mark.parametrize("curve", ["circle", "qcurve", "wobbly", "slow", "pairing", "q093"])
     def test_no_eigensolve_when_the_log_is_off(self, request, caplog, monkeypatch, curve):
         # with INFO dropped, the Cholesky factor alone clears kappa < 1 - 1e-10:
-        # no singular values of B are computed
+        # the largest singular value of B is not computed
         mp = make_map(1.0, 0.0, [0.93]) if curve == "q093" else request.getfixturevalue(curve)
         ref = predict_log_Dn(mp, symbol_from_coefficients(0.0, [1.0]), 30)
 
         def fail(*args, **kwargs):
-            raise AssertionError("svdvals ran")
+            raise AssertionError("_kappa ran")
 
-        monkeypatch.setattr(scipy.linalg, "svdvals", fail)
-        monkeypatch.setattr(np.linalg, "svdvals", fail)
+        monkeypatch.setattr(predict_module, "_kappa", fail)
         with caplog.at_level(logging.WARNING, logger="szegodet.predict"):
             b = predict_log_Dn(mp, symbol_from_coefficients(0.0, [1.0]), 30)
         assert b == ref
@@ -193,11 +192,11 @@ class TestLadder:
 
     def test_exact_check_above_the_clearance(self, monkeypatch):
         # q = 0.99 at m = 512: half is far above the clearance, so the
-        # singular values of B run once, find kappa = 0.99 and let the value through
+        # kappa routine runs once, finds kappa = 0.99 and lets the value through
         calls = []
-        svdvals = scipy.linalg.svdvals
-        monkeypatch.setattr(scipy.linalg, "svdvals",
-                            lambda *a, **kw: calls.append(1) or svdvals(*a, **kw))
+        kappa = predict_module._kappa
+        monkeypatch.setattr(predict_module, "_kappa",
+                            lambda *a, **kw: calls.append(1) or kappa(*a, **kw))
         b = predict_log_Zn(make_map(1.0, 0.0, [0.99]), 4, 512)
         assert b.term_halflogdet > _clearance(1024) + 20.0
         assert calls == [1]
