@@ -67,32 +67,39 @@ factor, kept un-eliminated from grid to grid, extends as
 
 [Q'_top; Q'_bot] = Q'[I; 0] from tpmqrt: Q_2N itself is never formed.
 A ladder thus costs its first grid plus one extension per doubling, and
-each extension costs about as much as the grid it confirms.  The
-real/phase decision is made once per ladder, on its first grid.
+each extension costs about as much as the grid it confirms.  Every
+ladder evaluates at least two grids (an automatic one to gate, an
+explicit N the N and 2N grids), and ``_faber_basis`` takes one Python
+step per degree whatever the number of nodes, so the first grid runs
+the recurrence once over its N nodes and the N odd nodes of the 2N
+grid; the second grid factors those rows without a pass of its own.
+The real/phase decision is made once per ladder, on its first grid.
 
 Every direct determinant runs through one grid evaluator and one N
 ladder.  ``_grid_prefix`` evaluates one grid for a stack of maps, given
 as Laurent data (phi0, tail) with a leading axis, and for the values of
-g at the nodes of the grid: the nodes and weights
-of every map in one Horner pass, the Faber basis of every map in one
-run of ``_faber_basis`` over a (map, node, degree) array, then per map
-one geqrf on a first grid or one tpqrt on the factors of the previous
-grid, the routines looked up once per grid.  The stack is built in
-blocks of at most ``_STACK_ENTRIES`` entries, so its memory does not
-grow with the number of maps.  ``_refine`` starts at N = 2 n_hi + 64
-nodes, rounded up to a multiple of 8, and doubles N; each item on it
-keeps its own two-grid gate and leaves once its two latest grids agree,
-and only the items still on it are evaluated, each extending its own
-factors, on the next grid.  ``log_det_range`` is one map and one item,
-its whole n range (``log_det_Dn`` and ``quotient_ratio`` are ranges);
-an explicit N evaluates the coarser of its two grids first and extends
-it.  ``finite_energy`` needs log D_n of the zero symbol on the level
-curves phi_r(z) = phi(r z)/r, with Laurent data phi0/r and
-t_k / r**(k+1) (``series._dilated_coeffs``, which ``dilate_map`` uses
-too): one map and one item per r, so every r settles on the grid its
-own ``log_det_Dn`` call would.  Its r run in ladders of as many r as
-have n-by-n factors within ``_STACK_ENTRIES``, so the factors held from
-grid to grid do not grow with the number of r either.
+g at the nodes of the grid: the nodes and weights of every map in one
+Horner pass, the Faber basis of every map in one run of ``_faber_basis``
+over a (map, node, degree) array, then per map one geqrf on a first grid
+or one tpqrt on the factors of the previous grid, the routines looked up
+once per grid.  The stack is built in blocks of at most
+``_STACK_ENTRIES`` entries, so its memory does not grow with the number
+of maps; a first grid evaluates the next grid's rows with its own only
+when the whole stack fits one such block (or is one map), so the rows
+carried to the next grid stay within it too.  ``_refine`` starts at N =
+2 n_hi + 64 nodes, rounded up to a multiple of 8, and doubles N; each
+item on it keeps its own two-grid gate and leaves once its two latest
+grids agree, and only the items still on it are evaluated, each
+extending its own factors, on the next grid.  ``log_det_range`` is one
+map and one item, its whole n range (``log_det_Dn`` and
+``quotient_ratio`` are ranges); an explicit N evaluates the coarser of
+its two grids first and extends it.  ``finite_energy`` needs log D_n of
+the zero symbol on the level curves phi_r(z) = phi(r z)/r, with Laurent
+data phi0/r and t_k / r**(k+1) (``series._dilated_coeffs``, which
+``dilate_map`` uses too): one map and one item per r, so every r settles
+on the grid its own ``log_det_Dn`` call would.  Its r run in ladders of
+as many r as have n-by-n factors within ``_STACK_ENTRIES``, so the
+factors held from grid to grid do not grow with the number of r either.
 
 Up to degree n_hi the Gram entries are trigonometric polynomials of
 degree about 2 n_hi times an analytic weight whose Fourier tail decays
@@ -295,31 +302,65 @@ def _grid_prefix(phi0, tail, g: np.ndarray, n: int, prev=None):
     the N/2-node grid (the even nodes of this one): the basis at the N/2
     odd nodes only, one tpqrt per map on the previous R, and the path of
     prev.  The rows of each basis are scaled by sqrt(|phi'| e^{Re g}), and
-    the diagonal of each R by sqrt(2pi/N), the trapezoidal weight.  The
-    factors are (R, C): the k stacked n-by-n triangular factors and, on
-    the phase path, the un-eliminated phase factors (None on the real
-    path); prev is left unchanged.  The k-by-n result is complex; a row is
-    NaN where the nodes do not support degree n.
+    the diagonal of each R by sqrt(2pi/N), the trapezoidal weight.
+
+    A first grid also evaluates the basis at the N odd nodes of the
+    2N-node grid, in the same ``_faber_basis`` run, when 2N is within
+    N_CAP and the 2N rows of every map fit one block of the stack.  Each
+    map's array is then 2N-by-n, this grid's rows first, so the
+    recurrence runs once over both grids with one matrix-vector product
+    per map and degree.  The scaling that every basis gets writes each
+    half into Fortran-ordered blocks of its own, which geqrf and tpqrt
+    factor in place: no pass is added to split the halves.  The rows
+    have the bits of a pass over their own grid's nodes when N is a
+    multiple of 4, as on every automatic ladder; otherwise the last rows
+    of a block of the BLAS matrix-vector kernel can round differently
+    in the last bits.
+
+    The factors are (R, C, ahead): the k stacked n-by-n triangular
+    factors; on the phase path the un-eliminated phase factors, else
+    None; and the basis and |phi'| at the next grid's new nodes, unscaled
+    (g there is not known yet), or None.  The next grid reads ahead in
+    place of evaluating its basis, and may overwrite it; R and C of prev
+    are left unchanged.  The k-by-n result is complex; a row is NaN where
+    the nodes do not support degree n.
     """
     N = len(g)
+    k = len(phi0)
+    carried = ahead = None
+    # a first grid whose stack fits one block of 2N rows runs the next grid's too
+    both = prev is None and 2 * N <= N_CAP and k <= max(1, _STACK_ENTRIES // (2 * N * n))
     if prev is None:
-        z, new = _unit_points(N), g
+        new = g
         phase = float(np.max(np.abs(g.imag))) > _REAL_TOL * max(1.0, float(np.max(np.abs(g))))
+        z = np.concatenate([_unit_points(N), _odd_points(2 * N)]) if both else _unit_points(N)
     else:
-        z, new = np.exp(1j * (2.0 * np.pi * np.arange(1, N, 2) / N)), g[1::2]
-        R_prev, C_prev = prev
+        new = g[1::2]
+        R_prev, C_prev, carried = prev
         phase = C_prev is not None
+        z = _odd_points(N) if carried is None else None
     weight = np.exp(new.real)
     unit = np.exp(1j * new.imag) if phase else None
-    k = len(phi0)
     R = np.empty((k, n, n), dtype=complex).swapaxes(-1, -2)  # each R[i] Fortran-ordered
     C = np.empty((k, n, n), dtype=complex) if phase else None
-    per = max(1, _STACK_ENTRIES // (len(z) * n))
+
+    per = k if carried is not None else max(1, _STACK_ENTRIES // (len(z) * n))
     for lo in range(0, k, per):
-        p0, t = phi0[lo : lo + per], tail[lo : lo + per]
-        s = np.sqrt(np.abs(_phi_at(p0, t, z, 1)) * weight)
-        A = _faber_basis(p0, t, _phi_at(p0, t, z, 0), n)
-        A *= s[..., None]
+        if carried is None:  # the basis and |phi'| at this grid's new nodes
+            p0, t = phi0[lo : lo + per], tail[lo : lo + per]
+            F = _faber_basis(p0, t, _phi_at(p0, t, z, 0), n)
+            dphi = np.abs(_phi_at(p0, t, z, 1))
+            if both:  # one block: the rows past N wait for the next grid
+                ahead = F[:, N:], dphi[:, N:]
+                F, dphi = F[:, :N], dphi[:, :N]
+        else:  # run ahead by the previous grid
+            F, dphi = carried
+        # the rows scaled into Fortran-ordered (node, degree) blocks, which
+        # LAPACK reads in place: F itself where its blocks already are
+        A = F
+        if not F[0].flags.f_contiguous:
+            A = np.empty((len(F), n, F.shape[1]), dtype=complex).swapaxes(-1, -2)
+        np.multiply(F, np.sqrt(dphi * weight)[..., None], out=A)
         if not lo:  # every block of the grid has this shape
             if prev is None:
                 geqrf = _lapack("geqrf", A[0])
@@ -346,7 +387,7 @@ def _grid_prefix(phi0, tail, g: np.ndarray, n: int, prev=None):
                                       np.zeros_like(V, order="F"),
                                       overwrite_a=True, overwrite_b=True)[:2]
                     C[i] = top.T @ C_prev[i] @ top.conj() + (bot.T * unit) @ bot.conj()
-        del A  # one block alive at a time
+        del A, F, dphi  # one block alive at a time, and the rows kept ahead
     # sqrt(2pi/N) goes onto each |R_jj| before its log: added afterwards as
     # j log(2pi/N), it would cancel most of the sum (R_jj grows like sqrt(N))
     diag = np.diagonal(R, axis1=-2, axis2=-1) * np.sqrt(2.0 * np.pi / N)
@@ -355,7 +396,12 @@ def _grid_prefix(phi0, tail, g: np.ndarray, n: int, prev=None):
         for row, c in zip(logdets, C):
             if not np.isnan(row[0]):
                 row += _phase_prefix(c)
-    return logdets, "qr_phase" if phase else "qr_positive", (R, C)
+    return logdets, "qr_phase" if phase else "qr_positive", (R, C, ahead)
+
+
+def _odd_points(N: int) -> np.ndarray:
+    """The N/2 nodes e^{2 pi i j/N}, j odd, that the N-node grid adds to the N/2-node one."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(1, N, 2) / N))
 
 
 def _start_N(n: int) -> int:
@@ -420,11 +466,17 @@ def log_det_range(
     cap_terms = ns * ns * float(np.log(mp.cap))
     stack = np.array([mp.phi0]), mp.tail[None]
 
-    factors = None  # of the latest grid, which the next one extends
+    factors = g_next = None  # of the latest grid, and the symbol on its double
 
     def evaluate(_, size):  # the whole range is one item
-        nonlocal factors
-        g = theta_values(sym, 2.0 * np.pi * np.arange(size) / size)
+        nonlocal factors, g_next
+        if g_next is not None and len(g_next) == size:
+            g = g_next
+        elif factors is None and 2 * size <= N_CAP:  # a first grid: its double's too
+            g_next = theta_values(sym, 2.0 * np.pi * np.arange(2 * size) / (2 * size))
+            g = g_next[::2]
+        else:
+            g = theta_values(sym, 2.0 * np.pi * np.arange(size) / size)
         logdets, method, factors = _grid_prefix(*stack, g, n_hi, factors)
         return logdets[:, n_lo - 1 :], method
 
@@ -520,8 +572,10 @@ def _energy_ladder(mp: ExteriorMap, r: np.ndarray, n: int) -> np.ndarray:
 
     def evaluate(live, size):
         nonlocal factors, held
-        if factors is not None:  # the items that left the ladder drop theirs
-            factors = factors[0][np.searchsorted(held, live)], None  # g = 0: no C
+        if factors is not None and len(live) < len(held):  # the items that left drop theirs
+            R, _, ahead = factors  # g = 0: no C
+            keep = np.searchsorted(held, live)
+            factors = R[keep], None, ahead and tuple(x[keep] for x in ahead)
         logdets, method, factors = _grid_prefix(
             *_dilated_coeffs(mp, r[live]), np.zeros(size), n, factors
         )

@@ -81,8 +81,9 @@ def theta_values(sym: FourierSymbol, theta) -> np.ndarray:
     out = np.full(th.shape, sym.a0 / 2.0, dtype=complex)
     zk = np.ones_like(z)
     for k in range(1, sym.K_max + 1):
-        zk = zk * z
-        out = out + sym.a[k - 1] * zk.real + sym.b[k - 1] * zk.imag
+        zk *= z
+        out += sym.a[k - 1] * zk.real
+        out += sym.b[k - 1] * zk.imag
     return out
 
 

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from szegodet import grunsky
-from szegodet.cli import build_parser, main
+from szegodet.cli import build_parser, load_curve, main
 from szegodet.predict import LOG_2PI
 
 from conftest import PAIRING_CURVE
@@ -248,6 +248,9 @@ class TestEnergyAndWp:
 
 _WOBBLY = dict(cap=1.3, phi0=(0.2, 0.1),
                tail=((0.3, 0.0), (0.0, 0.1), (-0.05, 0.0), (0.02, 0.02)))
+_SLOW_T3 = 0.94**4 / 3 * np.exp(0.7j)
+_SLOW = dict(cap=1.1, phi0=(0.05, -0.02),
+             tail=((0.01, 0.005), (0.0, -0.008), (_SLOW_T3.real, _SLOW_T3.imag)))
 
 
 def _stdout_at_blas_threads(*argv) -> list[bytes]:
@@ -295,6 +298,35 @@ def test_energy_output_independent_of_blas_threads(curve_file, tmp_path):
                                        "--r", "1.05:4:49", "--report-out", str(tmp_path / "r.json"))
     assert one == two
     assert one.count(b"\n") == 50
+
+
+def test_predict_auto_output_independent_of_blas_threads(curve_file, symbol_file):
+    # the m ladder grows its tables with BLAS axpy rows, here up to m = 512
+    path = curve_file("slow.json", **_SLOW)
+    one, two = _stdout_at_blas_threads("predict", "--curve", path, "--symbol", symbol_file,
+                                       "--n", "40", "--m", "auto")
+    assert one == two
+    assert json.loads(one)["m_used"] == 256
+
+
+def test_wp_check_runs_only_the_energy(capsys, curve_file, monkeypatch, tmp_path):
+    # the report's energy comes without the factor of I + K, the tail
+    # diagnostic or the rest of spectral_report, and with the same bits
+    def fail(*args, **kwargs):
+        raise AssertionError("not needed by wp-check")
+
+    path = curve_file("wobbly.json", **_WOBBLY)
+    rep = tmp_path / "rep.json"
+    report = grunsky.spectral_report
+    for name in ("spectral_report", "_cholesky", "delta_m_tail"):
+        monkeypatch.setattr(grunsky, name, fail)
+    code, _, err = run(capsys, "wp-check", "--curve", path, "--m", "24",
+                       "--report-out", str(rep))
+    assert code == 0, err
+    table = grunsky.grunsky_coefficients(load_curve(path), 24)
+    monkeypatch.undo()
+    want = report(grunsky.operators(table)).szego_energy
+    assert json.loads(rep.read_text())["szego_energy"] == want
 
 
 def test_grunsky_runs_no_svd(capsys, curve_file, monkeypatch):

@@ -917,7 +917,7 @@ class TestNestedLadder:
         for N in (_start_N(n), 2 * _start_N(n), 4 * _start_N(n)):
             g = theta_values(sym, 2 * np.pi * np.arange(N) / N)
             nested, method, factors = _grid_prefix(*stack, g, n, factors)
-            fresh, fresh_method, (_, C) = _grid_prefix(*stack, g, n)
+            fresh, fresh_method, (_, C, _) = _grid_prefix(*stack, g, n)
             assert method == fresh_method == ("qr_phase" if kind == "complex" else "qr_positive")
             assert np.all(np.abs(nested - fresh) <= 1e-12 * np.maximum(1.0, np.abs(fresh)))
             if kind == "complex":
@@ -926,6 +926,84 @@ class TestNestedLadder:
                 assert np.max(np.abs(want)) > 1e-3  # the phase is not trivial
             else:
                 assert factors[1] is None and C is None
+
+    @pytest.mark.parametrize("N", [64, 88, 264, 121, 250])
+    def test_one_pass_rows_match_separate_passes(self, wobbly, slow, N):
+        # the first grid's Faber run over the N nodes and the N odd nodes of
+        # the 2N grid: its rows of either grid equal a run over that grid's
+        # nodes alone, bit for bit once N is a multiple of 4 (the rows of a
+        # BLAS matrix-vector kernel block, as every automatic grid is);
+        # otherwise the last rows of a block may round by the last bits
+        from szegodet.direct import _faber_basis, _odd_points
+        from szegodet.series import _phi_at, _unit_points
+
+        for mp in (wobbly, slow):
+            stack = np.array([mp.phi0]), mp.tail[None]
+            even, odd = _unit_points(N), _odd_points(2 * N)
+            both = _faber_basis(*stack, _phi_at(*stack, np.concatenate([even, odd]), 0), 60)
+            for rows, z in ((both[:, :N], even), (both[:, N:], odd)):
+                alone = _faber_basis(*stack, _phi_at(*stack, z, 0), 60)
+                if N % 4 == 0:
+                    assert np.array_equal(rows, alone)
+                else:
+                    assert np.max(np.abs(rows - alone)) <= 1e-14 * np.max(np.abs(alone))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("name", ["circle", "qcurve", "wobbly", "slow"])
+    def test_rows_carried_ahead_match_the_extension(self, request, name, kind):
+        # the first grid carries the next grid's new rows; the next grid
+        # reads them where it would run the basis at its odd nodes, and gets
+        # the same bits: R, C and every log D_j, on every grid up to 4 N0
+        from szegodet.direct import _odd_points, _start_N
+        from szegodet.series import _phi_at
+
+        mp = request.getfixturevalue(name)
+        stack = np.array([mp.phi0]), mp.tail[None]
+        n = 200
+        N = _start_N(n)
+        g = [theta_values(self.SYMS[kind], 2 * np.pi * np.arange(M) / M) for M in (N, 2 * N, 4 * N)]
+        _, _, (R, C, ahead) = _grid_prefix(*stack, g[0], n)
+        basis, dphi = ahead
+        assert basis.shape == (1, N, n) and dphi.shape == (1, N)
+        z = _odd_points(2 * N)
+        assert np.array_equal(dphi, np.abs(_phi_at(*stack, z, 1)))
+        # the extension that runs the basis itself, as every later grid does
+        alone = _grid_prefix(*stack, g[1], n, (R, C, None))
+        carried = _grid_prefix(*stack, g[1], n, (R, C, ahead))
+        assert np.array_equal(carried[0], alone[0])
+        assert carried[2][2] is None  # an extension carries nothing ahead
+        for x, y in zip(carried[2][:2], alone[2][:2]):
+            assert (x is None and y is None) or np.array_equal(x, y)
+        third = _grid_prefix(*stack, g[2], n, carried[2])[0]
+        assert np.array_equal(third, _grid_prefix(*stack, g[2], n, alone[2])[0])
+
+    def test_ladder_runs_one_faber_pass_for_two_grids(self, wobbly, monkeypatch):
+        # a ladder of G grids runs G - 1 Faber passes, the first over 2 N0
+        # nodes; an energy ladder whose stack does not fit one block runs
+        # one pass per grid, each over that grid's new nodes
+        import szegodet.direct as direct_mod
+        from szegodet.direct import _start_N
+
+        passes = []
+        faber = direct_mod._faber_basis
+
+        def spy(phi0, tail, zeta, n):
+            passes.append(zeta.shape)
+            return faber(phi0, tail, zeta, n)
+
+        monkeypatch.setattr(direct_mod, "_faber_basis", spy)
+        seen = self._spy(monkeypatch, push=True)  # three grids or more
+        log_det_range(wobbly, self.SYMS["complex"], 4, 12)
+        N0 = _start_N(12)
+        assert len(seen) >= 3 and len(passes) == len(seen) - 1
+        assert passes == [(1, 2 * N0)] + [(1, 2**k * N0 // 2) for k in range(2, len(seen))]
+        for count, fits in ((3, True), (60, False)):
+            passes.clear()
+            seen.clear()
+            finite_energy(wobbly, 5, np.linspace(1.5, 3.0, count))
+            N0 = _start_N(5)
+            block = count if fits else direct_mod._STACK_ENTRIES // (N0 * 5)
+            assert passes[0] == (block, 2 * N0 if fits else N0)
 
     @staticmethod
     def _spy(monkeypatch, push=False):

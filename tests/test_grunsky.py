@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -156,6 +162,25 @@ class TestGrunskyCoefficients:
             a, r = grunsky_coefficients(mp, m).a, ref[:m, :m]
             nz = r != 0
             assert np.max(np.abs(a[nz] - r[nz]) / np.abs(r[nz])) <= 1e-14, m
+
+    # one tail per degree: one-entry rows (degree 1), BLAS axpy rows from
+    # k = 5 on (degree 2), and 64 rows of the short-row branch k <= d**2
+    # before the axpy rows (degree 8)
+    MPMATH_TAILS = {
+        1: ([0.6 * np.exp(0.3j)], 64),
+        2: ([0.2 + 0.1j, 0.15j], 64),
+        8: ([0.05, 0.02j, -0.03, 0.01 + 0.01j, 0.0, 0.02j, -0.01, 0.04 * np.exp(1.1j)], 80),
+    }
+
+    @pytest.mark.parametrize("degree", [1, 2, 8])
+    def test_matches_mpmath_recurrence_by_degree(self, degree):
+        tail, size = self.MPMATH_TAILS[degree]
+        mp = make_map(1.0, 0.1 - 0.2j, tail)
+        ref = mpmath_recurrence(mp, size)
+        a = grunsky_coefficients(mp, size).a
+        nz = ref != 0
+        assert np.count_nonzero(a[nz]) == np.count_nonzero(nz) >= size
+        assert np.max(np.abs(a[nz] - ref[nz]) / np.abs(ref[nz])) <= 1e-14
 
     @pytest.mark.parametrize("curve", ["circle", "qcurve", "wobbly", "slow", "long"])
     def test_zero_wedge(self, request, curve):
@@ -513,6 +538,25 @@ class TestKappaWithoutSvd:
         assert len(calls) == int(certified)
 
 
+class TestSzegoEnergy:
+    """``szego_energy``: the energy of ``spectral_report`` without its other lines."""
+
+    @pytest.mark.parametrize("curve", ["qcurve", "wobbly", "slow"])
+    @pytest.mark.parametrize("m", [8, 128])
+    def test_matches_spectral_report(self, request, curve, m):
+        pair = operators(grunsky_coefficients(request.getfixturevalue(curve), m))
+        assert grunsky.szego_energy(pair) == spectral_report(pair).szego_energy
+
+    @pytest.mark.parametrize("m", [2, 128])
+    def test_singular_value_at_one_first(self, m):
+        B = np.diag(np.linspace(1.0, 0.25, m)).astype(complex)
+        with pytest.raises(SingularValueAtOne):
+            grunsky.szego_energy(OperatorPair(B))
+
+    def test_empty_table(self):
+        assert grunsky.szego_energy(OperatorPair(np.zeros((0, 0), dtype=complex))) == 0.0
+
+
 class TestDilatedTable:
     def test_matches_dilated_map(self, qcurve):
         t = dilated_table(grunsky_coefficients(qcurve, 8), 2.0)
@@ -578,6 +622,24 @@ def test_ladder_growth_to_512_equals_one_build(request, curve):
         assert table.a.tobytes() == table.a.T.copy().tobytes()
         table = next(tables)
     assert table.a.tobytes() == grunsky_coefficients(mp, 512).a.tobytes()
+
+
+def test_table_bits_independent_of_blas_threads():
+    # library calls keep the caller's BLAS thread count (only the CLI pins
+    # one thread), so the zaxpy rows of the table must not depend on it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import hashlib; from szegodet import make_map, grunsky_coefficients; "
+            "mp = make_map(1.3, 0.2 + 0.1j, [0.3, 0.1j, -0.05, 0.02 + 0.02j]); "
+            "print(hashlib.sha256(grunsky_coefficients(mp, 512).a.tobytes()).hexdigest())")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout.strip())
+    mp = make_map(1.3, 0.2 + 0.1j, [0.3, 0.1j, -0.05, 0.02 + 0.02j])
+    here = hashlib.sha256(grunsky_coefficients(mp, 512).a.tobytes()).hexdigest()
+    assert outs == [here, here]
 
 
 @pytest.mark.parametrize("curve", ["wobbly", "slow"])
