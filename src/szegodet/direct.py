@@ -290,7 +290,7 @@ def _phase_prefix(C: np.ndarray) -> np.ndarray:
     return np.cumsum(np.log(np.diagonal(A)))
 
 
-def _grid_prefix(phi0, tail, g: np.ndarray, n: int, prev=None):
+def _grid_prefix(phi0, tail, g: np.ndarray, n: int, prev=None, *, doubles: bool = True):
     """log D_j[e^g], j = 1..n, on the N-node grid of each of k maps, the
     method, and the factors that extend to the next grid of the ladder.
 
@@ -306,7 +306,8 @@ def _grid_prefix(phi0, tail, g: np.ndarray, n: int, prev=None):
 
     A first grid also evaluates the basis at the N odd nodes of the
     2N-node grid, in the same ``_faber_basis`` run, when 2N is within
-    N_CAP and the 2N rows of every map fit one block of the stack.  Each
+    N_CAP, the 2N rows of every map fit one block of the stack, and
+    ``doubles`` is true (false when no 2N-node grid follows this one).  Each
     map's array is then 2N-by-n, this grid's rows first, so the
     recurrence runs once over both grids with one matrix-vector product
     per map and degree.  The scaling that every basis gets writes each
@@ -329,7 +330,8 @@ def _grid_prefix(phi0, tail, g: np.ndarray, n: int, prev=None):
     k = len(phi0)
     carried = ahead = None
     # a first grid whose stack fits one block of 2N rows runs the next grid's too
-    both = prev is None and 2 * N <= N_CAP and k <= max(1, _STACK_ENTRIES // (2 * N * n))
+    both = (doubles and prev is None and 2 * N <= N_CAP
+            and k <= max(1, _STACK_ENTRIES // (2 * N * n)))
     if prev is None:
         new = g
         phase = float(np.max(np.abs(g.imag))) > _REAL_TOL * max(1.0, float(np.max(np.abs(g))))
@@ -491,10 +493,12 @@ def log_det_range(
         if 2 * N <= N_CAP:
             vals, method = evaluate(None, N)
             vals2, _ = evaluate(None, 2 * N)
+        elif N % 2:  # an odd N holds no N // 2 grid: each is a ladder of its own
+            g = theta_values(sym, 2.0 * np.pi * np.arange(N // 2) / (N // 2))
+            vals2 = _grid_prefix(*stack, g, n_hi, doubles=False)[0][:, n_lo - 1 :]
+            vals, method = evaluate(None, N)
         else:
             vals2, _ = evaluate(None, N // 2)
-            if N % 2:  # an odd N holds no N // 2 grid: a ladder of its own
-                factors = None
             vals, method = evaluate(None, N)
         if np.isnan(vals + vals2).any():  # either grid failed
             raise ZeroDeterminant(_NO_SUPPORT)

@@ -601,12 +601,17 @@ def dilated_table(table: GrunskyTable, r: float) -> GrunskyTable:
 
 # --- table dump: '%.17g' for whole blocks of numbers -------------------------
 #
-# A number is laid out as six 8-byte words, NUL where a byte is unused:
+# A line of the dump is laid out as pre + 8 words of 8 bytes: "k,l," in
+# the pre words (one for m <= 999), then four words for re and four for
+# im.  A number is laid out as its four words, NUL where a byte is unused:
 #   word 0     sign, then '0', '.', '0', '0', '0' of the 0.000ddd form,
 #              then the lead digit and the slot of a point after it
-#   words 1-4  the other 16 digits, each followed by the slot of a point
-#   word 5     'e', the exponent's sign and three digits; the last byte
+#   words 1-2  the other 16 digits, one byte each, with no slot between
+#              them; the digits past the last one printed are NUL
+#   word 3     'e', the exponent's sign and three digits; the last byte
 #              is left to the caller (the separator)
+# A point inside the digits (10 <= |v| < 1e17, printed without an
+# exponent) moves the digits after it one byte on, the last into word 3.
 # Words come from byte strings and are combined by & and | only, so the
 # layout does not depend on the machine's byte order.
 
@@ -615,8 +620,6 @@ _FAST_MIN, _FAST_MAX = 1e-280, 1e280  # magnitudes printed without '%.17g'
 _TIE_WIDTH = 1e-6  # scaled values this close to a half-integer go to '%.17g'
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 _X_LO, _X_HI = -282, 282  # decimal exponents the tables cover
-_DIGITS = np.arange(1, 17)  # index of each digit of words 1-4
-_FIRST = _DIGITS[::4]  # index of the first digit of each of words 1-4
 
 
 def _words(rows) -> np.ndarray:
@@ -626,7 +629,7 @@ def _words(rows) -> np.ndarray:
 
 @functools.cache
 def _dump_tables() -> dict[str, np.ndarray]:
-    """Lookup tables of the dump, built on first use (a few ms)."""
+    """Lookup tables of the dump, built on first use (4-5 ms)."""
     # hi + lo = 10**(16 - X) to about 2**-106 relative; int true division
     # is correctly rounded, so hi is the nearest double and lo the nearest
     # double to the remainder
@@ -641,18 +644,15 @@ def _dump_tables() -> dict[str, np.ndarray]:
     c = hi * _SPLIT
     big = c - (c - hi)  # Veltkamp split of hi
 
-    # digit slots as (digit, point) byte pairs, as in words 1-4
-    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    pairs = np.zeros((10000, 4, 2), dtype=np.uint8)
-    pairs[..., 0] = digits + 48
-    last = np.full(10000, -16)
-    for j in range(4):
-        last[digits[:, j] != 0] = j
-    mark = np.arange(17)[:, None]
-    keep = np.zeros((17, 16, 2), dtype=np.uint8)
-    keep[..., 0] = 255 * (_DIGITS <= mark)
-    point = np.zeros((17, 16, 2), dtype=np.uint8)
-    point[..., 1] = 46 * (_DIGITS == mark)
+    place = np.array([1000, 100, 10, 1], dtype=np.int16)
+    digits = np.arange(10000, dtype=np.int16)[:, None] // place % 10
+    nz = digits != 0
+    last = np.where(nz.any(axis=1), 4 - np.argmax(nz[:, ::-1], axis=1), 0)  # 1-4, 0 for 0000
+    last = np.where(last, last + np.arange(0, 16, 4)[:, None], 0).astype(np.uint8)
+    keep = np.where(np.arange(1, 17) <= np.arange(17)[:, None], 255, 0).astype(np.uint8)
+    shift = np.tile(np.arange(32), (17, 1))
+    for X in range(1, 17):
+        shift[X, 9 + X:25] = np.arange(8 + X, 24)
 
     def exponent(X):
         if -4 <= X <= 16:
@@ -662,14 +662,15 @@ def _dump_tables() -> dict[str, np.ndarray]:
     exps = range(_X_LO, _X_HI + 1)
     return {
         "scale": np.array([hi, lo, big, hi - big]),
-        # a group of four digits, each followed by an empty point slot
-        "pairs": pairs.reshape(10000, 8).view(np.uint64).ravel(),
-        # offset of the last nonzero digit in a group, -16 for 0000
+        # a group of four digits as the uint32 of their characters
+        "quads": (digits + 48).astype(np.uint8).view(np.uint32).ravel(),
+        # index (1-16) of the last nonzero digit of a group (column) at
+        # place g (row) of the 16 digits, 0 for 0000
         "last": last,
-        # words 1-4 (rows) keeping digits 1..mark (column)
-        "keep": keep.reshape(17, 32).view(np.uint64).T.copy(),
-        # words 1-4 (rows) with a point after digit mark (column; 0 has none)
-        "point": point.reshape(17, 32).view(np.uint64).T.copy(),
+        # the 4-digit groups (columns) of words 1-2 keeping digits 1..L (row)
+        "keep": keep.view(np.uint32),
+        # the bytes of a number (column) read to put a point after digit X (row)
+        "shift": shift,
         # word 0 at index (lead * 2 + dot) * 2 + sign ...
         "head": _words((b"-" if sign else b"\0") + bytes(5) + b"%d" % lead
                        + (b"." if dot else b"\0")
@@ -677,7 +678,7 @@ def _dump_tables() -> dict[str, np.ndarray]:
         # ... or-ed with the 0.000 prefix of exponent X
         "small": _words((b"\0" + b"0." + b"0" * (-1 - X)).ljust(8, b"\0") if -4 <= X < 0
                         else bytes(8) for X in exps),
-        # word 5 of exponent X
+        # word 3 of exponent X
         "exponent": _words(exponent(X) for X in exps),
     }
 
@@ -689,22 +690,44 @@ def _scaled(ax: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     multiply-add); ax * lo adds the rest of the power.
     """
     hi, lo, hb, hs = np.take(_dump_tables()["scale"], X - _X_LO, axis=1)
+    # in place, in the order of ((ab hb - p) + ab hs + asm hb) + asm hs + ax lo
     p = ax * hi
-    c = ax * _SPLIT
-    ab = c - (c - ax)
+    ab = ax * _SPLIT
+    ab -= ab - ax  # Veltkamp split of ax: c - (c - ax), c = ax * _SPLIT
     asm = ax - ab
-    t = ((ab * hb - p) + ab * hs + asm * hb) + asm * hs + ax * lo
+    t = ab * hb
+    t -= p
+    hb *= asm
+    ab *= hs
+    t += ab
+    t += hb
+    hs *= asm
+    t += hs
+    lo *= ax
+    t += lo
     yh = p + t
-    return yh, t - (yh - p)
+    p -= yh
+    p += t  # t - (yh - p)
+    return yh, p
+
+
+def _percent_g(v: float) -> bytes:
+    """'%.17g' % v in ASCII: the text of each value that ``_write_g17``
+    does not decide."""
+    return b"%.17g" % v
 
 
 def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
-    """Write '%.17g' % v of each v in x as the words out[..., 0:6].
+    """Write '%.17g' % v of each v in x as the words out[..., 0:4].
 
     With X the decimal exponent and D the 17-digit integer of |v| rounded
-    to 17 significant digits, D is found exactly on a double-double.
-    Non-finite values, magnitudes outside [_FAST_MIN, _FAST_MAX] and
-    near-ties at the 18th digit are formatted by '%.17g' itself.
+    to 17 significant digits, D is found exactly on a double-double.  Its
+    16 digits after the lead are four 4-digit groups, each one uint32 of
+    characters from a 10000-entry table, masked past the last digit
+    printed.  Values with a point inside their digits (10 <= |v| < 1e17)
+    get it by one byte gather over those values alone.  Non-finite values,
+    magnitudes outside [_FAST_MIN, _FAST_MAX] and near-ties at the 18th
+    digit are formatted by ``_percent_g``; nothing else is.
     """
     tab = _dump_tables()
     ax = np.abs(x)
@@ -717,8 +740,9 @@ def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
     # 1e-28 must print as 9.9999999999999997e-29, not as 1e-28
     low = (yh < 1e16) | ((yh == 1e16) & (yl < 0))
     high = (yh > 1e17) | ((yh == 1e17) & (yl >= 0))
-    redo = np.nonzero(low | high)
-    if redo[0].size:
+    redo = low | high
+    if redo.any():
+        redo = np.nonzero(redo)
         X[redo] += np.where(high[redo], 1, -1)
         yh[redo], yl[redo] = _scaled(ax[redo], X[redo])
     r = np.rint(yl)  # yh >= 2**53 is an integer
@@ -733,32 +757,43 @@ def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
     lo8 = D - hi9 * np.uint64(10**8)
     lead = hi9 // np.uint64(10**8)
     hi8 = hi9 - lead * np.uint64(10**8)
-    groups = np.empty((4,) + x.shape, dtype=np.uint64)
-    groups[0] = hi8 // np.uint64(10**4)
-    groups[1] = hi8 - groups[0] * np.uint64(10**4)
-    groups[2] = lo8 // np.uint64(10**4)
-    groups[3] = lo8 - groups[2] * np.uint64(10**4)
+    groups = np.empty(x.shape + (4,), dtype=np.uint64)  # in the order of words 1-2
+    groups[..., 0] = hi8 // np.uint64(10**4)
+    groups[..., 1] = hi8 - groups[..., 0] * np.uint64(10**4)
+    groups[..., 2] = lo8 // np.uint64(10**4)
+    groups[..., 3] = lo8 - groups[..., 2] * np.uint64(10**4)
     groups = groups.view(np.intp)
     lead = np.where(zero, 0, lead.view(np.intp))
-    first = _FIRST.reshape((4,) + (1,) * x.ndim)
-    last_nz = np.maximum((np.take(tab["last"], groups) + first).max(axis=0), 0)
+    last_nz = np.take(tab["last"][0], groups[..., 0])
+    for g in (1, 2, 3):
+        np.maximum(last_nz, np.take(tab["last"][g], groups[..., g]), out=last_nz)
 
-    point_at = np.where((X > 0) & (X <= 16), X, 0)  # index of the digit before the point
-    point = ((X < -4) | (X >= 0)) & (last_nz > point_at)  # 0.000ddd has it in the prefix
-    last = np.maximum(last_nz, point_at)
-    out[..., 0] = np.take(tab["head"], (lead * 2 + (point & (point_at == 0))) * 2 + np.signbit(x))
+    inner = (X > 0) & (X <= 16)  # the point falls inside the digits
+    point_at = np.where(inner, X, 0)  # index of the digit before it
+    last = np.maximum(last_nz, point_at)  # the integer digits are all printed
+    # 0.000ddd has its point in the prefix, and an inner point is put below
+    dot = ((X < -4) | (X >= 0)) & ~inner & (last_nz > 0)
+    out[..., 0] = np.take(tab["head"], (lead * 2 + dot) * 2 + np.signbit(x))
     out[..., 0] |= np.take(tab["small"], X - _X_LO)
-    words = np.take(tab["pairs"], groups)
-    words &= np.take(tab["keep"], last, axis=1)
-    words |= np.take(tab["point"], np.where(point, point_at, 0), axis=1)
-    out[..., 1:5] = np.moveaxis(words, 0, -1)
-    out[..., 5] = np.take(tab["exponent"], X - _X_LO)
+    quads = np.take(tab["quads"], groups)
+    quads &= np.take(tab["keep"], last, axis=0)
+    out.view(np.uint32)[..., 2:6] = quads
+    out[..., 3] = np.take(tab["exponent"], X - _X_LO)
 
     text = out.view(np.uint8)
-    for i in zip(*np.nonzero(~(fast | zero) | tie)):
-        s = ("%.17g" % x[i]).encode("ascii")
-        out[i] = 0
-        text[i][:len(s)] = np.frombuffer(s, dtype=np.uint8)
+    if inner.any():
+        # the digits after the point move one byte on, the last into word 3
+        inner = np.nonzero(inner)
+        at = point_at[inner]
+        chars = np.take_along_axis(text[inner], tab["shift"][at], axis=-1)
+        chars[np.arange(len(at)), 8 + at] = np.where(last[inner] > at, ord("."), 0)
+        text[inner] = chars
+    slow = ~(fast | zero) | tie
+    if slow.any():
+        for i in zip(*np.nonzero(slow)):
+            s = _percent_g(x[i])
+            out[i] = 0
+            text[i][:len(s)] = np.frombuffer(s, dtype=np.uint8)
 
 
 def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -784,9 +819,9 @@ def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 def _encode(values: np.ndarray, out: np.ndarray, pre: int) -> None:
     """Words of the re and im of each value, with the ',' between them and
     the closing newline, into row i of out from word pre on."""
-    _write_g17(values.view(np.float64).reshape(-1, 2), out[:, pre:].reshape(-1, 2, 6))
+    _write_g17(values.view(np.float64).reshape(-1, 2), out[:, pre:].reshape(-1, 2, 4))
     chars = out.view(np.uint8)
-    chars[:, 8 * pre + 47] = ord(",")
+    chars[:, 8 * pre + 31] = ord(",")
     chars[:, -1] = ord("\n")
 
 
@@ -794,7 +829,7 @@ def _csv_bytes(table: GrunskyTable) -> bytearray:
     """The text of ``table_to_csv`` as ASCII bytes."""
     m = table.m
     width = len(str(m))
-    pre = (2 * width + 9) // 8  # words of "k,l,"
+    pre = (2 * width + 9) // 8  # words of "k,l,"; a line is pre + 8 words
     k_words = _words((b"%d," % i).ljust(8 * pre, b"\0") for i in range(1, m + 1)).reshape(m, pre)
     l_words = _words((bytes(width + 1) + b"%d," % i).ljust(8 * pre, b"\0")
                      for i in range(1, m + 1)).reshape(m, pre)
@@ -803,15 +838,15 @@ def _csv_bytes(table: GrunskyTable) -> bytearray:
     if shared is not None:
         # one row of words per distinct value, room for the prefix first
         values, slot = shared
-        encoded = np.empty((len(values), pre + 12), dtype=np.uint64)
+        encoded = np.empty((len(values), pre + 8), dtype=np.uint64)
         for start in range(0, len(values), _CSV_BLOCK):
             _encode(values[start:start + _CSV_BLOCK], encoded[start:start + _CSV_BLOCK], pre)
     # blocks of whole table rows in one reused buffer: gathered from the
     # distinct values by take (mode "clip" writes there directly, "raise"
     # buffers its output), or formatted there
     rows = max(1, min(m, _CSV_BLOCK // max(m, 1)))
-    text = bytearray(8 * rows * m * (pre + 12))
-    buf = np.frombuffer(text, dtype=np.uint64).reshape(rows, m, pre + 12)
+    text = bytearray(8 * rows * m * (pre + 8))
+    buf = np.frombuffer(text, dtype=np.uint64).reshape(rows, m, pre + 8)
     csv = bytearray(b"k,l,re_a,im_a\n")
     for start in range(0, m, rows):
         n = min(rows, m - start)
@@ -838,9 +873,12 @@ def table_to_csv(table: GrunskyTable) -> str:
     block of rows by block of rows, with no map and no words kept past
     their block.  The digits of a value come
     from an exact double-double scaling by a power of ten, done on blocks
-    of values at a time.  The values that path does not decide are
-    formatted by ``'%.17g'`` itself: NaN and infinities, magnitudes
-    outside [1e-280, 1e280], and values within 1e-6 of a tie at the 18th
+    of values at a time, and are written as four 8-byte words a number
+    (see the layout above ``_CSV_BLOCK``): a line takes pre + 8 words,
+    72 bytes for m <= 999, and its NUL padding is deleted block by block.
+    The values that path does not decide are formatted by ``'%.17g'``
+    itself (``_percent_g``): NaN and infinities, magnitudes outside
+    [1e-280, 1e280], and values within 1e-6 of a tie at the 18th
     significant digit.
     """
     # the words of the dump are freed before its text is copied into a str

@@ -1014,8 +1014,8 @@ class TestNestedLadder:
         seen = []
         grid_prefix = direct_mod._grid_prefix
 
-        def grid(phi0, tail, g, n, prev=None):
-            logdets, method, factors = grid_prefix(phi0, tail, g, n, prev)
+        def grid(phi0, tail, g, n, prev=None, **kw):
+            logdets, method, factors = grid_prefix(phi0, tail, g, n, prev, **kw)
             seen.append((len(g), method, prev is not None))
             if push and len(g) < 1000:
                 logdets[:, -1] += 1.0 / len(g)
@@ -1057,3 +1057,25 @@ class TestNestedLadder:
         for r, v in zip(rows, fine):
             assert r.N_nodes == N
             assert abs(r.log_Dn - v) <= 1e-12 * max(1.0, abs(v))
+
+    @pytest.mark.parametrize("N, nodes", [
+        pytest.param(160, [160], id="even"),
+        pytest.param(161, [80, 161], id="odd"),
+    ])
+    def test_explicit_N_at_the_cap_passes(self, wobbly, N, nodes, monkeypatch):
+        # an even N extends the N // 2 grid by the rows that grid's pass
+        # ran ahead; an odd N's check grid runs no rows ahead, as no grid
+        # of the ladder would read them
+        import szegodet.direct as direct_mod
+
+        passes = []
+        faber = direct_mod._faber_basis
+
+        def spy(phi0, tail, zeta, n):
+            passes.append(zeta.shape[-1])
+            return faber(phi0, tail, zeta, n)
+
+        monkeypatch.setattr(direct_mod, "N_CAP", 256)
+        monkeypatch.setattr(direct_mod, "_faber_basis", spy)
+        direct_mod.log_det_range(wobbly, self.SYMS["complex"], 4, 20, N=N)
+        assert passes == nodes

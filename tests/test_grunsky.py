@@ -925,3 +925,71 @@ def test_table_csv_prints_like_percent_g(family):
     assert len(got) == len(want)
     bad = [(v, g, w) for v, g, w in zip(padded.tolist(), got, want) if g != w]
     assert not bad, f"{len(bad)} fields differ, first: {bad[:3]}"
+
+
+@pytest.mark.parametrize("family", list(FLOAT_FAMILIES))
+def test_table_csv_symmetric_prints_like_percent_g(monkeypatch, family):
+    """The family in the upper triangle of a table mirrored bit for bit:
+    the distinct-value path formats it, and every field is '%.17g' % v."""
+    values = np.asarray(FLOAT_FAMILIES[family](np.random.default_rng(7)), dtype=float)
+    pairs = -(-len(values) // 2)
+    m = int(np.ceil((np.sqrt(8 * pairs + 1) - 1) / 2))  # m (m + 1) / 2 >= pairs
+    iu = np.triu_indices(m)
+    upper = np.zeros(2 * len(iu[0]))
+    upper[:len(values)] = values
+    bits = np.zeros((m, m, 2), dtype=np.uint64)
+    bits[iu] = upper.view(np.uint64).reshape(-1, 2)
+    bits[iu[1], iu[0]] = bits[iu]
+    table = GrunskyTable(m, bits.view(complex).reshape(m, m))
+    assert table.a.tobytes() == table.a.T.copy().tobytes()
+    seen = _formatted(monkeypatch)
+    rows = table_to_csv(table).split("\n")[1:-1]
+    assert len(seen) <= len(iu[0]) + 1 < m * m  # not the row-block path
+    got = [field for row in rows for field in row.split(",")[2:]]
+    want = ["%.17g" % v for v in table.a.view(float).ravel().tolist()]
+    assert len(got) == len(want)
+    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert not bad, f"{len(bad)} fields differ, first: {bad[:3]}"
+
+
+def _left_to_percent_g(v):
+    """Whether the dump may leave v to '%.17g': not finite, |v| outside
+    [1e-280, 1e280], or |v| 10**(16 - X) within 2e-6 of a half-integer,
+    X the decimal exponent of |v| (exact rational arithmetic)."""
+    from fractions import Fraction
+
+    if not np.isfinite(v) or not 1e-280 <= abs(v) <= 1e280:
+        return True
+    f = Fraction(abs(v))
+    X = len(str(f.numerator)) - len(str(f.denominator))
+    if Fraction(10) ** X > f:
+        X -= 1
+    scaled = f * Fraction(10) ** (16 - X)
+    return abs(scaled - int(scaled) - Fraction(1, 2)) < 2e-6
+
+
+@pytest.mark.parametrize("source", ["slow", "wobbly", "quarter_integers", "notation_switch"])
+def test_table_csv_percent_g_only_for_what_it_must(request, monkeypatch, source):
+    # the tables of the library at m = 256, and values printed with a
+    # point inside their digits (quarter-integers from 2**50 to 2**53, with
+    # exact ties among them): no other finite value in range takes the
+    # slow route
+    if source in FLOAT_FAMILIES:
+        values = np.asarray(FLOAT_FAMILIES[source](np.random.default_rng(7)), dtype=float)
+        m = int(np.ceil(np.sqrt(len(values) / 2)))
+        padded = np.zeros(2 * m * m)
+        padded[:len(values)] = values
+        table = GrunskyTable(m, padded.view(complex).reshape(m, m))
+    else:
+        table = grunsky_coefficients(request.getfixturevalue(source), 256)
+    sent = []
+    percent_g = grunsky._percent_g
+
+    def spy(v):
+        sent.append(float(v))
+        return percent_g(v)
+
+    monkeypatch.setattr(grunsky, "_percent_g", spy)
+    assert table_to_csv(table) == table_to_csv_reference(table)
+    wrong = [v for v in sent if not _left_to_percent_g(v)]
+    assert not wrong, f"{len(wrong)} of {len(sent)} values sent to '%.17g', first: {wrong[:3]}"
