@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from . import direct, grunsky, mcbeta, predict, symbol
-from .errors import SzegoError
+from .errors import BadLength, SzegoError
 from .series import make_map
 
 FMT = "{:.17g}"
@@ -121,7 +121,7 @@ def load_symbol(path: str | None):
         a0 = _parse_complex(doc.get("a0", [0.0, 0.0]), "a0")
         a = [_parse_complex(v, "a") for v in doc.get("a", [])]
         b = [_parse_complex(v, "b") for v in doc.get("b", [])]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, BadLength) as exc:
         raise CLIInputError(f"symbol file {path} has a bad schema: {exc}") from exc
     return symbol.symbol_from_coefficients(a0, a, b)
 

@@ -17,9 +17,11 @@ leading block of any larger table, and a_{kl} = 0 whenever
 max(k, l) > d min(k, l).  The table is symmetric, a_{kl} = a_{lk}, and is
 built so: row k is computed on l <= k only and mirrored into column k, and
 each entry above the diagonal that a later row reads is such a mirror.
-``asym_defect`` checks the rounding by recomputing the last row from the
-transposed recurrence, l a_{kl} = l t_{k+l-1} + sum t_{p+q-1} (l-q)
-a_{k-p,l-q}.  A 2-D FFT of samples of the logarithm on a torus
+``GrunskyTable`` and ``OperatorPair`` hold only arrays equal to their
+transpose bit for bit (``_symmetric``), so routines on them read one
+triangle.  ``asym_defect`` checks the rounding by recomputing the last row
+from the transposed recurrence, l a_{kl} = l t_{k+l-1} + sum t_{p+q-1}
+(l-q) a_{k-p,l-q}.  A 2-D FFT of samples of the logarithm on a torus
 |zeta| = |z| = radius is kept as an independent cross-check.
 
 B is the matrix sqrt(k*l) a_{kl}; K is the real symmetric doubling
@@ -84,10 +86,10 @@ _LANCZOS_MIN = 100
 
 @dataclass(frozen=True)
 class GrunskyTable:
-    """Symmetric m-by-m table of Grunsky coefficients.
+    """Symmetric m-by-m table of Grunsky coefficients; ``NotSymmetric``
+    unless the table equals its transpose bit for bit.
 
-    ``asym_defect`` is a rounding check: for the recurrence's tables
-    (``grunsky_coefficients`` and the m ladder's accepted table), the
+    ``asym_defect`` is a rounding check: for ``grunsky_coefficients``, the
     largest relative gap between the last row and that row recomputed by
     the transposed recurrence; for the sampled cross-check table, the
     relative asymmetry max|a - a^t| / max|a| it had before averaging.
@@ -101,12 +103,13 @@ class GrunskyTable:
         a = _readonly(self.a)
         if a.shape != (self.m, self.m):
             raise ValueError("table must be m x m")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _symmetric(a))
 
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """B = sqrt(k l) a_{kl} and its real symmetric doubling K (2m x 2m).
+    """B = sqrt(k l) a_{kl} and its real symmetric doubling K (2m x 2m);
+    ``NotSymmetric`` unless B equals its transpose bit for bit.
 
     K = [[B1, B2], [B2, -B1]] with B = B1 + i B2 is built from B on first
     access and kept, read-only.  Nothing on the prediction path reads it:
@@ -116,7 +119,7 @@ class OperatorPair:
     B: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "B", _readonly(self.B))
+        object.__setattr__(self, "B", _symmetric(_readonly(self.B)))
 
     @property
     def m(self) -> int:
@@ -129,17 +132,24 @@ class OperatorPair:
         return K
 
 
-def _cholesky(pair: OperatorPair) -> tuple:
+def _symmetric(a: np.ndarray) -> np.ndarray:
+    """C-ordered a if it equals its transpose bit for bit (as uint64, so NaN
+    payloads and signed zeros count), else ``NotSymmetric``."""
+    if not np.array_equal(a.view(np.uint64), a.T.copy().view(np.uint64)):
+        raise NotSymmetric("matrix does not equal its transpose bit for bit")
+    return a
+
+
+def _cholesky(B: np.ndarray) -> tuple:
     """Cholesky factor of I + K as ``(c, lower)``, the form ``potrs`` takes:
     the one factorization that gives both (I+K)^{-1} and log det(I+K),
     twice the sum of the logs of its diagonal.
 
     I + K is written from B straight into one buffer, factored in place by
     LAPACK ``potrf``; the upper triangle of c holds the factor, the lower
-    one I + K.  Raises ``NotPositiveDefinite`` when ``potrf`` meets a
-    nonpositive pivot.
+    one I + K, of which ``potrf`` reads one triangle: B must be symmetric.
+    Raises ``NotPositiveDefinite`` when ``potrf`` meets a nonpositive pivot.
     """
-    B = pair.B
     m = len(B)
     A = np.empty((2 * m, 2 * m))
     A[:m, :m] = B.real
@@ -272,15 +282,13 @@ def _asym_defect(tail: np.ndarray, a: np.ndarray) -> float:
 
 
 def _doubling_tables(tail: np.ndarray, size: int):
-    """Tables of size, 2 size, 4 size, ..., each grown from the one before
-    by its new rows only, so each entry is computed once and every table
-    has the bits of ``grunsky_coefficients`` at its size.  Their
-    ``asym_defect`` is NaN, not measured: a ladder measures it on the one
-    table it keeps (``_asym_defect``)."""
-    raw = np.zeros((0, 0), dtype=complex)
+    """Table arrays of size, 2 size, 4 size, ..., each grown from the one
+    before by its new rows only, so each entry is computed once and every
+    array has the bits of ``grunsky_coefficients`` at its size."""
+    a = np.zeros((0, 0), dtype=complex)
     while True:
-        raw = _grow(tail, raw, size)
-        yield GrunskyTable(size, raw, float("nan"))
+        a = _grow(tail, a, size)
+        yield a
         size *= 2
 
 
@@ -355,14 +363,20 @@ def grunsky_coefficients_sampled(
     return GrunskyTable(size, table, defect / scale)
 
 
-def operators(table: GrunskyTable) -> OperatorPair:
-    """B = sqrt(k l) a_{kl}, built once and frozen here, so ``OperatorPair``
-    keeps it as is; K follows from B when it is first read.
-    """
-    k = np.sqrt(np.arange(1, table.m + 1, dtype=float))
-    B = table.a * np.outer(k, k)
+def _operator(a: np.ndarray) -> np.ndarray:
+    """B = sqrt(k l) a_{kl} of a table array, write-protected: symmetric
+    bit for bit when a is, as the weights are."""
+    k = np.sqrt(np.arange(1, len(a) + 1, dtype=float))
+    B = a * np.outer(k, k)
     B.setflags(write=False)
-    return OperatorPair(B)
+    return B
+
+
+def operators(table: GrunskyTable) -> OperatorPair:
+    """B of the table (``_operator``), built once and frozen, so
+    ``OperatorPair`` keeps it as is; K follows from B when it is first read.
+    """
+    return OperatorPair(_operator(table.a))
 
 
 def _k_matrix(B: np.ndarray) -> np.ndarray:
@@ -565,7 +579,7 @@ def spectral_report(pair: OperatorPair) -> SpectralReport:
     B = pair.B
     H = _gram(B) if len(B) else None
     kappa = _kappa(B, H)
-    log_det_IplusK = 2.0 * float(np.sum(np.log(np.diag(_cholesky(pair)[0]))))
+    log_det_IplusK = 2.0 * float(np.sum(np.log(np.diag(_cholesky(B)[0]))))
     log_det_ImBB = _log_det_I_minus(H) if H is not None else 0.0
     return SpectralReport(
         log_det_IplusK=log_det_IplusK,
@@ -796,17 +810,15 @@ def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
             text[i][:len(s)] = np.frombuffer(s, dtype=np.uint8)
 
 
-def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The values to format of a table equal bit for bit to its transpose,
-    and the m x m map from its entries to them; None for any other table.
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values to format of a table, and the m x m map from its entries
+    to them.
 
     The values are the upper triangle, row by row, behind one shared +0+0j
     (both sign bits clear) that every such entry maps to.
     """
     m = len(a)
     bits = a.view(np.uint64)  # re and im of a[k, l] at [k, 2l] and [k, 2l + 1]
-    if not np.array_equal(bits, a.T.copy().view(np.uint64)):
-        return None
     k = np.arange(m)
     keep = (bits[:, 0::2] | bits[:, 1::2]) != 0
     keep &= k[:, None] <= k
@@ -833,27 +845,21 @@ def _csv_bytes(table: GrunskyTable) -> bytearray:
     k_words = _words((b"%d," % i).ljust(8 * pre, b"\0") for i in range(1, m + 1)).reshape(m, pre)
     l_words = _words((bytes(width + 1) + b"%d," % i).ljust(8 * pre, b"\0")
                      for i in range(1, m + 1)).reshape(m, pre)
-    a = np.ascontiguousarray(table.a)
-    shared = _distinct(a)
-    if shared is not None:
-        # one row of words per distinct value, room for the prefix first
-        values, slot = shared
-        encoded = np.empty((len(values), pre + 8), dtype=np.uint64)
-        for start in range(0, len(values), _CSV_BLOCK):
-            _encode(values[start:start + _CSV_BLOCK], encoded[start:start + _CSV_BLOCK], pre)
-    # blocks of whole table rows in one reused buffer: gathered from the
+    values, slot = _distinct(table.a)
+    # one row of words per distinct value, room for the prefix first
+    encoded = np.empty((len(values), pre + 8), dtype=np.uint64)
+    for start in range(0, len(values), _CSV_BLOCK):
+        _encode(values[start:start + _CSV_BLOCK], encoded[start:start + _CSV_BLOCK], pre)
+    # blocks of whole table rows in one reused buffer, gathered from the
     # distinct values by take (mode "clip" writes there directly, "raise"
-    # buffers its output), or formatted there
+    # buffers its output)
     rows = max(1, min(m, _CSV_BLOCK // max(m, 1)))
     text = bytearray(8 * rows * m * (pre + 8))
     buf = np.frombuffer(text, dtype=np.uint64).reshape(rows, m, pre + 8)
     csv = bytearray(b"k,l,re_a,im_a\n")
     for start in range(0, m, rows):
         n = min(rows, m - start)
-        if shared is None:
-            _encode(a[start:start + n].reshape(-1), buf[:n].reshape(n * m, -1), pre)
-        else:
-            np.take(encoded, slot[start:start + n], axis=0, out=buf[:n], mode="clip")
+        np.take(encoded, slot[start:start + n], axis=0, out=buf[:n], mode="clip")
         buf[:n, :, :pre] = k_words[start:start + n, None] | l_words
         buf[n:] = 0  # rows past the end of the last block
         # bytes.translate deletes the NULs faster than np.compress on a
@@ -866,12 +872,10 @@ def table_to_csv(table: GrunskyTable) -> str:
     """Row-major CSV dump with header k,l,re_a,im_a at 17 significant digits.
 
     Every row is byte-identical to ``"%d,%d,%.17g,%.17g\\n" % (k, l, re, im)``.
-    Each distinct entry is formatted once: a table equal bit for bit to
-    its transpose (as the library's tables are) formats its upper
-    triangle, with every +0+0j sharing one value, and rows gather the
-    formatted words through an m x m map.  Any other table is formatted
-    block of rows by block of rows, with no map and no words kept past
-    their block.  The digits of a value come
+    Each distinct entry is formatted once: the table equals its transpose
+    bit for bit (``GrunskyTable`` holds no other), so its upper triangle
+    is formatted, with every +0+0j sharing one value, and rows gather the
+    formatted words through an m x m map.  The digits of a value come
     from an exact double-double scaling by a power of ten, done on blocks
     of values at a time, and are written as four 8-byte words a number
     (see the layout above ``_CSV_BLOCK``): a line takes pre + 8 words,

@@ -201,8 +201,8 @@ def estimate_ratio(
     than half of the mean.  With m = None the table is the accepted rung
     of the zero-symbol m ladder (see ``suggest_truncation``).
     """
-    table = grunsky_coefficients(mp, m) if m is not None else _ladder(mp, zero_symbol(), None)[0]
-    a, m = table.a, table.m
+    a = grunsky_coefficients(mp, m).a if m is not None else _ladder(mp, zero_symbol(), None)[0]
+    m = len(a)
     if abs(complex(sym.a0)) > 1e-12:
         warnings.warn("symbol has nonzero mean; consider subtracting a0/2", stacklevel=2)
     thetas, rate, _ = _run_chain(cfg)

@@ -15,22 +15,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs as _potrs
 from scipy.special import gammaln
 
 from .errors import NonzeroMean
-from .grunsky import (
-    GrunskyTable,
-    _asym_defect,
-    _cholesky,
-    _doubling_tables,
-    _kappa,
-    delta_m_tail,
-    operators,
-)
+from .grunsky import GrunskyTable, _cholesky, _doubling_tables, _kappa, _operator, delta_m_tail
 from .series import ExteriorMap
 from .symbol import FourierSymbol, d_vector, g_vector, zero_symbol
 
@@ -106,13 +98,13 @@ def _solve_form(cho: tuple, v: np.ndarray) -> complex:
     return complex(float(vr @ xr - vi @ xi), float(vr @ xi + vi @ xr))
 
 
-def _rung(table: GrunskyTable, sym: FourierSymbol):
-    """(table, pair, cho, quad, half), with half = -0.5 log det(I+K) read off
-    the diagonal of the Cholesky factor."""
-    pair = operators(table)
-    cho = _cholesky(pair)
-    quad = _solve_form(cho, g_vector(sym, table.m).entries)
-    return table, pair, cho, quad, -float(np.sum(np.log(np.diag(cho[0])))) + 0.0
+def _rung(a: np.ndarray, sym: FourierSymbol):
+    """(a, B, cho, quad, half) of a table array, with half = -0.5 log det(I+K)
+    read off the diagonal of the Cholesky factor."""
+    B = _operator(a)
+    cho = _cholesky(B)
+    quad = _solve_form(cho, g_vector(sym, len(a)).entries)
+    return a, B, cho, quad, -float(np.sum(np.log(np.diag(cho[0])))) + 0.0
 
 
 def _clearance(n: int) -> float:
@@ -142,8 +134,8 @@ def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
     where quad and half both move by less than 1e-9.
 
     The tables come from ``_doubling_tables``: each rung computes only its
-    new rows.  The accepted table is the one handed out, so only its
-    ``asym_defect`` is measured.
+    new rows.  A rung is the array of ``_grow`` and its B, symmetric by
+    construction: no rung pays the check of ``GrunskyTable`` or ``OperatorPair``.
 
     Only the accepted rung is checked for a singular value of B at 1: B_m
     is the leading block of B_2m, so the largest one cannot fall as m grows.
@@ -157,12 +149,12 @@ def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
     """
     size = 8 if m is None else m
     tables = _doubling_tables(mp.tail, size)
-    table, pair, cho, quad, half = _rung(next(tables), sym)
+    a, B, cho, quad, half = _rung(next(tables), sym)
     gaps = (float("nan"), float("nan"))
     settled = False
     while m is None and not settled and size < M_AUTO_CAP:
         size *= 2
-        table, pair, cho, quad2, half2 = _rung(next(tables), sym)
+        a, B, cho, quad2, half2 = _rung(next(tables), sym)
         gaps = (abs(quad2 - quad), abs(half2 - half))
         settled = all(gap < M_AUTO_TOL for gap in gaps)
         quad, half = quad2, half2
@@ -170,23 +162,22 @@ def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
     level = logging.INFO if settled else logging.WARNING
     logged = m is None and log.isEnabledFor(level)
     if not cleared or logged:
-        kappa = _kappa(pair.B)
+        kappa = _kappa(B)
         if logged:
             log.log(
                 level,
                 "auto truncation m=%d%s: gaps quadform=%.3e halflogdet=%.3e "
                 "kappa_hat=%.6f delta_m_tail=%.3e",
                 size, "" if settled else " (cap reached, gaps not below 1e-9)",
-                *gaps, kappa, delta_m_tail(pair.B),
+                *gaps, kappa, delta_m_tail(B),
             )
-    table = replace(table, asym_defect=_asym_defect(mp.tail, table.a))
-    return table, pair, cho, quad, half
+    return a, B, cho, quad, half
 
 
 def suggest_truncation(mp: ExteriorMap) -> int:
     """Table size of the zero-symbol m ladder: with g = 0 the quadratic form
     vanishes, and -0.5 log det(I+K) is the energy -0.5 log det(I - B*B)."""
-    return _ladder(mp, zero_symbol(), None)[0].m
+    return len(_ladder(mp, zero_symbol(), None)[0])
 
 
 def predict_range(
@@ -201,7 +192,7 @@ def predict_range(
         raise ValueError("n must be >= 1")
     if n_hi < n_lo:
         raise ValueError(f"empty range {n_lo}..{n_hi}")
-    table, _, _, quad, half = _ladder(mp, sym, m)
+    a, _, _, quad, half = _ladder(mp, sym, m)
     log_cap = float(np.log(mp.cap))
     out = []
     for n in range(n_lo, n_hi + 1):
@@ -210,7 +201,7 @@ def predict_range(
         term_a0 = n * complex(sym.a0) / 2.0
         out.append(PredictionBreakdown(
             n=n,
-            m_used=table.m,
+            m_used=len(a),
             term_cap=term_cap,
             term_2pi=term_2pi,
             term_a0=term_a0,
@@ -274,9 +265,9 @@ def predict_beta_log(
         raise ValueError(f"beta must be finite and > 0, got {beta}")
     if abs(complex(sym.a0)) > _MEAN_TOL:
         raise NonzeroMean(f"conjecture requires a0 = 0, got {sym.a0!r}")
-    table, _, cho, _, half = _ladder(mp, sym, m)
-    g = g_vector(sym, table.m).entries
-    d = d_vector(table, table.m).entries
+    a, _, cho, _, half = _ladder(mp, sym, m)
+    g = g_vector(sym, len(a)).entries
+    d = d_vector(GrunskyTable(len(a), a), len(a)).entries
     return half + (2.0 / beta) * _solve_form(cho, (beta / 2.0 - 1.0) * d + g)
 
 

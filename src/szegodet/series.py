@@ -33,13 +33,14 @@ _DOMAIN_SLACK = 1e-12
 def _readonly(arr, dtype=complex) -> np.ndarray:
     """A write-protected copy of arr as dtype, for frozen dataclass fields.
 
-    An array of that dtype that owns its data and is already
+    An array of that dtype that owns its data in C order and is already
     write-protected is returned as is.
     """
     if (
         isinstance(arr, np.ndarray)
         and arr.dtype == dtype
         and arr.base is None
+        and arr.flags.c_contiguous
         and not arr.flags.writeable
     ):
         return arr

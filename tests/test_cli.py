@@ -92,6 +92,19 @@ class TestPredict:
                            "--symbol", str(p), "--n", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("length", [0, 3, 12])
+    def test_theta_samples_bad_length(self, capsys, curve_file, tmp_path, length):
+        # a sample count that is not a power of two >= 8 is bad input, not
+        # a numerical failure
+        p = tmp_path / "samples.json"
+        p.write_text(json.dumps({"theta_samples": [[1.0, 0.0]] * length}))
+        path = curve_file("q.json")
+        code, out, err = run(capsys, "predict", "--curve", path,
+                             "--symbol", str(p), "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert f"power of two >= 8 samples, got {length}" in err
+
 
 class TestGrunsky:
     def test_q_table(self, capsys, curve_file, tmp_path):

@@ -457,6 +457,14 @@ def _spectral_curve(request, name):
     return request.getfixturevalue(name)
 
 
+def _seeded_curve(seed):
+    """One of 24 seeded curves near the unit circle, degree 1-5."""
+    from test_direct import _near_unit_curve  # test_direct imports this module
+
+    rng = np.random.default_rng([22, seed])
+    return _near_unit_curve(rng, float(rng.uniform(0.5, 0.96)), int(rng.integers(1, 6)))
+
+
 def _rel_err(got, want):
     return abs(got - want) / max(1.0, abs(want))
 
@@ -479,10 +487,7 @@ class TestKappaWithoutSvd:
 
     @pytest.mark.parametrize("seed", range(24))
     def test_seeded_curves_against_svdvals(self, seed):
-        from test_direct import _near_unit_curve  # test_direct imports this module
-
-        rng = np.random.default_rng([22, seed])
-        mp = _near_unit_curve(rng, float(rng.uniform(0.5, 0.96)), int(rng.integers(1, 6)))
+        mp = _seeded_curve(seed)
         for m in (24, 99, 100, 200):  # the dense route up to 99, then Lanczos
             B = operators(grunsky_coefficients(mp, m)).B
             sv = scipy.linalg.svdvals(B)
@@ -592,17 +597,17 @@ def test_ladder_grows_one_table(monkeypatch, request, a1_sym, curve):
         return grow(tail, a, size)
 
     monkeypatch.setattr(grunsky, "_grow", spy)
-    table = predict._ladder(mp, a1_sym, None)[0]
+    a = predict._ladder(mp, a1_sym, None)[0]
+    m = len(a)
     # each rung computes only the entries outside the rung before it
     sizes = [size for _, size in calls]
-    assert len(calls) > 2 and sizes[-1] == table.m
+    assert len(calls) > 2 and sizes[-1] == m
     assert [lead for lead, _ in calls] == [0] + sizes[:-1]
-    ref = grunsky_coefficients(mp, table.m)
-    assert table.a.tobytes() == ref.a.tobytes()
-    assert table.asym_defect == ref.asym_defect
+    ref = grunsky_coefficients(mp, m)
+    assert a.tobytes() == ref.a.tobytes()
     # wp-check reads the m-table off the 2m-table
-    top = grunsky_coefficients(mp, 2 * table.m).a
-    assert top[:table.m, :table.m].tobytes() == ref.a.tobytes()
+    top = grunsky_coefficients(mp, 2 * m).a
+    assert top[:m, :m].tobytes() == ref.a.tobytes()
 
 
 @pytest.mark.parametrize("curve", ["wobbly", "slow"])
@@ -617,11 +622,11 @@ def test_ladder_growth_to_512_equals_one_build(request, curve):
 
     mp = request.getfixturevalue(curve)
     tables = _doubling_tables(mp.tail, 8)
-    table = next(tables)
-    while table.m < 512:
-        assert table.a.tobytes() == table.a.T.copy().tobytes()
-        table = next(tables)
-    assert table.a.tobytes() == grunsky_coefficients(mp, 512).a.tobytes()
+    a = next(tables)
+    while len(a) < 512:
+        assert a.tobytes() == a.T.copy().tobytes()
+        a = next(tables)
+    assert a.tobytes() == grunsky_coefficients(mp, 512).a.tobytes()
 
 
 def test_table_bits_independent_of_blas_threads():
@@ -666,11 +671,85 @@ def test_k_is_the_documented_doubling(wobbly):
 
 
 @pytest.mark.parametrize("curve", ["wobbly", "slow"])
-def test_prediction_path_never_builds_k(request, a1_sym, curve):
+def test_prediction_path_never_builds_k(monkeypatch, request, a1_sym, curve):
     from szegodet import predict
 
-    _, pair, _, _, _ = predict._ladder(request.getfixturevalue(curve), a1_sym, None)
-    assert "K" not in pair.__dict__
+    def fail(B):
+        raise AssertionError("K was built")
+
+    monkeypatch.setattr(grunsky, "_k_matrix", fail)
+    a = predict._ladder(request.getfixturevalue(curve), a1_sym, None)[0]
+    assert len(a) >= 64
+
+
+@pytest.mark.parametrize("curve, m", [("wobbly", 64), ("slow", 256)])
+def test_auto_prediction_runs_no_symmetry_check(monkeypatch, request, a1_sym, curve, m):
+    # the m ladder works on the arrays of _grow and the B built from them:
+    # no GrunskyTable or OperatorPair check, and no asym_defect
+    from szegodet import predict
+
+    def fail(*args):
+        raise AssertionError("not on the prediction path")
+
+    monkeypatch.setattr(grunsky, "_symmetric", fail)
+    monkeypatch.setattr(grunsky, "_asym_defect", fail)
+    out = predict.predict_range(request.getfixturevalue(curve), a1_sym, 10, 12)
+    assert [b.m_used for b in out] == [m] * 3
+
+
+NUDGES = [
+    pytest.param(1, 6, lambda v: complex(np.nextafter(v.real, np.inf), v.imag), id="one-ulp"),
+    # equal to its mirror as a value, not bit for bit
+    pytest.param(0, 5, lambda v: complex(v.real, -0.0), id="signed-zero"),
+]
+
+
+@pytest.mark.parametrize("i, j, nudge", NUDGES)
+def test_operator_pair_rejects_nudged_entries(i, j, nudge):
+    # GrunskyTable: test_table_csv_not_bitwise_symmetric
+    a = _mirrored_specials().a.copy()
+    a[i, j] = nudge(a[i, j])
+    with pytest.raises(NotSymmetric):
+        OperatorPair(a)
+
+
+def test_symmetric_types_accept_entries_mirrored_by_bits():
+    # NaN, infinities and signed zeros, each mirrored by copying its bits
+    a = _mirrored_specials().a
+    assert np.isnan(a).any() and np.signbit(a.view(float)[a.view(float) == 0]).any()
+    assert GrunskyTable(8, a).a.tobytes() == a.tobytes()
+    assert OperatorPair(a).B.tobytes() == a.tobytes()
+    # a NaN whose mirror has another payload is not its mirror bit for bit
+    b = np.array([[0j, complex(np.nan, 0.0)], [complex(np.nan, 0.0), 0j]])
+    b.view(np.uint64)[1, 0] ^= np.uint64(1)
+    assert np.isnan(b[1, 0]) and b.tobytes() != b.T.copy().tobytes()
+    with pytest.raises(NotSymmetric):
+        GrunskyTable(2, b)
+
+
+def test_operator_pair_rejects_asymmetric_b():
+    # potrf reads one triangle of I + K: on this B, spectral_report gave
+    # log det(I+K) = -0.1748 against slogdet(I+K) = -0.0034, and no error
+    rng = np.random.default_rng(1)
+    B = 0.05 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    K = np.block([[B.real, B.imag], [B.imag, -B.real]])
+    assert np.linalg.slogdet(np.eye(12) + K)[0] == 1.0
+    with pytest.raises(NotSymmetric):
+        spectral_report(OperatorPair(B))
+
+
+@pytest.mark.parametrize("source", ["circle", "qcurve", "wobbly", "slow", "pairing"]
+                         + [f"seed{s}" for s in range(24)])
+def test_library_tables_pass_the_symmetry_check(monkeypatch, request, source):
+    mp = (_seeded_curve(int(source[4:])) if source.startswith("seed")
+          else request.getfixturevalue(source))
+    checked = []
+    check = grunsky._symmetric
+    monkeypatch.setattr(grunsky, "_symmetric", lambda a: checked.append(len(a)) or check(a))
+    sizes = (8, 100, 512)
+    for m in sizes:
+        operators(grunsky_coefficients(mp, m))  # the table, then B
+    assert checked == [m for m in sizes for _ in range(2)]
 
 
 @pytest.mark.parametrize("curve", ["wobbly", "slow"])
@@ -683,7 +762,7 @@ def test_two_column_form_matches_two_solves(request, curve):
     mp = request.getfixturevalue(curve)
     rng = np.random.default_rng(4)
     for m in (8, 16, 32, 64, 128, 256, 512):
-        cho = _cholesky(operators(grunsky_coefficients(mp, m)))
+        cho = _cholesky(operators(grunsky_coefficients(mp, m)).B)
         v = rng.standard_normal(2 * m) + 1j * rng.standard_normal(2 * m)
         vr, vi = v.real.copy(), v.imag.copy()
         xr = scipy.linalg.cho_solve(cho, vr, check_finite=False)
@@ -789,22 +868,15 @@ def test_table_csv_symmetric_specials(monkeypatch):
     assert len(seen) == 1 + sum(_bits(z) != [0, 0] for z in table.a[np.triu_indices(8)])
 
 
-@pytest.mark.parametrize("i, j, nudge", [
-    pytest.param(1, 6, lambda v: complex(np.nextafter(v.real, np.inf), v.imag), id="one-ulp"),
-    # equal to its mirror as a value, not bit for bit
-    pytest.param(0, 5, lambda v: complex(v.real, -0.0), id="signed-zero"),
-])
-def test_table_csv_not_bitwise_symmetric(monkeypatch, i, j, nudge):
-    from szegodet.grunsky import GrunskyTable
-
+@pytest.mark.parametrize("i, j, nudge", NUDGES)
+def test_table_csv_not_bitwise_symmetric(i, j, nudge):
+    # a table that is not its own transpose bit for bit never reaches the dump
     a = _mirrored_specials().a.copy()
     assert np.isfinite(a[i, j])
     a[i, j] = nudge(a[i, j])
     assert a.tobytes() != a.T.copy().tobytes()
-    table = GrunskyTable(8, a)
-    seen = _formatted(monkeypatch)
-    assert table_to_csv(table) == table_to_csv_reference(table)
-    assert len(seen) == 64
+    with pytest.raises(NotSymmetric):
+        GrunskyTable(8, a)
 
 
 @pytest.mark.parametrize("i, j, nudge", [
@@ -813,8 +885,6 @@ def test_table_csv_not_bitwise_symmetric(monkeypatch, i, j, nudge):
     pytest.param(0, 63, lambda v: complex(-0.0, v.imag), id="signed-zero"),
 ])
 def test_table_csv_formats_each_distinct_entry_once(monkeypatch, slow, i, j, nudge):
-    from szegodet.grunsky import GrunskyTable
-
     m = 64
     table = grunsky_coefficients(slow, m)
     seen = _formatted(monkeypatch)
@@ -822,37 +892,10 @@ def test_table_csv_formats_each_distinct_entry_once(monkeypatch, slow, i, j, nud
     assert len(seen) <= m * (m + 1) // 2 + 1
     # the zero wedge of a degree-3 curve shares one formatted value
     assert len(seen) < m * (m + 1) // 2
-    seen.clear()
     a = table.a.copy()
     a[i, j] = nudge(a[i, j])
-    asym = GrunskyTable(m, a)
-    assert table_to_csv(asym) == table_to_csv_reference(asym)
-    assert len(seen) == m * m
-
-
-def test_table_csv_memory_not_above_symmetric(slow):
-    # a table that is not bitwise symmetric is formatted row block by row
-    # block, with no buffer of all its values and no slot map, so its dump
-    # peaks no higher than that of the symmetric table it was made from
-    import tracemalloc
-
-    from szegodet.grunsky import GrunskyTable
-
-    m = 1024
-    table = grunsky_coefficients(slow, m)
-    a = table.a.copy()
-    a[0, 1] = complex(a[0, 1].real, np.nextafter(a[0, 1].imag, np.inf))
-    peaks = []
-    for t in (table, GrunskyTable(m, a)):
-        tracemalloc.start()
-        try:
-            text = table_to_csv(t)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert text.count("\n") == m * m + 1
-        del text
-    assert peaks[1] <= peaks[0]
+    with pytest.raises(NotSymmetric):
+        GrunskyTable(m, a)
 
 
 def _near_ties():
@@ -909,28 +952,9 @@ FLOAT_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("family", list(FLOAT_FAMILIES))
-def test_table_csv_prints_like_percent_g(family):
-    """Every re/im field of the dump is '%.17g' % v, on seeded inputs."""
-    from szegodet.grunsky import GrunskyTable
-
-    values = np.asarray(FLOAT_FAMILIES[family](np.random.default_rng(7)), dtype=float)
-    m = int(np.ceil(np.sqrt(len(values) / 2)))
-    padded = np.zeros(2 * m * m)
-    padded[:len(values)] = values
-    table = GrunskyTable(m, padded.view(complex).reshape(m, m))
-    rows = table_to_csv(table).split("\n")[1:-1]
-    got = [field for row in rows for field in row.split(",")[2:]]
-    want = ["%.17g" % v for v in padded.tolist()]
-    assert len(got) == len(want)
-    bad = [(v, g, w) for v, g, w in zip(padded.tolist(), got, want) if g != w]
-    assert not bad, f"{len(bad)} fields differ, first: {bad[:3]}"
-
-
-@pytest.mark.parametrize("family", list(FLOAT_FAMILIES))
-def test_table_csv_symmetric_prints_like_percent_g(monkeypatch, family):
-    """The family in the upper triangle of a table mirrored bit for bit:
-    the distinct-value path formats it, and every field is '%.17g' % v."""
+def _family_table(family):
+    """The seeded family in the upper triangle of a table, row by row,
+    mirrored by copying bits; zeros past its end."""
     values = np.asarray(FLOAT_FAMILIES[family](np.random.default_rng(7)), dtype=float)
     pairs = -(-len(values) // 2)
     m = int(np.ceil((np.sqrt(8 * pairs + 1) - 1) / 2))  # m (m + 1) / 2 >= pairs
@@ -940,11 +964,37 @@ def test_table_csv_symmetric_prints_like_percent_g(monkeypatch, family):
     bits = np.zeros((m, m, 2), dtype=np.uint64)
     bits[iu] = upper.view(np.uint64).reshape(-1, 2)
     bits[iu[1], iu[0]] = bits[iu]
-    table = GrunskyTable(m, bits.view(complex).reshape(m, m))
-    assert table.a.tobytes() == table.a.T.copy().tobytes()
+    return GrunskyTable(m, bits.view(complex).reshape(m, m))
+
+
+@pytest.mark.parametrize("family", list(FLOAT_FAMILIES))
+def test_table_csv_prints_like_percent_g(family):
+    """The words the dump writes for a value, with no table around them:
+    each re/im field is '%.17g' % v, on seeded inputs in their own order."""
+    values = np.asarray(FLOAT_FAMILIES[family](np.random.default_rng(7)), dtype=float)
+    padded = np.zeros(2 * -(-len(values) // 2))
+    padded[:len(values)] = values
+    words = np.zeros((len(padded) // 2, 8), dtype=np.uint64)
+    for start in range(0, len(words), grunsky._CSV_BLOCK):
+        end = start + grunsky._CSV_BLOCK
+        grunsky._encode(padded.view(complex)[start:end], words[start:end], 0)
+    rows = bytes(words).translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    got = [field for row in rows for field in row.split(",")]
+    want = ["%.17g" % v for v in padded.tolist()]
+    assert len(got) == len(want)
+    bad = [(v, g, w) for v, g, w in zip(padded.tolist(), got, want) if g != w]
+    assert not bad, f"{len(bad)} fields differ, first: {bad[:3]}"
+
+
+@pytest.mark.parametrize("family", list(FLOAT_FAMILIES))
+def test_table_csv_symmetric_prints_like_percent_g(monkeypatch, family):
+    """The family in the upper triangle of a table mirrored bit for bit:
+    each distinct value is formatted once, and every field is '%.17g' % v."""
+    table = _family_table(family)
+    m = table.m
     seen = _formatted(monkeypatch)
     rows = table_to_csv(table).split("\n")[1:-1]
-    assert len(seen) <= len(iu[0]) + 1 < m * m  # not the row-block path
+    assert len(seen) <= m * (m + 1) // 2 + 1
     got = [field for row in rows for field in row.split(",")[2:]]
     want = ["%.17g" % v for v in table.a.view(float).ravel().tolist()]
     assert len(got) == len(want)
@@ -975,11 +1025,7 @@ def test_table_csv_percent_g_only_for_what_it_must(request, monkeypatch, source)
     # exact ties among them): no other finite value in range takes the
     # slow route
     if source in FLOAT_FAMILIES:
-        values = np.asarray(FLOAT_FAMILIES[source](np.random.default_rng(7)), dtype=float)
-        m = int(np.ceil(np.sqrt(len(values) / 2)))
-        padded = np.zeros(2 * m * m)
-        padded[:len(values)] = values
-        table = GrunskyTable(m, padded.view(complex).reshape(m, m))
+        table = _family_table(source)
     else:
         table = grunsky_coefficients(request.getfixturevalue(source), 256)
     sent = []

@@ -37,34 +37,34 @@ class TestQuadraticForm:
         pair = operators(grunsky_coefficients(circle, 4))
         rng = np.random.default_rng(1)
         v = g_vector(symbol_from_coefficients(0.0, rng.standard_normal(4), rng.standard_normal(4)), 4)
-        assert _solve_form(_cholesky(pair), v.entries) == pytest.approx(np.sum(v.entries**2))
+        assert _solve_form(_cholesky(pair.B), v.entries) == pytest.approx(np.sum(v.entries**2))
 
     def test_q_diagonal_a_block(self, qcurve):
         # K is diagonal for the q-curve: the a-block solves against 1 + q**k,
         # so a_1 = 1 gives (1/2)**2 / (1 + q) = 1/6
         pair = operators(grunsky_coefficients(qcurve, 8))
         v = g_vector(symbol_from_coefficients(0.0, [1.0]), 8)
-        assert _solve_form(_cholesky(pair), v.entries) == pytest.approx(1.0 / 6.0, abs=1e-14)
+        assert _solve_form(_cholesky(pair.B), v.entries) == pytest.approx(1.0 / 6.0, abs=1e-14)
 
     def test_q_diagonal_b_block(self, qcurve):
         # b-block diagonal entry is 1 - q: (1/2)**2 / (1 - 0.5) = 1/2.
         # (The oracle value is forced by the diagonal solve.)
         pair = operators(grunsky_coefficients(qcurve, 8))
         v = g_vector(symbol_from_coefficients(0.0, [], [1.0]), 8)
-        assert _solve_form(_cholesky(pair), v.entries) == pytest.approx(0.5, abs=1e-14)
+        assert _solve_form(_cholesky(pair.B), v.entries) == pytest.approx(0.5, abs=1e-14)
 
     def test_not_positive_definite(self):
         from szegodet.grunsky import GrunskyTable
 
         pair = operators(GrunskyTable(2, np.diag([1.2, 0.1]).astype(complex)))
         with pytest.raises(NotPositiveDefinite):
-            _cholesky(pair)
+            _cholesky(pair.B)
 
     def test_length_check(self, qcurve):
         pair = operators(grunsky_coefficients(qcurve, 8))
         v = g_vector(symbol_from_coefficients(0.0, [1.0]), 4)
         with pytest.raises(ValueError):
-            _solve_form(_cholesky(pair), v.entries)
+            _solve_form(_cholesky(pair.B), v.entries)
 
 
 class TestPredictLogDn:
