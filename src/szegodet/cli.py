@@ -310,19 +310,23 @@ def _cmd_wp_check(args) -> int:
     # boundedness is about the tail in the table size, so compare against a
     # doubled table; the m-table is exactly its leading block
     table2 = grunsky.grunsky_coefficients(mp, 2 * args.m)
-    table = grunsky.GrunskyTable(args.m, table2.a[:args.m, :args.m])
+    a = table2.a[:args.m, :args.m]
+
+    def hs_norm_sq(B) -> float:
+        return float(np.sum(np.abs(B) ** 2))
+
+    # the sums read B of arrays the library built symmetric, with no check;
+    # szego_energy takes the one checked pair
     lines = ["r,hs_norm_sq"]
-    hs = []
     for r in rs:
-        pair = grunsky.operators(grunsky.dilated_table(table, float(r)))
-        hs.append(float(np.sum(np.abs(pair.B) ** 2)))
-        lines.append(f"{_fmt(r)},{_fmt(hs[-1])}")
+        hs = hs_norm_sq(grunsky._operator(grunsky._dilated(a, float(r))))
+        lines.append(f"{_fmt(r)},{_fmt(hs)}")
     _emit("\n".join(lines) + "\n", args.out)
-    base = grunsky.operators(table)
+    base = grunsky.OperatorPair(grunsky._operator(a))
     energy = grunsky.szego_energy(base)
     # the truncated norms increase to the base-table norm as r drops to 1
-    hs2 = float(np.sum(np.abs(grunsky.operators(table2).B) ** 2))
-    tail_growth = hs2 - float(np.sum(np.abs(base.B) ** 2))
+    hs2 = hs_norm_sq(grunsky._operator(table2.a))
+    tail_growth = hs2 - hs_norm_sq(base.B)
     bounded = bool(tail_growth <= 0.05 * (hs2 + 1e-12))
     doc = {
         "m": args.m,
@@ -436,8 +440,9 @@ def _blas_thread_setters() -> tuple:
     """Thread-count setters of the OpenBLAS builds that numpy and scipy
     bundle: ``scipy_openblas_set_num_threads64_`` in numpy.libs and
     ``scipy_openblas_set_num_threads`` in scipy.libs, looked up once by
-    ctypes.  Both libraries are loaded by then, so ctypes gets the
-    instances numpy and scipy call.  A build without them gives none."""
+    ctypes.  Both libraries are loaded by then (scipy's by ``_linalg``'s
+    ``_flapack``), so ctypes gets the instances numpy and scipy call.  A
+    build without them gives none."""
     setters = []
     for mod, symbol in ((np, "scipy_openblas_set_num_threads64_"),
                         (scipy, "scipy_openblas_set_num_threads")):
@@ -466,6 +471,10 @@ def main(argv=None) -> int:
         return 2
     except (SzegoError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # e.g. an explicit --m too large for this machine
+        detail = f": {exc}" if str(exc) else ""
+        print(f"numerical failure: out of memory{detail}", file=sys.stderr)
         return 3
 
 

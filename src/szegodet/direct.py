@@ -81,8 +81,10 @@ as Laurent data (phi0, tail) with a leading axis, and for the values of
 g at the nodes of the grid: the nodes and weights of every map in one
 Horner pass, the Faber basis of every map in one run of ``_faber_basis``
 over a (map, node, degree) array, then per map one geqrf on a first grid
-or one tpqrt on the factors of the previous grid, the routines looked up
-once per grid.  The stack is built in blocks of at most
+or one tpqrt on the factors of the previous grid: the complex routines
+``zgeqrf`` (and ``zungqr``) or ``ztpqrt`` (and ``ztpmqrt``) of
+``_linalg.flapack``, a first grid's workspace queried once per grid.
+The stack is built in blocks of at most
 ``_STACK_ENTRIES`` entries, so its memory does not grow with the number
 of maps; a first grid evaluates the next grid's rows with its own only
 when the whole stack fits one such block (or is one map), so the rows
@@ -123,9 +125,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import ztrsm
 
+from ._linalg import fblas, flapack
 from .errors import (
     DilationNotGreaterThanOne,
     GridTooCoarse,
@@ -234,14 +235,12 @@ def _faber_basis(phi0, tail, zeta: np.ndarray, n: int) -> np.ndarray:
     return F
 
 
-def _lapack(name: str, A: np.ndarray, *args):
-    """LAPACK ``name`` for arrays shaped like A, with its optimal workspace.
+def _lapack(fn, A: np.ndarray, *args):
+    """The LAPACK routine ``fn`` for arrays shaped like A, with its optimal workspace.
 
-    The routine is looked up and the workspace queried once, here; the
-    returned callable runs it in place on A or on any array of the same
-    shape and dtype.
+    The workspace is queried once, here; the returned callable runs ``fn``
+    in place on A or on any array of the same shape and dtype.
     """
-    (fn,) = scipy.linalg.get_lapack_funcs((name,), (A,))
     lwork = int(fn(A, *args, lwork=-1, overwrite_a=True)[-2][0].real)
     return functools.partial(fn, lwork=lwork, overwrite_a=True)
 
@@ -284,8 +283,8 @@ def _phase_prefix(C: np.ndarray) -> np.ndarray:
             A[j + 1 : e, j + 1 : e] -= np.outer(A[j + 1 : e, j], A[j, j + 1 : e])
         if e < n:
             D = A[k:e, k:e]
-            A[k:e, e:] = ztrsm(1.0, D, A[k:e, e:], lower=1, diag=1)  # L_11^-1 C_12
-            A[e:, k:e] = ztrsm(1.0, D, A[e:, k:e], side=1)  # C_21 U_11^-1
+            A[k:e, e:] = fblas.ztrsm(1.0, D, A[k:e, e:], lower=1, diag=1)  # L_11^-1 C_12
+            A[e:, k:e] = fblas.ztrsm(1.0, D, A[e:, k:e], side=1)  # C_21 U_11^-1
             A[e:, e:] -= A[e:, k:e] @ A[k:e, e:]
     return np.cumsum(np.log(np.diagonal(A)))
 
@@ -365,11 +364,11 @@ def _grid_prefix(phi0, tail, g: np.ndarray, n: int, prev=None, *, doubles: bool 
         np.multiply(F, np.sqrt(dphi * weight)[..., None], out=A)
         if not lo:  # every block of the grid has this shape
             if prev is None:
-                geqrf = _lapack("geqrf", A[0])
+                geqrf = _lapack(flapack.zgeqrf, A[0])
                 if phase:
-                    ungqr = _lapack("ungqr", A[0], np.empty(n, dtype=complex))
+                    ungqr = _lapack(flapack.zungqr, A[0], np.empty(n, dtype=complex))
             else:
-                tpqrt, tpmqrt = scipy.linalg.get_lapack_funcs(("tpqrt", "tpmqrt"), (A[0],))
+                tpqrt, tpmqrt = flapack.ztpqrt, flapack.ztpmqrt
                 nb = min(n, _TP_BLOCK)
         for i, a in enumerate(A, lo):
             if prev is None:

@@ -49,17 +49,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dgemv as _dgemv
-from scipy.linalg.blas import dnrm2 as _dnrm2
-from scipy.linalg.blas import zaxpy as _zaxpy
-from scipy.linalg.blas import zgemv as _zgemv
-from scipy.linalg.blas import zherk as _zherk
-from scipy.linalg.lapack import dpotrf as _potrf
-from scipy.linalg.lapack import dstemr as _stemr
-from scipy.linalg.lapack import zheevr as _heevr
-from scipy.linalg.lapack import zpotrf as _zpotrf
 
+from ._linalg import fblas, flapack
 from .errors import (
     AliasingDetected,
     BranchJumpDetected,
@@ -69,6 +60,10 @@ from .errors import (
     SingularValueAtOne,
 )
 from .series import ExteriorMap, _phi_norm, _readonly
+
+_dgemv, _dnrm2, _zaxpy, _zgemv, _zherk = (
+    fblas.dgemv, fblas.dnrm2, fblas.zaxpy, fblas.zgemv, fblas.zherk)
+_potrf, _stemr, _heevr, _zpotrf = flapack.dpotrf, flapack.dstemr, flapack.zheevr, flapack.zpotrf
 
 _DELTA_EPS = 0.1  # fixed exponent offset in the tail diagnostic
 _KAPPA_MAX = 1.0 - 1e-10  # a singular value of B at or above this is at 1
@@ -396,6 +391,8 @@ def takagi(B: np.ndarray) -> TakagiFactor:
     gap is at most 1e-9.  Each column of U is signed so that its
     largest-modulus entry has a nonnegative real part.
     """
+    import scipy.linalg  # for schur; the rest of the library never loads it
+
     B = np.asarray(B, dtype=complex)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError("B must be square")
@@ -604,13 +601,17 @@ def szego_energy(pair: OperatorPair) -> float:
     return -0.5 * _log_det_I_minus(H) + 0.0
 
 
-def dilated_table(table: GrunskyTable, r: float) -> GrunskyTable:
-    """Table of the dilated curve: entry (k, l) scaled by r**-(k+l)."""
+def _dilated(a: np.ndarray, r: float) -> np.ndarray:
+    """The table array of the dilated curve: entry (k, l) scaled by r**-(k+l)."""
     if not (r > 1):
         raise DilationNotGreaterThanOne(f"r must be > 1, got {r}")
-    k = np.arange(1, table.m + 1, dtype=float)
-    scale = r ** (-(k[:, None] + k[None, :]))
-    return GrunskyTable(table.m, table.a * scale)
+    k = np.arange(1, len(a) + 1, dtype=float)
+    return a * r ** (-(k[:, None] + k[None, :]))
+
+
+def dilated_table(table: GrunskyTable, r: float) -> GrunskyTable:
+    """Table of the dilated curve (``_dilated``)."""
+    return GrunskyTable(table.m, _dilated(table.a, r))
 
 
 # --- table dump: '%.17g' for whole blocks of numbers -------------------------

@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs as _potrs
-from scipy.special import gammaln
 
+from ._linalg import flapack
 from .errors import NonzeroMean
 from .grunsky import GrunskyTable, _cholesky, _doubling_tables, _kappa, _operator, delta_m_tail
 from .series import ExteriorMap
@@ -90,7 +89,7 @@ def _solve_form(cho: tuple, v: np.ndarray) -> complex:
     if not len(v):
         return 0j
     rhs = np.array([v.real, v.imag])
-    x, info = _potrs(c, rhs.T, lower=lower)
+    x, info = flapack.dpotrs(c, rhs.T, lower=lower)
     if info < 0:
         raise ValueError(f"potrs: illegal value in argument {-info}")
     # contiguous rows, so the dot products round as on one-column solves
@@ -277,6 +276,10 @@ def zn_beta_circle(n: int, beta: float) -> float:
         raise ValueError("n must be >= 1")
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be finite and > 0, got {beta}")
+    # not math.lgamma, which rounds differently in the last bits; imported
+    # here, since no CLI command calls this
+    from scipy.special import gammaln
+
     return float(
         n * LOG_2PI - gammaln(n + 1) + gammaln(1 + beta * n / 2) - n * gammaln(1 + beta / 2)
     )

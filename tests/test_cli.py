@@ -342,6 +342,33 @@ def test_wp_check_runs_only_the_energy(capsys, curve_file, monkeypatch, tmp_path
     assert json.loads(rep.read_text())["szego_energy"] == want
 
 
+def test_wp_check_checks_one_pair(capsys, curve_file, monkeypatch, tmp_path):
+    # the Hilbert-Schmidt sums read B of the library's own arrays: one
+    # symmetry check for the doubled table, one for the pair szego_energy
+    # takes; the rows have the bits of the table and operator types
+    path = curve_file("wobbly.json", **_WOBBLY)
+    rep = tmp_path / "rep.json"
+    checked = []
+    check = grunsky._symmetric
+    monkeypatch.setattr(grunsky, "_symmetric", lambda a: checked.append(len(a)) or check(a))
+    code, out, err = run(capsys, "wp-check", "--curve", path, "--m", "16",
+                         "--report-out", str(rep))
+    assert code == 0, err
+    assert checked == [32, 16]
+    table2 = grunsky.grunsky_coefficients(load_curve(path), 32)
+    table = grunsky.GrunskyTable(16, table2.a[:16, :16])
+
+    def hs(t):
+        return "{:.17g}".format(float(np.sum(np.abs(grunsky.operators(t).B) ** 2)))
+
+    rows = out.strip().split("\n")[1:]
+    assert [r.split(",")[1] for r in rows] == [
+        hs(grunsky.dilated_table(table, float(r.split(",")[0]))) for r in rows]
+    doc = json.loads(rep.read_text())
+    assert "{:.17g}".format(doc["hs_norm_sq_limit_estimate"]) == hs(table2)
+    assert doc["hs_tail_growth_m_to_2m"] == float(hs(table2)) - float(hs(table))
+
+
 def test_grunsky_runs_no_svd(capsys, curve_file, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("an SVD ran")
@@ -536,6 +563,20 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["m_used"] == 16
 
+    @pytest.mark.parametrize("command", [["grunsky"], ["predict", "--n", "5"]])
+    def test_out_of_memory(self, capsys, curve_file, monkeypatch, command):
+        # an explicit m too large for the machine: numpy raises MemoryError
+        # when the table is allocated
+        def fail(*args):
+            raise MemoryError("Unable to allocate 4.00 GiB for an array")
+
+        monkeypatch.setattr(grunsky, "_grow", fail)
+        code, out, err = run(capsys, *command, "--curve", curve_file("q.json"),
+                             "--m", "16384")
+        assert code == 3
+        assert out == ""
+        assert err == "numerical failure: out of memory: Unable to allocate 4.00 GiB for an array\n"
+
 
 def test_shared_parser_keeps_no_state(capsys, curve_file, symbol_file):
     # main reuses one parser per process: options of an earlier call,
@@ -552,3 +593,90 @@ def test_shared_parser_keeps_no_state(capsys, curve_file, symbol_file):
     assert args.fn(args) == 0
     assert out == capsys.readouterr().out
     assert out != with_symbol
+
+
+# A fresh interpreter: imports szegodet.cli, runs every command through
+# main, then imports scipy.linalg.  The library reaches LAPACK and BLAS
+# through szegodet._linalg alone, which loads scipy's f2py modules without
+# running scipy/linalg/__init__.py.
+_FRESH_CLI = """
+import contextlib, io, json, sys
+
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
+
+import szegodet.cli
+doc = {"import": loaded()}
+from szegodet import _linalg, cli
+doc["setters"] = len(cli._blas_thread_setters())
+with contextlib.redirect_stdout(io.StringIO()):
+    doc["codes"] = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+doc["commands"] = loaded()
+import scipy.linalg
+doc["same"] = [scipy.linalg.lapack.zgeqrf is _linalg.flapack.zgeqrf,
+               scipy.linalg.blas.zaxpy is _linalg.fblas.zaxpy,
+               scipy.linalg.lapack._flapack is _linalg.flapack,
+               scipy.linalg.blas._fblas is _linalg.fblas]
+print(json.dumps(doc))
+"""
+
+
+def _fresh_python(script: str, *args: str) -> dict:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def fresh_cli(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fresh")
+    curve = tmp / "wobbly.json"
+    curve.write_text(json.dumps({"cap": _WOBBLY["cap"], "phi0": list(_WOBBLY["phi0"]),
+                                 "tail": [list(t) for t in _WOBBLY["tail"]]}))
+    sym = tmp / "complex.json"
+    sym.write_text(json.dumps({"a0": [0.0, 0.0], "a": [[1.0, 0.0], [0.0, 0.3]], "b": []}))
+    c, s, out = str(curve), str(sym), str(tmp / "report.json")
+    commands = [
+        ["predict", "--curve", c, "--symbol", s, "--n", "20", "--m", "auto"],
+        ["direct", "--curve", c, "--n", "12"],
+        ["convergence", "--curve", c, "--symbol", s, "--n", "8..16"],
+        ["grunsky", "--curve", c, "--m", "64"],
+        ["energy", "--curve", c, "--n", "4", "--r", "1.1:4:4", "--report-out", out],
+        ["wp-check", "--curve", c, "--m", "16", "--report-out", out],
+        ["beta-mc", "--curve", c, "--n", "3", "--steps", "2000", "--burn-in", "200"],
+    ]
+    return _fresh_python(_FRESH_CLI, json.dumps(commands))
+
+
+def test_cli_import_loads_no_scipy_linalg_or_special(fresh_cli):
+    assert fresh_cli["import"] == []
+
+
+def test_cli_commands_load_no_scipy_linalg_or_special(fresh_cli):
+    assert fresh_cli["codes"] == [0] * 7
+    assert fresh_cli["commands"] == []
+
+
+def test_scipy_linalg_reuses_the_loaded_wrappers(fresh_cli):
+    assert fresh_cli["same"] == [True] * 4
+
+
+def test_thread_pin_finds_both_openblas_builds(fresh_cli):
+    assert fresh_cli["setters"] == 2
+
+
+def test_linalg_falls_back_to_the_plain_import(tmp_path):
+    # a scipy whose linalg directory holds no such files: the same
+    # wrappers, through scipy.linalg
+    script = f"""
+import json, sys, scipy
+scipy.__file__ = {str(tmp_path / "scipy" / "__init__.py")!r}
+from szegodet import _linalg
+import scipy.linalg
+print(json.dumps([_linalg.flapack is scipy.linalg._flapack,
+                  _linalg.fblas is scipy.linalg._fblas,
+                  callable(_linalg.flapack.zgeqrf)]))
+"""
+    assert _fresh_python(script) == [True, True, True]
