@@ -29,8 +29,12 @@ B is the matrix sqrt(k*l) a_{kl}; K is the real symmetric doubling
     K = [[B1, B2], [B2, -B1]],   B = B1 + i B2,
 
 whose eigenvalues are +/- the singular values of B.  K is formed only on
-request: the Cholesky factor of I + K is taken from a buffer written
-straight from B.  No report, guard or log path runs a dense SVD.  The
+request.  ``_cholesky`` factors I + K in the interleaved order (x_1, y_1,
+x_2, y_2, ...), in which I + K_m is the leading block of I + K_2m, and
+writes its blocks from B only inside the envelope that the zeros of the
+Grunsky wedge leave: past table size 64 the factor extends the factor
+of half its size by its new columns, so an m ladder carries one factor
+from rung to rung.  No report, guard or log path runs a dense SVD.  The
 spectral report takes log det(I - B*B) from H = B^H B (one ``zherk``)
 and one complex Cholesky factor of I - H, and checks it against the
 real Cholesky factor of I + K through the determinant identity.  Its
@@ -61,8 +65,8 @@ from .errors import (
 )
 from .series import ExteriorMap, _phi_norm, _readonly
 
-_dgemv, _dnrm2, _zaxpy, _zgemv, _zherk = (
-    fblas.dgemv, fblas.dnrm2, fblas.zaxpy, fblas.zgemv, fblas.zherk)
+_dgemv, _dnrm2, _syrk, _trsm, _zaxpy, _zgemv, _zherk = (
+    fblas.dgemv, fblas.dnrm2, fblas.dsyrk, fblas.dtrsm, fblas.zaxpy, fblas.zgemv, fblas.zherk)
 _potrf, _stemr, _heevr, _zpotrf = flapack.dpotrf, flapack.dstemr, flapack.zheevr, flapack.zpotrf
 
 _DELTA_EPS = 0.1  # fixed exponent offset in the tail diagnostic
@@ -135,33 +139,155 @@ def _symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cholesky(B: np.ndarray) -> tuple:
+# table sizes factored by one dense potrf; above, the factor of size m
+# extends the factor of size m // 2 by its new columns
+_DENSE_MAX = 64
+
+
+def _lead_size(m: int) -> int:
+    """Table size of the leading factor that the factor of table size m
+    extends: m // 2 above ``_DENSE_MAX``, 0 (one dense potrf) at or below."""
+    return m // 2 if m > _DENSE_MAX else 0
+
+
+def _cholesky(B: np.ndarray, lead: tuple | None = None,
+              weights: np.ndarray | None = None) -> tuple:
     """Cholesky factor of I + K as ``(c, lower)``, the form ``potrs`` takes:
     the one factorization that gives both (I+K)^{-1} and log det(I+K),
     twice the sum of the logs of its diagonal.
 
-    I + K is written from B straight into one buffer, factored in place by
-    LAPACK ``potrf``; the upper triangle of c holds the factor, the lower
-    one I + K, of which ``potrf`` reads one triangle: B must be symmetric.
-    Raises ``NotPositiveDefinite`` when ``potrf`` meets a nonpositive pivot.
+    I + K is ordered (x_1, y_1, x_2, y_2, ...): row pair k is
+    ``B[k].view(float)`` and ``(-1j * B[k]).view(float)``, plus I.  So
+    I + K_m is the leading block of I + K_2m, and the factor of table
+    size m is the leading block of that of 2m.  c is Fortran-ordered,
+    the factor in its upper triangle.  B must be symmetric; only its
+    rows past the lead's are read, so B is all of B without a lead and
+    B[m // 2:] with one.  With weights (``_weights``), B holds those rows
+    of a table array instead, and the entries of the operator are formed
+    where they are used, with the bits of ``_operator``.
+
+    The factor is a function of the table sizes alone.  At or below
+    ``_DENSE_MAX`` it is one dense ``potrf``.  Above, it is the factor of
+    table size m // 2, the given lead or one computed here in the same
+    buffer (``_leading``), extended by its new columns (``_extend``): an
+    m ladder that passes each rung's factor to the next ends with the
+    bits of one call at its last size.  A block of new columns is solved
+    from its envelope on, the first earlier row that B couples to it,
+    read off the exact zeros of B (the Grunsky wedge of a polynomial
+    tail); one that B couples to no earlier row splits in halves
+    (``_factor``), so the ellipse's diagonal B is factored in 128 x 128
+    blocks.  Above the envelope c is 0; below the diagonal it is not
+    read and, outside the dense blocks, not set.  Raises
+    ``NotPositiveDefinite`` when ``potrf`` meets a nonpositive pivot.
     """
-    m = len(B)
-    A = np.empty((2 * m, 2 * m))
-    A[:m, :m] = B.real
-    A[:m, m:] = B.imag
-    A[m:, :m] = B.imag
-    np.negative(B.real, out=A[m:, m:])
-    A.reshape(-1)[::2 * m + 1] += 1.0
-    # I + K is symmetric, so A.T holds it too, in the Fortran order that
-    # potrf factors in place
-    c, info = _potrf(A.T, lower=0, clean=0, overwrite_a=1)
+    m = B.shape[1]
+    m0 = _lead_size(m)
+    if lead is None:
+        if len(B) != m:
+            raise ValueError("without a lead, B must be square")
+        if not m0:
+            return _potrf_checked(_block(B, weights, 0, 0, m)), False
+    elif not m0 or len(lead[0]) != 2 * m0 or len(B) != m - m0:
+        raise ValueError(f"the factor of table size {m} extends the one of size {m0}")
+    c = np.empty((2 * m, 2 * m), order="F")
+    if lead is None:
+        _leading(c, B, weights, m)
+    else:
+        c[:2 * m0, :2 * m0] = lead[0]
+        _extend(c, B, weights, m0, 0, m0, m)
+    return c, False
+
+
+def _leading(c: np.ndarray, B: np.ndarray, weights: np.ndarray | None, m: int) -> None:
+    """Factor into c the leading block of table size m of I + K from B,
+    by the steps, and so with the bits, of ``_cholesky`` at size m."""
+    m0 = _lead_size(m)
+    if not m0:
+        c[:2 * m, :2 * m] = _potrf_checked(_block(B, weights, 0, 0, m))
+        return
+    _leading(c, B, weights, m0)
+    _extend(c, B[m0:], weights, m0, 0, m0, m)
+
+
+def _operator_rows(B: np.ndarray, weights: np.ndarray | None, m0: int, lo: int, hi: int,
+                   s: int, e: int) -> np.ndarray:
+    """Rows lo..hi-1, columns s..e-1 of B, from the rows of B (or, with
+    weights, of the table array) from m0 on."""
+    b = B[lo - m0:hi - m0, s:e]
+    return b if weights is None else b * np.outer(weights[lo:hi], weights[s:e])
+
+
+def _block(B: np.ndarray, weights: np.ndarray | None, m0: int, lo: int, hi: int) -> np.ndarray:
+    """The diagonal block of I + K of row pairs lo..hi-1, Fortran-ordered."""
+    b = _operator_rows(B, weights, m0, lo, hi, lo, hi)
+    n = 2 * (hi - lo)
+    rows = np.empty((n, n))
+    rows[0::2] = b.view(float)
+    rows[1::2] = (-1j * b).view(float)
+    rows.reshape(-1)[::n + 1] += 1.0
+    return rows.T  # the block is symmetric: its rows are its columns
+
+
+def _factor(c: np.ndarray, B: np.ndarray, weights: np.ndarray | None, m0: int, lo: int,
+            hi: int) -> None:
+    """Factor into c the diagonal block of row pairs lo..hi-1, which no
+    earlier row is coupled to: one ``potrf`` at or below ``_DENSE_MAX``
+    pairs, else its first half, then the second extended over it."""
+    if hi - lo > _DENSE_MAX:
+        mid = lo + (hi - lo) // 2
+        _factor(c, B, weights, m0, lo, mid)
+        _extend(c, B, weights, m0, lo, mid, hi)
+        return
+    c[2 * lo:2 * hi, 2 * lo:2 * hi] = _potrf_checked(_block(B, weights, m0, lo, hi))
+
+
+def _extend(c: np.ndarray, B: np.ndarray, weights: np.ndarray | None, m0: int, lo: int,
+            mid: int, hi: int) -> None:
+    """Factor into c the columns of row pairs mid..hi-1, given the factor
+    of pairs lo..mid-1 in c, no coupling to rows before lo, and zeros in
+    those rows of the new columns.
+
+    The envelope s is the first pair before mid that B couples to the
+    new ones: the first nonzero column of each new row of B, the least
+    over the rows.  The panel of rows s..mid-1 is solved against the
+    factor by one ``trsm`` (from the right, on its transpose), the new
+    diagonal block takes its Schur complement by one ``syrk`` and is
+    factored by one ``potrf``.  With no coupling, the new block is
+    factored on its own (``_factor``).
+    """
+    hit = np.flatnonzero((B[mid - m0:hi - m0, lo:mid].view(float) != 0).any(axis=0))
+    if not hit.size:
+        c[2 * lo:2 * mid, 2 * mid:2 * hi] = 0.0
+        _factor(c, B, weights, m0, mid, hi)
+        return
+    s = lo + int(hit[0]) // 2
+    c[2 * lo:2 * s, 2 * mid:2 * hi] = 0.0
+    # zt.T, Fortran-ordered, is the panel's transpose: new rows by old columns
+    bt = _operator_rows(B, weights, m0, mid, hi, s, mid).T
+    zt = np.empty((2 * (mid - s), 2 * (hi - mid)))
+    z4 = zt.reshape(mid - s, 2, hi - mid, 2)
+    z4[:, 0, :, 0] = bt.real
+    z4[:, 0, :, 1] = bt.imag
+    z4[:, 1, :, 0] = bt.imag
+    np.negative(bt.real, out=z4[:, 1, :, 1])
+    q, r, e = 2 * s, 2 * mid, 2 * hi  # in rows
+    z = _trsm(1.0, c[q:r, q:r], zt.T, side=1, overwrite_b=1)
+    d = _syrk(-1.0, z, beta=1.0, c=_block(B, weights, m0, mid, hi), overwrite_c=1)
+    c[q:r, r:e] = z.T
+    c[r:e, r:e] = _potrf_checked(d)
+
+
+def _potrf_checked(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of a by ``potrf``, in place where a is
+    Fortran-contiguous; ``NotPositiveDefinite`` on a nonpositive pivot."""
+    u, info = _potrf(a, lower=0, clean=0, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefinite(
             "I + K is not positive definite; the Grunsky norm reaches 1"
         )
     if info < 0:
         raise ValueError(f"potrf: illegal value in argument {-info}")
-    return c, False
+    return u
 
 
 @dataclass(frozen=True)
@@ -358,10 +484,15 @@ def grunsky_coefficients_sampled(
     return GrunskyTable(size, table, defect / scale)
 
 
+def _weights(m: int) -> np.ndarray:
+    """sqrt(k), k = 1..m: B = a * np.outer(w, w)."""
+    return np.sqrt(np.arange(1, m + 1, dtype=float))
+
+
 def _operator(a: np.ndarray) -> np.ndarray:
     """B = sqrt(k l) a_{kl} of a table array, write-protected: symmetric
     bit for bit when a is, as the weights are."""
-    k = np.sqrt(np.arange(1, len(a) + 1, dtype=float))
+    k = _weights(len(a))
     B = a * np.outer(k, k)
     B.setflags(write=False)
     return B

@@ -8,7 +8,8 @@ is never exponentiated.  The total for log D_n[e^g] is
 with the bilinear (transpose) form used throughout, so complex symbols
 are solved separately for their real and imaginary parts against the
 real symmetric positive definite matrix I + K.  One Cholesky factor of
-I + K per table size gives both m-dependent terms.
+I + K per m ladder gives both m-dependent terms: each rung extends the
+factor of the rung before by its new columns (``grunsky._cholesky``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,16 @@ import numpy as np
 
 from ._linalg import flapack
 from .errors import NonzeroMean
-from .grunsky import GrunskyTable, _cholesky, _doubling_tables, _kappa, _operator, delta_m_tail
+from .grunsky import (
+    GrunskyTable,
+    _cholesky,
+    _doubling_tables,
+    _kappa,
+    _lead_size,
+    _operator,
+    _weights,
+    delta_m_tail,
+)
 from .series import ExteriorMap
 from .symbol import FourierSymbol, d_vector, g_vector, zero_symbol
 
@@ -82,13 +92,16 @@ class PredictionBreakdown:
 
 def _solve_form(cho: tuple, v: np.ndarray) -> complex:
     """v^t (I+K)^{-1} v from the Cholesky factor of I + K: Re v and Im v
-    are solved for together, by one ``potrs`` on two columns."""
+    are solved for together, by one ``potrs`` on two columns.  v is in
+    the block order of ``g_vector``, read in the factor's interleaved
+    order (x_1, y_1, x_2, y_2, ...)."""
     c, lower = cho
     if len(v) != len(c):
         raise ValueError(f"vector of length {len(v)} against a {len(c)} x {len(c)} factor")
     if not len(v):
         return 0j
-    rhs = np.array([v.real, v.imag])
+    w = v.reshape(2, -1).T  # rows (x_k, y_k)
+    rhs = np.array([w.real, w.imag]).reshape(2, -1)
     x, info = flapack.dpotrs(c, rhs.T, lower=lower)
     if info < 0:
         raise ValueError(f"potrs: illegal value in argument {-info}")
@@ -97,13 +110,18 @@ def _solve_form(cho: tuple, v: np.ndarray) -> complex:
     return complex(float(vr @ xr - vi @ xi), float(vr @ xi + vi @ xr))
 
 
-def _rung(a: np.ndarray, sym: FourierSymbol):
-    """(a, B, cho, quad, half) of a table array, with half = -0.5 log det(I+K)
-    read off the diagonal of the Cholesky factor."""
-    B = _operator(a)
-    cho = _cholesky(B)
+def _rung(a: np.ndarray, sym: FourierSymbol, lead: tuple | None = None):
+    """(a, cho, quad, half) of a table array, with half = -0.5 log det(I+K)
+    read off the diagonal of the Cholesky factor.
+
+    B is not formed: ``_cholesky`` forms its entries inside the envelope
+    of the factor.  With lead, the rung before, the factor extends the
+    lead's where ``_cholesky`` would (above table size 64).
+    """
+    m0 = _lead_size(len(a)) if lead is not None else 0
+    cho = _cholesky(a[m0:], lead[1] if m0 else None, _weights(len(a)))
     quad = _solve_form(cho, g_vector(sym, len(a)).entries)
-    return a, B, cho, quad, -float(np.sum(np.log(np.diag(cho[0])))) + 0.0
+    return a, cho, quad, -float(np.sum(np.log(np.diag(cho[0])))) + 0.0
 
 
 def _clearance(n: int) -> float:
@@ -117,8 +135,14 @@ def _clearance(n: int) -> float:
     Numerical Algorithms, Thm 10.3, any order of the inner products, so
     also LAPACK's blocked potrf).  Cauchy-Schwarz on the columns of R
     gives ||E||_2 <= ||E||_F <= gamma_{n+1} trace(R^t R) <= eps, as
-    trace(I + K) = n.  By Weyl each eigenvalue moves up by at most eps,
-    so the computed det is at most (2 + eps)(1e-10 + eps)(1 + eps)**(n-2).
+    trace(I + K) = n.  That holds for the factor ``grunsky._cholesky``
+    extends rung to rung as well: a panel by ``trsm``, a new block by
+    ``syrk`` and ``potrf``, the exact zeros above the envelope left out,
+    is one more order of the same inner products, and the interleaved
+    order of I + K is a symmetric permutation of the block order, which
+    changes neither the bound nor the spectrum.  By Weyl each eigenvalue
+    moves up by at most eps, so the computed det is at most
+    (2 + eps)(1e-10 + eps)(1 + eps)**(n-2).
     The logs of the pivots, each at most 745 in size, and their sum add at
     most 745 eps.  The bound is 11.17 for small n and 10.78 at n = 1024.
     """
@@ -133,8 +157,13 @@ def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
     where quad and half both move by less than 1e-9.
 
     The tables come from ``_doubling_tables``: each rung computes only its
-    new rows.  A rung is the array of ``_grow`` and its B, symmetric by
-    construction: no rung pays the check of ``GrunskyTable`` or ``OperatorPair``.
+    new rows.  Each rung's Cholesky factor of I + K extends the one of
+    the rung before from table size 128 on (``_rung``), so the ladder
+    computes one factor, each row once, and ends with the bits of a
+    fixed m at its last size.  A rung is the array of ``_grow``,
+    symmetric by construction: no rung pays the check of ``GrunskyTable``
+    or ``OperatorPair``, and B is formed only for the guard and the log
+    line below.
 
     Only the accepted rung is checked for a singular value of B at 1: B_m
     is the leading block of B_2m, so the largest one cannot fall as m grows.
@@ -148,19 +177,20 @@ def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
     """
     size = 8 if m is None else m
     tables = _doubling_tables(mp.tail, size)
-    a, B, cho, quad, half = _rung(next(tables), sym)
+    rung = _rung(next(tables), sym)
     gaps = (float("nan"), float("nan"))
     settled = False
     while m is None and not settled and size < M_AUTO_CAP:
         size *= 2
-        a, B, cho, quad2, half2 = _rung(next(tables), sym)
-        gaps = (abs(quad2 - quad), abs(half2 - half))
+        prev, rung = rung, _rung(next(tables), sym, rung)
+        gaps = (abs(rung[2] - prev[2]), abs(rung[3] - prev[3]))
         settled = all(gap < M_AUTO_TOL for gap in gaps)
-        quad, half = quad2, half2
+    a, cho, quad, half = rung
     cleared = half < _clearance(2 * size)
     level = logging.INFO if settled else logging.WARNING
     logged = m is None and log.isEnabledFor(level)
     if not cleared or logged:
+        B = _operator(a)
         kappa = _kappa(B)
         if logged:
             log.log(
@@ -170,7 +200,7 @@ def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
                 size, "" if settled else " (cap reached, gaps not below 1e-9)",
                 *gaps, kappa, delta_m_tail(B),
             )
-    return a, B, cho, quad, half
+    return rung
 
 
 def suggest_truncation(mp: ExteriorMap) -> int:
@@ -191,7 +221,7 @@ def predict_range(
         raise ValueError("n must be >= 1")
     if n_hi < n_lo:
         raise ValueError(f"empty range {n_lo}..{n_hi}")
-    a, _, _, quad, half = _ladder(mp, sym, m)
+    a, _, quad, half = _ladder(mp, sym, m)
     log_cap = float(np.log(mp.cap))
     out = []
     for n in range(n_lo, n_hi + 1):
@@ -264,7 +294,7 @@ def predict_beta_log(
         raise ValueError(f"beta must be finite and > 0, got {beta}")
     if abs(complex(sym.a0)) > _MEAN_TOL:
         raise NonzeroMean(f"conjecture requires a0 = 0, got {sym.a0!r}")
-    a, _, cho, _, half = _ladder(mp, sym, m)
+    a, cho, _, half = _ladder(mp, sym, m)
     g = g_vector(sym, len(a)).entries
     d = d_vector(GrunskyTable(len(a), a), len(a)).entries
     return half + (2.0 / beta) * _solve_form(cho, (beta / 2.0 - 1.0) * d + g)

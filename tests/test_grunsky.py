@@ -764,11 +764,41 @@ def test_two_column_form_matches_two_solves(request, curve):
     for m in (8, 16, 32, 64, 128, 256, 512):
         cho = _cholesky(operators(grunsky_coefficients(mp, m)).B)
         v = rng.standard_normal(2 * m) + 1j * rng.standard_normal(2 * m)
-        vr, vi = v.real.copy(), v.imag.copy()
+        # the factor's order interleaves the two blocks of v
+        vr, vi = v.real.reshape(2, m).T.ravel(), v.imag.reshape(2, m).T.ravel()
         xr = scipy.linalg.cho_solve(cho, vr, check_finite=False)
         xi = scipy.linalg.cho_solve(cho, vi, check_finite=False)
         ref = complex(vr @ xr - vi @ xi, vr @ xi + vi @ xr)
         assert abs(_solve_form(cho, v) - ref) <= 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("m", [40, 130, 300])
+def test_cholesky_of_a_dense_operator(m):
+    # a symmetric B with no zeros: every new block is coupled to row 0, so
+    # the factor past table size 64 extends its lead by full panels
+    from szegodet.grunsky import _cholesky, _k_matrix
+
+    rng = np.random.default_rng(m)
+    B = random_symmetric_contraction(rng, m)
+    assert np.all(B != 0)
+    c, lower = _cholesky(B)
+    assert not lower
+    lam = np.linalg.eigvalsh(np.eye(2 * m) + _k_matrix(B))
+    x = float(np.sum(np.log(lam)))
+    assert abs(2.0 * np.sum(np.log(np.diag(c))) - x) <= 1e-12 * abs(x)
+    # U^t U is I + K in the interleaved order (x_1, y_1, x_2, y_2, ...)
+    U = np.triu(c)
+    order = np.arange(2 * m).reshape(2, m).T.ravel()
+    IK = (np.eye(2 * m) + _k_matrix(B))[np.ix_(order, order)]
+    assert np.max(np.abs(U.T @ U - IK)) <= 1e-14 * m
+
+
+def test_cholesky_lead_must_be_half_the_size(wobbly):
+    from szegodet.grunsky import _cholesky
+
+    B = operators(grunsky_coefficients(wobbly, 256)).B
+    with pytest.raises(ValueError):
+        _cholesky(B[100:], _cholesky(B[:100, :100]))
 
 
 def test_suggest_truncation(qcurve, circle):

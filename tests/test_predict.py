@@ -31,6 +31,24 @@ from test_direct import _near_unit_curve
 from test_grunsky import rotated, rotated_symbol
 
 
+LADDER_CURVES = ["circle", "qcurve", "wobbly", "slow", "pairing", "q093"]
+
+
+def _ladder_curve(request, curve):
+    return make_map(1.0, 0.0, [0.93]) if curve == "q093" else request.getfixturevalue(curve)
+
+
+def _bits(b):
+    """The fields of a breakdown with their floats as hex, so that equal
+    means equal bit for bit (signed zeros included)."""
+    def hexed(z):
+        z = complex(z)
+        return z.real.hex(), z.imag.hex()
+
+    return (b.n, b.m_used, hexed(b.term_cap), hexed(b.term_2pi), hexed(b.term_a0),
+            hexed(b.term_quadform), hexed(b.term_halflogdet), hexed(b.total_log))
+
+
 class TestQuadraticForm:
     # v^t (I+K)^{-1} v from the shared Cholesky factor of I + K
     def test_identity_solve(self, circle):
@@ -139,6 +157,72 @@ class TestLadder:
     def test_suggest_truncation_is_the_zero_symbol_ladder(self, request, curve, m):
         mp = request.getfixturevalue(curve)
         assert suggest_truncation(mp) == predict_log_Zn(mp, 1).m_used == m
+
+    @pytest.mark.parametrize("curve", LADDER_CURVES)
+    def test_fixed_m_gives_the_ladder_bits(self, request, curve):
+        # the factor is a function of the table sizes: --m M and an auto
+        # ladder that ends at M give the same breakdown, bit for bit
+        mp = _ladder_curve(request, curve)
+        sym = symbol_from_coefficients(0.0, [1.0, 0.3j, -0.2], [0.2, 0.1])
+        b = predict_log_Dn(mp, sym, 12)
+        assert _bits(predict_log_Dn(mp, sym, 12, b.m_used)) == _bits(b)
+        # and the factors themselves, whose last bits the sums can hide
+        ladder = predict_module._ladder(mp, sym, None)[1][0]
+        fixed = predict_module._ladder(mp, sym, b.m_used)[1][0]
+        assert np.triu(ladder).tobytes() == np.triu(fixed).tobytes()
+
+    @pytest.mark.parametrize("curve", LADDER_CURVES)
+    def test_report_log_det_is_minus_twice_the_ladder_half(self, request, curve):
+        mp = _ladder_curve(request, curve)
+        b = predict_log_Zn(mp, 1)
+        rep = spectral_report(operators(grunsky_coefficients(mp, b.m_used)))
+        assert rep.log_det_IplusK == -2.0 * b.term_halflogdet
+
+    @pytest.mark.parametrize("curve, potrf_rows, extended", [
+        # each rung past table size 64 factors its new rows once: one trsm,
+        # one syrk and one potrf of the new block on a curve of degree 3 ...
+        ("slow", [16, 32, 64, 128, 128, 256], 2),
+        # ... and 128 x 128 blocks with no trsm or syrk on the ellipse
+        ("q093", [16, 32, 64, 128] + [128] * 7, 0),
+    ])
+    def test_each_row_factored_once_along_the_ladder(self, request, monkeypatch, a1_sym,
+                                                     curve, potrf_rows, extended):
+        from szegodet import grunsky
+
+        calls = {"potrf": [], "trsm": 0, "syrk": 0}
+        potrf, trsm, syrk = grunsky._potrf, grunsky._trsm, grunsky._syrk
+
+        def spy_potrf(a, **kw):
+            calls["potrf"].append(len(a))
+            return potrf(a, **kw)
+
+        def spy_trsm(*args, **kw):
+            calls["trsm"] += 1
+            return trsm(*args, **kw)
+
+        def spy_syrk(*args, **kw):
+            calls["syrk"] += 1
+            return syrk(*args, **kw)
+
+        monkeypatch.setattr(grunsky, "_potrf", spy_potrf)
+        monkeypatch.setattr(grunsky, "_trsm", spy_trsm)
+        monkeypatch.setattr(grunsky, "_syrk", spy_syrk)
+        mp = _ladder_curve(request, curve)
+        m = predict_log_Dn(mp, a1_sym, 10).m_used
+        assert calls["potrf"] == potrf_rows
+        # the dense rungs end at 64 (128 rows); from there on, once each row
+        assert sum(potrf_rows[4:]) == 2 * m - 128
+        assert calls["trsm"] == calls["syrk"] == extended
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.93, 0.97])
+    def test_ellipse_family_m512(self, a1_sym, q):
+        # B is diagonal, B_kk = q**k: the d = 1 path, at the size of the
+        # benchmark's ellipse jobs; g o phi = cos theta puts 1/2 on x_1
+        b = predict_log_Dn(make_map(1.0, 0.0, [q]), a1_sym, 30, 512)
+        quad = 1.0 / (4.0 * (1.0 + q))
+        half = -0.5 * float(np.sum(np.log1p(-(q ** (2.0 * np.arange(1, 513))))))
+        assert abs(b.term_quadform - quad) <= 1e-12 * quad
+        assert abs(b.term_halflogdet - half) <= 1e-12 * half
 
     @pytest.mark.parametrize("curve, m", [("wobbly", 64), ("slow", 256)])
     def test_halflogdet_matches_spectral_report(self, request, curve, m):
