@@ -16,7 +16,7 @@ and ``scipy.linalg._fblas`` raise AttributeError.  Where no such file
 exists (a scipy laid out otherwise), the plain import serves: the same
 wrappers, at the start-up cost of ``scipy.linalg``.
 
-The routines are taken by their explicit type prefix (``flapack.zgeqrf``,
+The routines are taken by their explicit type prefix (``flapack.ztpqrt``,
 not ``get_lapack_funcs``): every call site knows its dtype.
 """
 

@@ -60,8 +60,14 @@ def _cpair(z) -> list:
 
 
 def _finite(v, where: str) -> float:
-    """float(v), refusing the NaN and Infinity that Python's json reads."""
-    x = float(v)
+    """A JSON number as a float: an int or a float, not a bool or a string,
+    and not the NaN and Infinity that Python's json reads."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"{where}: expected a number, got {json.dumps(v)}")
+    try:
+        x = float(v)
+    except OverflowError:  # an int literal past the float range
+        x = math.inf
     if not math.isfinite(x):
         raise ValueError(f"{where}: numbers must be finite, got {x}")
     return x

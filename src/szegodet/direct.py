@@ -66,42 +66,40 @@ factor, kept un-eliminated from grid to grid, extends as
     C_2N = Q'_top^t C_N conj(Q'_top) + Q'_bot^t diag(e^{i Im g_odd}) conj(Q'_bot),
 
 [Q'_top; Q'_bot] = Q'[I; 0] from tpmqrt: Q_2N itself is never formed.
-A ladder thus costs its first grid plus one extension per doubling, and
-each extension costs about as much as the grid it confirms.  Every
-ladder evaluates at least two grids (an automatic one to gate, an
-explicit N the N and 2N grids), and ``_faber_basis`` takes one Python
-step per degree whatever the number of nodes, so the first grid runs
-the recurrence once over its N nodes and the N odd nodes of the 2N
-grid; the second grid factors those rows without a pass of its own.
-The real/phase decision is made once per ladder, on its first grid.
+The first grid of a ladder takes the same step from the empty grid,
+R = 0 and C = 0, with all of its nodes as new rows: its R is the R of
+[0; A_N], and its C is the second term alone.  So every grid is one
+tpqrt per map (and one tpmqrt on the phase path), at about the cost of
+a QR of its new rows.  The real/phase decision is made once per ladder,
+on its first grid.
 
 Every direct determinant runs through one grid evaluator and one N
-ladder.  ``_grid_prefix`` evaluates one grid for a stack of maps, given
-as Laurent data (phi0, tail) with a leading axis, and for the values of
-g at the nodes of the grid: the nodes and weights of every map in one
-Horner pass, the Faber basis of every map in one run of ``_faber_basis``
-over a (map, node, degree) array, then per map one geqrf on a first grid
-or one tpqrt on the factors of the previous grid: the complex routines
-``zgeqrf`` (and ``zungqr``) or ``ztpqrt`` (and ``ztpmqrt``) of
-``_linalg.flapack``, a first grid's workspace queried once per grid.
-The stack is built in blocks of at most
-``_STACK_ENTRIES`` entries, so its memory does not grow with the number
-of maps; a first grid evaluates the next grid's rows with its own only
-when the whole stack fits one such block (or is one map), so the rows
-carried to the next grid stay within it too.  ``_refine`` starts at N =
-2 n_hi + 64 nodes, rounded up to a multiple of 8, and doubles N; each
-item on it keeps its own two-grid gate and leaves once its two latest
-grids agree, and only the items still on it are evaluated, each
-extending its own factors, on the next grid.  ``log_det_range`` is one
-map and one item, its whole n range (``log_det_Dn`` and
-``quotient_ratio`` are ranges); an explicit N evaluates the coarser of
-its two grids first and extends it.  ``finite_energy`` needs log D_n of
-the zero symbol on the level curves phi_r(z) = phi(r z)/r, with Laurent
-data phi0/r and t_k / r**(k+1) (``series._dilated_coeffs``, which
-``dilate_map`` uses too): one map and one item per r, so every r settles
-on the grid its own ``log_det_Dn`` call would.  Its r run in ladders of
-as many r as have n-by-n factors within ``_STACK_ENTRIES``, so the
-factors held from grid to grid do not grow with the number of r either.
+ladder.  ``_grid_prefix`` evaluates a run of grids N, 2N, ... for a stack
+of maps, given as Laurent data (phi0, tail) with a leading axis, and for
+the values of g at the nodes of each grid: the nodes and weights of
+every map in one Horner pass, the Faber basis of every map at the new
+nodes of the whole run in one pass of ``_faber_basis`` over a (map,
+node, degree) array, then per grid and map one ``ztpqrt`` (and
+``ztpmqrt``) of ``_linalg.flapack``.  ``_faber_basis`` takes one Python
+step per degree whatever the number of nodes, and every ladder evaluates
+at least two grids (an automatic one to gate, an explicit N the N and 2N
+grids), so a ladder's first run holds its first two grids and each later
+run the one grid of twice the last one's nodes.  The stack is built in
+blocks of at most ``_STACK_ENTRIES`` entries, so its memory does not
+grow with the number of maps.  ``_refine`` starts at N = 2 n_hi + 64
+nodes, rounded up to a multiple of 8, and N is doubled; each item on it
+keeps its own two-grid gate and leaves once its two latest grids agree,
+and only the items still on it are evaluated, each extending its own
+factors, on the next grid.  ``log_det_range`` is one map and one item,
+its whole n range (``log_det_Dn`` and ``quotient_ratio`` are ranges); an
+explicit N runs its N and 2N grids as one run (N // 2 and N once 2N
+passes N_CAP).  ``finite_energy`` needs log D_n of the zero symbol on the
+level curves phi_r(z) = phi(r z)/r, with Laurent data phi0/r and t_k /
+r**(k+1) (``series._dilated_coeffs``, which ``dilate_map`` uses too):
+one map and one item per r, so every r settles on the grid its own
+``log_det_Dn`` call would.  Its r run in ladders of as many r as have
+n-by-n factors within ``_STACK_ENTRIES``, so the factors held from grid
+to grid do not grow with the number of r either.
 
 Up to degree n_hi the Gram entries are trigonometric polynomials of
 degree about 2 n_hi times an analytic weight whose Fourier tail decays
@@ -121,7 +119,6 @@ analytically at the end.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,16 +232,6 @@ def _faber_basis(phi0, tail, zeta: np.ndarray, n: int) -> np.ndarray:
     return F
 
 
-def _lapack(fn, A: np.ndarray, *args):
-    """The LAPACK routine ``fn`` for arrays shaped like A, with its optimal workspace.
-
-    The workspace is queried once, here; the returned callable runs ``fn``
-    in place on A or on any array of the same shape and dtype.
-    """
-    lwork = int(fn(A, *args, lwork=-1, overwrite_a=True)[-2][0].real)
-    return functools.partial(fn, lwork=lwork, overwrite_a=True)
-
-
 def _diag_prefix(diag: np.ndarray) -> np.ndarray:
     """2 sum_{i<j} log |R_ii| for j = 1..n, from the diagonal of each R.
 
@@ -289,115 +276,105 @@ def _phase_prefix(C: np.ndarray) -> np.ndarray:
     return np.cumsum(np.log(np.diagonal(A)))
 
 
-def _grid_prefix(phi0, tail, g: np.ndarray, n: int, prev=None, *, doubles: bool = True):
-    """log D_j[e^g], j = 1..n, on the N-node grid of each of k maps, the
-    method, and the factors that extend to the next grid of the ladder.
+def _grid_prefix(phi0, tail, gs, n: int, prev=None):
+    """log D_j[e^g], j = 1..n, on each grid of a run N, 2N, 4N, ... for
+    each of k maps, the method, and the factors of the run's last grid.
 
     phi0 (k,) and tail (k, d) are cap-normalized, as ``_phi_at`` takes
-    them; g holds the symbol at the N = len(g) nodes.  With prev None this
-    is the first grid of a ladder: the basis at every node, one geqrf per
-    map, and the phase path when Im g fails the ``_REAL_TOL`` test.
-    Otherwise prev is what this function returned for the same maps on
-    the N/2-node grid (the even nodes of this one): the basis at the N/2
-    odd nodes only, one tpqrt per map on the previous R, and the path of
-    prev.  The rows of each basis are scaled by sqrt(|phi'| e^{Re g}), and
-    the diagonal of each R by sqrt(2pi/N), the trapezoidal weight.
+    them; gs holds the symbol at the nodes of each grid of the run, each
+    grid twice the one before.  prev is the factors this function returned
+    for the same maps on the grid before the run (the even nodes of its
+    first grid), or None: the run then starts a ladder, its first grid
+    extends the empty grid (R = 0, C = 0) with all its nodes as new rows,
+    and the phase path is taken when Im g there fails the ``_REAL_TOL``
+    test.  Every other grid's new rows are its odd nodes.  Each grid is
+    one step: its new rows are scaled by sqrt(|phi'| e^{Re g}) and
+    factored onto the running R of each map (``_extend``), and the
+    diagonal of each R is scaled by sqrt(2pi/N), the trapezoidal weight.
 
-    A first grid also evaluates the basis at the N odd nodes of the
-    2N-node grid, in the same ``_faber_basis`` run, when 2N is within
-    N_CAP, the 2N rows of every map fit one block of the stack, and
-    ``doubles`` is true (false when no 2N-node grid follows this one).  Each
-    map's array is then 2N-by-n, this grid's rows first, so the
-    recurrence runs once over both grids with one matrix-vector product
-    per map and degree.  The scaling that every basis gets writes each
-    half into Fortran-ordered blocks of its own, which geqrf and tpqrt
-    factor in place: no pass is added to split the halves.  The rows
-    have the bits of a pass over their own grid's nodes when N is a
-    multiple of 4, as on every automatic ladder; otherwise the last rows
-    of a block of the BLAS matrix-vector kernel can round differently
-    in the last bits.
+    One ``_faber_basis`` pass per block of maps runs over the new nodes of
+    the whole run, the grids in order.  A grid's rows have the bits of a
+    pass over its own new nodes when N is a multiple of 4, as on every
+    automatic ladder; otherwise the last rows of a block of the BLAS
+    matrix-vector kernel can round differently in the last bits.
 
-    The factors are (R, C, ahead): the k stacked n-by-n triangular
-    factors; on the phase path the un-eliminated phase factors, else
-    None; and the basis and |phi'| at the next grid's new nodes, unscaled
-    (g there is not known yet), or None.  The next grid reads ahead in
-    place of evaluating its basis, and may overwrite it; R and C of prev
-    are left unchanged.  The k-by-n result is complex; a row is NaN where
-    the nodes do not support degree n.
+    Returns one k-by-n complex array per grid, a row NaN where the nodes
+    do not support degree n; the method; and the factors (R, C) of the
+    last grid: the k stacked n-by-n triangular factors, and on the phase
+    path the un-eliminated phase factors, else None.  prev is left
+    unchanged.
     """
-    N = len(g)
     k = len(phi0)
-    carried = ahead = None
-    # a first grid whose stack fits one block of 2N rows runs the next grid's too
-    both = (doubles and prev is None and 2 * N <= N_CAP
-            and k <= max(1, _STACK_ENTRIES // (2 * N * n)))
+    R = np.zeros((k, n, n), dtype=complex).swapaxes(-1, -2)  # each R[i] Fortran-ordered
     if prev is None:
-        new = g
+        g = gs[0]
         phase = float(np.max(np.abs(g.imag))) > _REAL_TOL * max(1.0, float(np.max(np.abs(g))))
-        z = np.concatenate([_unit_points(N), _odd_points(2 * N)]) if both else _unit_points(N)
+        C = np.empty((k, n, n), dtype=complex) if phase else None
     else:
-        new = g[1::2]
-        R_prev, C_prev, carried = prev
-        phase = C_prev is not None
-        z = _odd_points(N) if carried is None else None
-    weight = np.exp(new.real)
-    unit = np.exp(1j * new.imag) if phase else None
-    R = np.empty((k, n, n), dtype=complex).swapaxes(-1, -2)  # each R[i] Fortran-ordered
-    C = np.empty((k, n, n), dtype=complex) if phase else None
+        R[:] = prev[0]
+        C = None if prev[1] is None else prev[1].copy()
+        phase = C is not None
+    # each grid's new rows: every node of a grid that extends the empty
+    # grid, the odd nodes of any other; z holds those of the whole run
+    from_empty = [prev is None and not i for i in range(len(gs))]
+    z = np.concatenate([_unit_points(len(g)) if e else _odd_points(len(g))
+                        for e, g in zip(from_empty, gs)])
+    new = [g if e else g[1::2] for e, g in zip(from_empty, gs)]  # the symbol there
+    logdets = [np.empty((k, n), dtype=complex) for _ in gs]
 
-    per = k if carried is not None else max(1, _STACK_ENTRIES // (len(z) * n))
+    per = max(1, _STACK_ENTRIES // (len(z) * n))
     for lo in range(0, k, per):
-        if carried is None:  # the basis and |phi'| at this grid's new nodes
-            p0, t = phi0[lo : lo + per], tail[lo : lo + per]
-            F = _faber_basis(p0, t, _phi_at(p0, t, z, 0), n)
-            dphi = np.abs(_phi_at(p0, t, z, 1))
-            if both:  # one block: the rows past N wait for the next grid
-                ahead = F[:, N:], dphi[:, N:]
-                F, dphi = F[:, :N], dphi[:, :N]
-        else:  # run ahead by the previous grid
-            F, dphi = carried
-        # the rows scaled into Fortran-ordered (node, degree) blocks, which
-        # LAPACK reads in place: F itself where its blocks already are
-        A = F
-        if not F[0].flags.f_contiguous:
-            A = np.empty((len(F), n, F.shape[1]), dtype=complex).swapaxes(-1, -2)
-        np.multiply(F, np.sqrt(dphi * weight)[..., None], out=A)
-        if not lo:  # every block of the grid has this shape
-            if prev is None:
-                geqrf = _lapack(flapack.zgeqrf, A[0])
-                if phase:
-                    ungqr = _lapack(flapack.zungqr, A[0], np.empty(n, dtype=complex))
-            else:
-                tpqrt, tpmqrt = flapack.ztpqrt, flapack.ztpmqrt
-                nb = min(n, _TP_BLOCK)
-        for i, a in enumerate(A, lo):
-            if prev is None:
-                qr, tau = geqrf(a)[:2]  # in place in A
-                R[i] = qr[:n]  # R is the upper triangle; no routine reads the rest
-                if phase:
-                    Q = ungqr(qr, tau)[0]
-                    C[i] = (Q.T * unit) @ Q.conj()
-            else:
-                R[i] = R_prev[i]
-                # the R of [R_prev; a] (in place in R[i]), the reflectors V
-                # (in place in a) and T, their block factors
-                R[i], V, T = tpqrt(0, nb, R[i], a, overwrite_a=True, overwrite_b=True)[:3]
-                if phase:
-                    # [top; bot] = Q'[I; 0], the first n columns of the Q' of [R_prev; a]
-                    top, bot = tpmqrt(0, V, T, np.eye(n, dtype=complex, order="F"),
-                                      np.zeros_like(V, order="F"),
-                                      overwrite_a=True, overwrite_b=True)[:2]
-                    C[i] = top.T @ C_prev[i] @ top.conj() + (bot.T * unit) @ bot.conj()
-        del A, F, dphi  # one block alive at a time, and the rows kept ahead
-    # sqrt(2pi/N) goes onto each |R_jj| before its log: added afterwards as
-    # j log(2pi/N), it would cancel most of the sum (R_jj grows like sqrt(N))
-    diag = np.diagonal(R, axis1=-2, axis2=-1) * np.sqrt(2.0 * np.pi / N)
-    logdets = _diag_prefix(diag).astype(complex)
-    if phase:
-        for row, c in zip(logdets, C):
-            if not np.isnan(row[0]):
-                row += _phase_prefix(c)
-    return logdets, "qr_phase" if phase else "qr_positive", (R, C, ahead)
+        maps = slice(lo, lo + per)
+        p0, t = phi0[maps], tail[maps]
+        F = _faber_basis(p0, t, _phi_at(p0, t, z, 0), n)
+        dphi = np.abs(_phi_at(p0, t, z, 1))
+        end = 0
+        for i, (e, g, x) in enumerate(zip(from_empty, gs, new)):
+            rows = slice(end, end + len(x))
+            end += len(x)
+            _extend(R[maps], None if C is None else C[maps], F[:, rows],
+                    np.sqrt(dphi[:, rows] * np.exp(x.real)),
+                    np.exp(1j * x.imag) if phase else None, e)
+            # sqrt(2pi/N) goes onto each |R_jj| before its log: added afterwards
+            # as j log(2pi/N), it would cancel most of the sum (R_jj grows like sqrt(N))
+            diag = np.diagonal(R[maps], axis1=-2, axis2=-1) * np.sqrt(2.0 * np.pi / len(g))
+            out = logdets[i][maps]
+            out[:] = _diag_prefix(diag)
+            if phase:
+                for row, c in zip(out, C[maps]):
+                    if not np.isnan(row[0]):
+                        row += _phase_prefix(c)
+        del F, dphi  # one block's basis alive at a time
+    return logdets, "qr_phase" if phase else "qr_positive", (R, C)
+
+
+def _extend(R, C, F, scale, unit, from_empty: bool):
+    """Factor the rows F[i] * scale[i] onto R[i] for each map i, in place.
+
+    R[i] becomes the R of [R[i]; rows], one tpqrt.  On the phase path
+    (unit, e^{i Im g} at the rows' nodes, not None) C[i] becomes
+    top^t C[i] conj(top) + bot^t diag(unit) conj(bot) with [top; bot] =
+    Q'[I; 0] from one tpmqrt, Q' the Q of [R[i]; rows]; or the second
+    term alone when ``from_empty``, the grid before being the empty one.
+    """
+    n = R.shape[-1]
+    nb = min(n, _TP_BLOCK)
+    # the rows scaled into Fortran-ordered (node, degree) blocks, which
+    # LAPACK reads in place: F itself where its blocks already are
+    A = F
+    if not F[0].flags.f_contiguous:
+        A = np.empty((len(F), n, F.shape[1]), dtype=complex).swapaxes(-1, -2)
+    np.multiply(F, scale[..., None], out=A)
+    for i, a in enumerate(A):
+        # the R of [R[i]; a] (in place in R[i]), the reflectors V (in place
+        # in a) and T, their block factors
+        R[i], V, T = flapack.ztpqrt(0, nb, R[i], a, overwrite_a=True, overwrite_b=True)[:3]
+        if unit is not None:
+            top, bot = flapack.ztpmqrt(0, V, T, np.eye(n, dtype=complex, order="F"),
+                                       np.zeros_like(V, order="F"),
+                                       overwrite_a=True, overwrite_b=True)[:2]
+            part = (bot.T * unit) @ bot.conj()
+            C[i] = part if from_empty else top.T @ C[i] @ top.conj() + part
 
 
 def _odd_points(N: int) -> np.ndarray:
@@ -413,38 +390,45 @@ def _start_N(n: int) -> int:
 def _refine(evaluate, count: int, start: int):
     """The automatic N ladder for ``count`` items, each gated on its own.
 
-    ``evaluate(idx, N)`` gives the rows of the items idx on the N-node
-    grid and the method.  An item settles when every entry of its row
-    agrees to REFINE_TOL on its two latest grids.  A NaN row ends its item
-    with ZeroDeterminant, N past N_CAP with NotConverged; the error raised
-    is that of the first failing item, once every item before it has
-    settled.  Returns the settled rows and the N and method of the last grid.
+    ``evaluate(idx, sizes)`` gives the rows of the items idx on each grid
+    of the run ``sizes``, in order, and the method.  The first run is the
+    ladder's first two grids, start and 2 start; each later run is the one
+    grid of twice the last one's nodes.  An item settles when every entry
+    of its row agrees to REFINE_TOL on its two latest grids.  A NaN row
+    ends its item with ZeroDeterminant, N past N_CAP with NotConverged;
+    the error raised is that of the first failing item, once every item
+    before it has settled, and no later grid of its run is read.  Returns
+    the settled rows and the N and method of the last grid.
     """
     errors: dict[int, Exception] = {}  # index of an item -> the error ending its ladder
     live = np.arange(count)  # items still on the ladder
     prev = np.nan
-    size = start
+    sizes = (start, 2 * start)
     while True:
-        cur, method = evaluate(live, size)
-        if size == start:
-            rows = np.empty((count, cur.shape[1]), dtype=complex)
-        done = np.abs(cur - prev).max(axis=1) <= REFINE_TOL
-        rows[live[done]] = cur[done]
-        lost = np.isnan(cur[:, 0])  # a failed grid leaves the whole row NaN
-        if lost.any():
-            errors.update(dict.fromkeys(live[lost].tolist(), ZeroDeterminant(_NO_SUPPORT)))
-        keep = ~(done | lost)
-        live, prev = live[keep], cur[keep]
-        if len(live) and size > start and 2 * size > N_CAP:
-            capped = NotConverged(f"no convergence up to N = {N_CAP}")
-            errors.update(dict.fromkeys(live.tolist(), capped))
-            live = live[:0]
-        first = min(errors, default=count)
-        if first < (live[0] if len(live) else count):
-            raise errors[first]
-        if not len(live):
-            return rows, size, method
-        size *= 2
+        run, method = evaluate(live, sizes)
+        held = live  # the items the run's rows belong to
+        for size, cur in zip(sizes, run):
+            if len(live) < len(held):
+                cur = cur[np.searchsorted(held, live)]
+            if size == start:
+                rows = np.empty((count, cur.shape[1]), dtype=complex)
+            done = np.abs(cur - prev).max(axis=1) <= REFINE_TOL
+            rows[live[done]] = cur[done]
+            lost = np.isnan(cur[:, 0])  # a failed grid leaves the whole row NaN
+            if lost.any():
+                errors.update(dict.fromkeys(live[lost].tolist(), ZeroDeterminant(_NO_SUPPORT)))
+            keep = ~(done | lost)
+            live, prev = live[keep], cur[keep]
+            if len(live) and size > start and 2 * size > N_CAP:
+                capped = NotConverged(f"no convergence up to N = {N_CAP}")
+                errors.update(dict.fromkeys(live.tolist(), capped))
+                live = live[:0]
+            first = min(errors, default=count)
+            if first < (live[0] if len(live) else count):
+                raise errors[first]
+            if not len(live):
+                return rows, size, method
+        sizes = (2 * size,)
 
 
 def log_det_range(
@@ -453,11 +437,13 @@ def log_det_range(
     """log D_n[e^g] for every n in n_lo..n_hi, all on one grid.
 
     With N omitted the node count starts at 2 n_hi + 64 (rounded up to a
-    multiple of 8) and doubles until two consecutive grids agree to 1e-8
+    multiple of 8) and is doubled until two consecutive grids agree to 1e-8
     on every n of the range (error NotConverged past 2**20 nodes).  An
     explicit N (at least 4 n_hi) is honored as stated and each row's N vs
     2N agreement (N vs N // 2 once 2N passes 2**20) only sets its
-    ``converged`` flag.
+    ``converged`` flag.  An explicit N's two grids are one
+    ``_grid_prefix`` run, the coarser first; an odd N past the cap holds
+    no N // 2 grid, so each of its grids is a run of its own.
     """
     if n_lo < 1:
         raise ValueError("n must be >= 1")
@@ -467,38 +453,33 @@ def log_det_range(
     cap_terms = ns * ns * float(np.log(mp.cap))
     stack = np.array([mp.phi0]), mp.tail[None]
 
-    factors = g_next = None  # of the latest grid, and the symbol on its double
-
-    def evaluate(_, size):  # the whole range is one item
-        nonlocal factors, g_next
-        if g_next is not None and len(g_next) == size:
-            g = g_next
-        elif factors is None and 2 * size <= N_CAP:  # a first grid: its double's too
-            g_next = theta_values(sym, 2.0 * np.pi * np.arange(2 * size) / (2 * size))
-            g = g_next[::2]
-        else:
-            g = theta_values(sym, 2.0 * np.pi * np.arange(size) / size)
-        logdets, method, factors = _grid_prefix(*stack, g, n_hi, factors)
-        return logdets[:, n_lo - 1 :], method
+    def run(sizes, prev=None):
+        """The range's rows on each grid of the run, the method and the factors."""
+        M = sizes[-1]
+        g = theta_values(sym, 2.0 * np.pi * np.arange(M) / M)  # the coarser grids' are in it
+        logdets, method, factors = _grid_prefix(*stack, [g[:: M // s] for s in sizes], n_hi, prev)
+        return (x[:, n_lo - 1 :] for x in logdets), method, factors
 
     if N is None:
+        factors = None  # of the latest grid
+
+        def evaluate(_, sizes):  # the whole range is one item
+            nonlocal factors
+            rows, method, factors = run(sizes, factors)
+            return rows, method
+
         vals, N, method = _refine(evaluate, 1, _start_N(n_hi))
         agree = np.ones(len(ns), dtype=bool)
     else:
         if N < 4 * n_hi:
             raise ValueError(f"N must be >= 4n = {4 * n_hi}")
-        # the coarser grid first, so that the finer one extends it; the
-        # check grid halves instead of doubling once N hits the cap
         if 2 * N <= N_CAP:
-            vals, method = evaluate(None, N)
-            vals2, _ = evaluate(None, 2 * N)
-        elif N % 2:  # an odd N holds no N // 2 grid: each is a ladder of its own
-            g = theta_values(sym, 2.0 * np.pi * np.arange(N // 2) / (N // 2))
-            vals2 = _grid_prefix(*stack, g, n_hi, doubles=False)[0][:, n_lo - 1 :]
-            vals, method = evaluate(None, N)
+            (vals, vals2), method, _ = run((N, 2 * N))
+        elif N % 2:
+            (vals2,), _, _ = run((N // 2,))
+            (vals,), method, _ = run((N,))
         else:
-            vals2, _ = evaluate(None, N // 2)
-            vals, method = evaluate(None, N)
+            (vals2, vals), method, _ = run((N // 2, N))
         if np.isnan(vals + vals2).any():  # either grid failed
             raise ZeroDeterminant(_NO_SUPPORT)
         agree = np.abs(vals2[0] - vals[0]) <= REFINE_TOL
@@ -514,7 +495,7 @@ def log_det_Dn(
     """log D_n[e^g] at finite n with a grid-refinement convergence check.
 
     The one-row case of ``log_det_range``: the node count starts at
-    2n + 64 (rounded up to a multiple of 8) and doubles until two
+    2n + 64 (rounded up to a multiple of 8) and is doubled until two
     consecutive grids agree to 1e-8;
     an explicit N >= 4n is honored and only sets ``converged``.
     """
@@ -573,17 +554,15 @@ def _energy_ladder(mp: ExteriorMap, r: np.ndarray, n: int) -> np.ndarray:
     ``_refine`` ladder, one item per r."""
     factors, held = None, None  # of the latest grid, and the items they belong to
 
-    def evaluate(live, size):
+    def evaluate(live, sizes):
         nonlocal factors, held
         if factors is not None and len(live) < len(held):  # the items that left drop theirs
-            R, _, ahead = factors  # g = 0: no C
-            keep = np.searchsorted(held, live)
-            factors = R[keep], None, ahead and tuple(x[keep] for x in ahead)
+            factors = factors[0][np.searchsorted(held, live)], None  # g = 0: no C
         logdets, method, factors = _grid_prefix(
-            *_dilated_coeffs(mp, r[live]), np.zeros(size), n, factors
+            *_dilated_coeffs(mp, r[live]), [np.zeros(N) for N in sizes], n, factors
         )
         held = live
-        return logdets[:, -1:], method
+        return (x[:, -1:] for x in logdets), method
 
     return _refine(evaluate, len(r), _start_N(n))[0]
 

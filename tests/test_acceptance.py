@@ -235,7 +235,7 @@ def test_criterion_10_invariance_suite(qcurve):
     w = np.abs(1 - 0.5 / z**2) * (2 * np.pi / N) * np.exp(np.cos(np.angle(z)))
     # the one-map evaluator on the same nodes, weighted by e^{g} = e^{cos theta}
     g = theta_values(sym, 2 * np.pi * np.arange(N) / N)
-    base = _grid_prefix(np.zeros(1), np.array([[0.5]]), g, n)[0][0, -1].real
+    base = _grid_prefix(np.zeros(1), np.array([[0.5]]), [g], n)[0][0][0, -1].real
     V = np.vander(pts, n, increasing=True)
     gap_basis = 0.0
     for _ in range(3):

@@ -493,6 +493,8 @@ class TestExitCodes:
         '{"cap": NaN, "phi0": [0, 0], "tail": [[0.5, 0]]}',
         '{"cap": 1.0, "phi0": [0, -Infinity], "tail": [[0.5, 0]]}',
         '{"cap": 1.0, "phi0": [0, 0], "tail": [[0.5, 0], [NaN, 0]]}',
+        pytest.param('{"cap": 1.0, "phi0": [0, 0], "tail": [[1%s, 0]]}' % ("0" * 400),
+                     id="int-past-the-float-range"),
     ])
     def test_non_finite_curve(self, capsys, tmp_path, text):
         p = tmp_path / "c.json"
@@ -518,6 +520,30 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--curve", '{"cap": true, "phi0": [0, 0], "tail": [[0.3, 0]]}'),
+        ("--curve", '{"cap": "1.0", "phi0": [0, 0], "tail": [[0.3, 0]]}'),
+        ("--curve", '{"cap": 1, "phi0": ["0.1", 0], "tail": [[0.3, 0]]}'),
+        ("--curve", '{"cap": 1, "phi0": [0, false], "tail": [[0.3, 0]]}'),
+        ("--curve", '{"cap": 1, "phi0": [0, 0], "tail": [["0.3", 0]]}'),
+        ("--curve", '{"cap": 1, "phi0": [0, 0], "tail": [[0.3, null]]}'),
+        ("--symbol", '{"a0": [true, 0]}'),
+        ("--symbol", '{"a0": [0, "0"]}'),
+        ("--symbol", '{"a": [["1", 0]]}'),
+        ("--symbol", '{"b": [[0, [0]]]}'),
+        ("--symbol", '{"theta_samples": [[0, 0], [0, 0], [false, 0], [0, 0]]}'),
+    ])
+    def test_numbers_must_be_json_numbers(self, capsys, curve_file, tmp_path, flag, text):
+        # a bool or a numeric string is not a number: a bad schema, exit 2
+        p = tmp_path / "doc.json"
+        p.write_text(text)
+        files = {"--curve": curve_file("q.json"), flag: str(p)}
+        code, out, err = run(capsys, "predict", *(a for kv in files.items() for a in kv),
+                             "--n", "5", "--m", "8")
+        assert code == 2
+        assert out == ""
+        assert "bad schema" in err and "expected a number" in err
 
     @pytest.mark.parametrize("flag, text", [
         ("--symbol", "5"),

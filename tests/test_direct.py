@@ -117,10 +117,11 @@ class TestLogDetDn:
         # an explicit N raises when either of its two grids fails
         grid_prefix = direct_mod._grid_prefix
 
-        def check_grid_fails(phi0, tail, g, n, prev=None):
-            logdets, method, factors = grid_prefix(phi0, tail, g, n, prev)
-            if len(g) == 128:
-                logdets[:] = np.nan
+        def check_grid_fails(phi0, tail, gs, n, prev=None):
+            logdets, method, factors = grid_prefix(phi0, tail, gs, n, prev)
+            for g, x in zip(gs, logdets):
+                if len(g) == 128:
+                    x[:] = np.nan
             return logdets, method, factors
 
         monkeypatch.setattr(direct_mod, "_grid_prefix", check_grid_fails)
@@ -359,9 +360,10 @@ class TestEnergyFamily:
 
     @staticmethod
     def _on_each_grid(monkeypatch, edit):
-        """Call edit(r, N, logdets) on each grid finite_energy evaluates:
-        r the radii of its stack of level curves, logdets the rows the
-        evaluator returns for them, which edit may change in place."""
+        """Call edit(r, N, logdets) on each grid finite_energy evaluates,
+        as its ladder reads the grid: r the radii of its stack of level
+        curves, logdets the rows the evaluator returns for them, which
+        edit may change in place."""
         import szegodet.direct as direct_mod
 
         radii = []
@@ -371,10 +373,11 @@ class TestEnergyFamily:
             radii.append(np.asarray(r))
             return dilated_coeffs(mp, r)
 
-        def grid(phi0, tail, g, n, prev=None):
-            logdets, method, factors = grid_prefix(phi0, tail, g, n, prev)
+        def grid(phi0, tail, gs, n, prev=None):
+            logdets, method, factors = grid_prefix(phi0, tail, gs, n, prev)
             if radii:  # a stack of level curves, not a log_det_Dn call
-                edit(radii.pop(), len(g), logdets)
+                r = radii.pop()
+                logdets = (edit(r, len(g), x) or x for g, x in zip(gs, logdets))
             return logdets, method, factors
 
         monkeypatch.setattr(direct_mod, "_dilated_coeffs", coeffs)
@@ -546,7 +549,7 @@ def _one_map_prefix(mp, sym, n, N):
     """log D_1..log D_n of e^g on the N-node grid of mp, cap left out:
     the evaluator run on a stack of one map."""
     g = theta_values(sym, 2 * np.pi * np.arange(N) / N)
-    return _grid_prefix(np.array([mp.phi0]), mp.tail[None], g, n)[0][0]
+    return _grid_prefix(np.array([mp.phi0]), mp.tail[None], [g], n)[0][0][0]
 
 
 def _grid(mp, sym, N):
@@ -710,10 +713,11 @@ class TestRange:
         while settled < 1000:
             settled *= 2
 
-        def lowest_row_settles_late(phi0, tail, g, n, prev=None):
-            logdets, method, factors = real(phi0, tail, g, n, prev)
-            if len(g) < 1000:
-                logdets[:, 3] += 1.0 / len(g)  # log D_4, the lowest row
+        def lowest_row_settles_late(phi0, tail, gs, n, prev=None):
+            logdets, method, factors = real(phi0, tail, gs, n, prev)
+            for g, x in zip(gs, logdets):
+                if len(g) < 1000:
+                    x[:, 3] += 1.0 / len(g)  # log D_4, the lowest row
             return logdets, method, factors
 
         monkeypatch.setattr(direct_mod, "_grid_prefix", lowest_row_settles_late)
@@ -786,26 +790,27 @@ class TestOneEvaluator:
         firsts = []  # per grid: whether it was a first grid, not an extension
         depth = [0]  # _grid_prefix calls in progress
 
-        def guard(name):
-            real = getattr(direct_mod, name)
+        def guard(module, name):
+            real = getattr(module, name)
 
-            def run(*args):
+            def run(*args, **kwargs):
                 if not depth[0]:
                     stray.append(name)
-                return real(*args)
+                return real(*args, **kwargs)
 
-            monkeypatch.setattr(direct_mod, name, run)
+            monkeypatch.setattr(module, name, run)
 
-        for name in ("_faber_basis", "_lapack", "_diag_prefix", "_phase_prefix"):
-            guard(name)
+        for name in ("_faber_basis", "_diag_prefix", "_phase_prefix"):
+            guard(direct_mod, name)
+        guard(direct_mod.flapack, "ztpqrt")
         grid_prefix = direct_mod._grid_prefix
 
-        def grid(phi0, tail, g, n, prev=None):
-            grids.append(len(g))
-            firsts.append(prev is None)
+        def grid(phi0, tail, gs, n, prev=None):
+            grids.extend(len(g) for g in gs)
+            firsts.extend(prev is None and not i for i in range(len(gs)))
             depth[0] += 1
             try:
-                return grid_prefix(phi0, tail, g, n, prev)
+                return grid_prefix(phi0, tail, gs, n, prev)
             finally:
                 depth[0] -= 1
 
@@ -916,8 +921,8 @@ class TestNestedLadder:
         factors = None
         for N in (_start_N(n), 2 * _start_N(n), 4 * _start_N(n)):
             g = theta_values(sym, 2 * np.pi * np.arange(N) / N)
-            nested, method, factors = _grid_prefix(*stack, g, n, factors)
-            fresh, fresh_method, (_, C, _) = _grid_prefix(*stack, g, n)
+            (nested,), method, factors = _grid_prefix(*stack, [g], n, factors)
+            (fresh,), fresh_method, (_, C) = _grid_prefix(*stack, [g], n)
             assert method == fresh_method == ("qr_phase" if kind == "complex" else "qr_positive")
             assert np.all(np.abs(nested - fresh) <= 1e-12 * np.maximum(1.0, np.abs(fresh)))
             if kind == "complex":
@@ -950,37 +955,66 @@ class TestNestedLadder:
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("name", ["circle", "qcurve", "wobbly", "slow"])
-    def test_rows_carried_ahead_match_the_extension(self, request, name, kind):
-        # the first grid carries the next grid's new rows; the next grid
-        # reads them where it would run the basis at its odd nodes, and gets
-        # the same bits: R, C and every log D_j, on every grid up to 4 N0
-        from szegodet.direct import _odd_points, _start_N
-        from szegodet.series import _phi_at
+    def test_first_grid_matches_numpy_qr(self, request, name, kind):
+        # a first grid is one tpqrt onto R = 0: against numpy's Householder
+        # QR of the same scaled basis, every |R_jj| to 1e-13 relative, and
+        # on the phase path every leading log det of the phase factor
+        # Q^t diag(e^{i Im g}) conj(Q) built from numpy's Q
+        from szegodet.direct import _faber_basis, _phase_prefix, _start_N
+        from szegodet.series import _phi_at, _unit_points
+
+        mp = request.getfixturevalue(name)
+        stack = np.array([mp.phi0]), mp.tail[None]
+        n = 200
+        N = _start_N(n)
+        z = _unit_points(N)
+        g = theta_values(self.SYMS[kind], 2 * np.pi * np.arange(N) / N)
+        (logdets,), method, (R, C) = _grid_prefix(*stack, [g], n)
+        scale = np.sqrt(np.abs(_phi_at(*stack, z, 1)[0]) * np.exp(g.real))
+        Q, R_ref = np.linalg.qr(_faber_basis(*stack, _phi_at(*stack, z, 0), n)[0] * scale[:, None])
+        got, want = np.abs(np.diagonal(R[0])), np.abs(np.diagonal(R_ref))
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        ref = 2 * np.cumsum(np.log(want * np.sqrt(2 * np.pi / N))).astype(complex)
+        if kind == "complex":
+            phase = _phase_prefix_reference((Q.T * np.exp(1j * g.imag)) @ Q.conj())
+            got = _phase_prefix(C[0])
+            assert np.all(np.abs(got - phase) <= 1e-12 * np.maximum(1.0, np.abs(phase)))
+            assert np.max(np.abs(phase)) > 1e-3  # the phase is not trivial
+            ref += phase
+        else:
+            assert method == "qr_positive" and C is None
+        assert np.all(np.abs(logdets[0] - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("name", ["circle", "qcurve", "wobbly", "slow"])
+    def test_two_grid_run_matches_a_grid_and_its_extension(self, request, name, kind):
+        # one run over the N and 2N grids, one Faber pass for both, against
+        # a run of the N grid and a run of the 2N grid that extends it: the
+        # same bits in every log D_j, R and C (N a multiple of 4), and on
+        # the 4N grid that extends either
+        from szegodet.direct import _start_N
 
         mp = request.getfixturevalue(name)
         stack = np.array([mp.phi0]), mp.tail[None]
         n = 200
         N = _start_N(n)
         g = [theta_values(self.SYMS[kind], 2 * np.pi * np.arange(M) / M) for M in (N, 2 * N, 4 * N)]
-        _, _, (R, C, ahead) = _grid_prefix(*stack, g[0], n)
-        basis, dphi = ahead
-        assert basis.shape == (1, N, n) and dphi.shape == (1, N)
-        z = _odd_points(2 * N)
-        assert np.array_equal(dphi, np.abs(_phi_at(*stack, z, 1)))
-        # the extension that runs the basis itself, as every later grid does
-        alone = _grid_prefix(*stack, g[1], n, (R, C, None))
-        carried = _grid_prefix(*stack, g[1], n, (R, C, ahead))
-        assert np.array_equal(carried[0], alone[0])
-        assert carried[2][2] is None  # an extension carries nothing ahead
-        for x, y in zip(carried[2][:2], alone[2][:2]):
+        both, method, factors = _grid_prefix(*stack, g[:2], n)
+        one, one_method, one_factors = _grid_prefix(*stack, g[:1], n)
+        ext, ext_method, ext_factors = _grid_prefix(*stack, g[1:2], n, one_factors)
+        assert method == one_method == ext_method
+        assert len(both) == 2 and len(one) == len(ext) == 1
+        assert np.array_equal(both[0], one[0]) and np.array_equal(both[1], ext[0])
+        for x, y in zip(factors, ext_factors):
             assert (x is None and y is None) or np.array_equal(x, y)
-        third = _grid_prefix(*stack, g[2], n, carried[2])[0]
-        assert np.array_equal(third, _grid_prefix(*stack, g[2], n, alone[2])[0])
+        assert (factors[1] is None) == (kind == "real")
+        third = _grid_prefix(*stack, g[2:], n, factors)[0]
+        assert np.array_equal(third, _grid_prefix(*stack, g[2:], n, ext_factors)[0])
 
     def test_ladder_runs_one_faber_pass_for_two_grids(self, wobbly, monkeypatch):
         # a ladder of G grids runs G - 1 Faber passes, the first over 2 N0
         # nodes; an energy ladder whose stack does not fit one block runs
-        # one pass per grid, each over that grid's new nodes
+        # one such pass per block of its stack
         import szegodet.direct as direct_mod
         from szegodet.direct import _start_N
 
@@ -997,28 +1031,30 @@ class TestNestedLadder:
         N0 = _start_N(12)
         assert len(seen) >= 3 and len(passes) == len(seen) - 1
         assert passes == [(1, 2 * N0)] + [(1, 2**k * N0 // 2) for k in range(2, len(seen))]
-        for count, fits in ((3, True), (60, False)):
+        for count in (3, 60):
             passes.clear()
             seen.clear()
             finite_energy(wobbly, 5, np.linspace(1.5, 3.0, count))
             N0 = _start_N(5)
-            block = count if fits else direct_mod._STACK_ENTRIES // (N0 * 5)
-            assert passes[0] == (block, 2 * N0 if fits else N0)
+            block = min(count, direct_mod._STACK_ENTRIES // (2 * N0 * 5))
+            blocks = [min(block, count - lo) for lo in range(0, count, block)]
+            assert passes[: len(blocks)] == [(b, 2 * N0) for b in blocks]
 
     @staticmethod
     def _spy(monkeypatch, push=False):
-        """Record (N, method, whether prev was given) per evaluated grid;
+        """Record (N, method, whether it extends a grid) per evaluated grid;
         with push, the top row is off by 1/N on every grid below 1000 nodes."""
         import szegodet.direct as direct_mod
 
         seen = []
         grid_prefix = direct_mod._grid_prefix
 
-        def grid(phi0, tail, g, n, prev=None, **kw):
-            logdets, method, factors = grid_prefix(phi0, tail, g, n, prev, **kw)
-            seen.append((len(g), method, prev is not None))
-            if push and len(g) < 1000:
-                logdets[:, -1] += 1.0 / len(g)
+        def grid(phi0, tail, gs, n, prev=None):
+            logdets, method, factors = grid_prefix(phi0, tail, gs, n, prev)
+            for i, (g, x) in enumerate(zip(gs, logdets)):
+                seen.append((len(g), method, prev is not None or i > 0))
+                if push and len(g) < 1000:
+                    x[:, -1] += 1.0 / len(g)
             return logdets, method, factors
 
         monkeypatch.setattr(direct_mod, "_grid_prefix", grid)
@@ -1063,9 +1099,9 @@ class TestNestedLadder:
         pytest.param(161, [80, 161], id="odd"),
     ])
     def test_explicit_N_at_the_cap_passes(self, wobbly, N, nodes, monkeypatch):
-        # an even N extends the N // 2 grid by the rows that grid's pass
-        # ran ahead; an odd N's check grid runs no rows ahead, as no grid
-        # of the ladder would read them
+        # an even N runs the N // 2 and N grids as one run, one Faber pass
+        # over the N // 2 nodes and the N // 2 odd ones; an odd N runs each
+        # grid as a ladder of its own
         import szegodet.direct as direct_mod
 
         passes = []
