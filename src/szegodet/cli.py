@@ -313,9 +313,10 @@ def _cmd_energy(args) -> int:
 def _cmd_wp_check(args) -> int:
     mp = load_curve(args.curve)
     rs = _parse_rgrid(args.r)[::-1]  # descending toward 1
-    # boundedness is about the tail in the table size, so compare against a
-    # doubled table; the m-table is exactly its leading block
-    table2 = grunsky.grunsky_coefficients(mp, 2 * args.m)
+    # boundedness is about the tail in the table size, so compare against a doubled
+    # table (the m-table is its leading block), without the unreported asym_defect
+    size = 2 * args.m
+    table2 = grunsky.GrunskyTable(size, grunsky._grow(mp.tail, np.zeros((0, 0), complex), size))
     a = table2.a[:args.m, :args.m]
 
     def hs_norm_sq(B) -> float:

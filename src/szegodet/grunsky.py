@@ -65,8 +65,9 @@ from .errors import (
 )
 from .series import ExteriorMap, _phi_norm, _readonly
 
-_dgemv, _dnrm2, _syrk, _trsm, _zaxpy, _zgemv, _zherk = (
-    fblas.dgemv, fblas.dnrm2, fblas.dsyrk, fblas.dtrsm, fblas.zaxpy, fblas.zgemv, fblas.zherk)
+_dgemv, _dnrm2, _syrk, _trsm, _zaxpy, _zcopy, _zgemv, _zherk = (
+    fblas.dgemv, fblas.dnrm2, fblas.dsyrk, fblas.dtrsm, fblas.zaxpy, fblas.zcopy, fblas.zgemv,
+    fblas.zherk)
 _potrf, _stemr, _heevr, _zpotrf = flapack.dpotrf, flapack.dstemr, flapack.zheevr, flapack.zpotrf
 
 _DELTA_EPS = 0.1  # fixed exponent offset in the tail diagnostic
@@ -327,16 +328,16 @@ def _grow(tail: np.ndarray, a: np.ndarray, size: int) -> np.ndarray:
     with t_{p+q-1} = 0, nor the a_{k-p,l-q} with l - q < 1.  The table is
     returned write-protected, so ``GrunskyTable`` keeps it as is.
 
-    From k = d**2 + 1 on, every (p, q) reads a whole run of row k - p, and
-    its term is one BLAS ``zaxpy`` between two runs of the flat table,
-    addressed by offset: no slice view and no temporary per term.  The
-    kernel may round c a + row with fused multiply-adds where NumPy
-    rounds the product and the sum apart, so an entry can differ from an
-    elementwise loop in its last bits (at most 4.3e-19 of max |a| at
-    m = 512 on the test curves); the calls, their order and their
-    lengths do not depend on the size of a, nor on the BLAS thread
-    count at these lengths, so the bits do not either.  The first d**2
-    rows keep the elementwise loop over the (p, q) that fit.
+    Every row is BLAS work on the flat table, addressed by offset (no
+    slice view, no temporary): one ``zcopy`` of t_{k+lo-1..2k-1} into
+    columns lo..k, one ``zaxpy`` per (p, q) with p, q < k over columns
+    max(lo, q+1)..k, and one ``zcopy`` of stride size that mirrors columns
+    lo..k-1, if any, into column k.  The kernel may round c a + row with
+    fused multiply-adds where NumPy rounds the product and the sum apart,
+    so an entry can differ from an elementwise loop in its last bits (at
+    most 4.3e-19 of max |a| at m = 512 on the test curves); the calls,
+    their order and their lengths do not depend on the size of a, nor on
+    the BLAS thread count at these lengths, so the bits do not either.
     """
     if size < 1:
         raise ValueError("table size must be >= 1")
@@ -348,24 +349,22 @@ def _grow(tail: np.ndarray, a: np.ndarray, size: int) -> np.ndarray:
         d = int(nonzero[-1])
         t = np.zeros(max(2 * size, d + 1), dtype=complex)  # t[j] is t_j
         t[1:d + 1] = tail[:d]
-        pairs = [(complex(t[j]), p, j + 1 - p) for j in nonzero.tolist() for p in range(1, j + 1)]
-        flat = out.reshape(-1)  # a view: zaxpy adds into the table in place
+        # (t_{p+q-1}, p, q, flat distance from a_{k-p,l-q} to a_{kl})
+        pairs = [(complex(t[j]), p, j + 1 - p, p * size + j + 1 - p)
+                 for j in nonzero.tolist() for p in range(1, j + 1)]
+        flat = out.reshape(-1)  # a view: the BLAS calls write into the table in place
         for k in range(lead + 1, size + 1):
             lo = -(-k // d)
-            row = out[k - 1, lo - 1:k]
-            row[:] = t[k + lo - 1:2 * k]
-            if k > d * d:  # lo > d >= p, q: every (p, q) reads a whole slice
-                # row k, columns lo..k, += c a_{k-p, lo-q..k-q}: one zaxpy
-                # between two runs of the flat table
-                at = (k - 1) * size + lo - 1
-                for tj, p, q in pairs:
-                    _zaxpy(flat, flat, k - lo + 1, tj * (k - p) / k, at - p * size - q, 1, at)
-            else:
-                for tj, p, q in pairs:
-                    if p < k and q < k:
-                        start = max(lo, q + 1)  # first column with l - q >= 1
-                        row[start - lo:] += (tj * (k - p) / k) * out[k - p - 1, start - q - 1:k - q]
-            out[lo - 1:k - 1, k - 1] = row[:-1]
+            at = (k - 1) * size - 1  # flat index of (k, l) is at + l
+            _zcopy(t, flat, k - lo + 1, k + lo - 1, 1, at + lo)
+            for tj, p, q, back in pairs:
+                if p < k and q < k:
+                    # row k, columns start..k, += c a_{k-p, start-q..k-q}
+                    start = lo if lo > q else q + 1  # first column with l - q >= 1
+                    _zaxpy(flat, flat, k - start + 1, tj * (k - p) / k, at + start - back, 1,
+                           at + start)
+            if lo < k:
+                _zcopy(flat, flat, k - lo, at + lo, 1, (lo - 1) * size + k - 1, size)
     out.setflags(write=False)
     return out
 

@@ -629,21 +629,66 @@ def test_ladder_growth_to_512_equals_one_build(request, curve):
     assert a.tobytes() == grunsky_coefficients(mp, 512).a.tobytes()
 
 
+# tails of degree 1..6 whose rows k <= d**2 take shortened zaxpy runs of
+# _grow, with leading zeros (t3 only) and a lone high term (t5 only)
+EARLY_TAILS = {
+    "d1": [0.6 * np.exp(0.3j)],
+    "d2": [0.2 + 0.1j, 0.15j],
+    "t3_only": [0.0, 0.0, 0.1j],
+    "d3": [0.1, -0.05j, 0.08],
+    "d4": [0.3, 0.1j, -0.05, 0.02 + 0.02j],
+    "t5_only": [0.0, 0.0, 0.0, 0.0, 0.05],
+    "d5": [0.15 - 0.05j, 0.0, 0.04j, -0.03, 0.02 + 0.01j],
+    "d6": [0.1, 0.05j, -0.03, 0.02 + 0.01j, 0.01j, 0.008 - 0.003j],
+}
+
+
+@pytest.mark.parametrize("name", list(EARLY_TAILS))
+def test_grow_matches_mpmath_in_the_early_rows(name):
+    tail = np.array(EARLY_TAILS[name], dtype=complex)
+    mp = make_map(1.0, 0.1 - 0.2j, tail)
+    ref = mpmath_recurrence(mp, 40)
+    for m in range(1, 41):
+        a = grunsky._grow(mp.tail, np.zeros((0, 0), complex), m)
+        r = ref[:m, :m]
+        assert np.max(np.abs(a - r)) <= 1e-14 * np.max(np.abs(r)), m
+        assert a.tobytes() == a.T.copy().tobytes(), m
+        assert not a.flags.writeable
+    assert np.count_nonzero(a) == np.count_nonzero(ref) >= 40
+
+
+@pytest.mark.parametrize("name", ["d4", "t5_only", "d5", "d6"])
+def test_ladder_from_every_lead_equals_one_build(name):
+    # every lead L inside the early band k <= d**2 (and past it), so a rung
+    # starts mid-band as well as at its edge
+    tail = np.array(EARLY_TAILS[name], dtype=complex)
+    m = 40
+    one = grunsky._grow(tail, np.zeros((0, 0), complex), m)
+    for lead in range(1, m):
+        a = grunsky._grow(tail, grunsky._grow(tail, np.zeros((0, 0), complex), lead), m)
+        assert a.tobytes() == one.tobytes(), lead
+
+
 def test_table_bits_independent_of_blas_threads():
     # library calls keep the caller's BLAS thread count (only the CLI pins
-    # one thread), so the zaxpy rows of the table must not depend on it
+    # one thread), so the BLAS rows of the table must not depend on it: the
+    # long runs of degree 4 at m = 512, and at m = 64 a degree-6 tail whose
+    # first 36 rows take shortened runs
     src = str(Path(__file__).resolve().parents[1] / "src")
+    curves = [((1.3, 0.2 + 0.1j, [0.3, 0.1j, -0.05, 0.02 + 0.02j]), 512),
+              ((1.0, 0.1 - 0.2j, [0.1, 0.05j, -0.03, 0.02 + 0.01j, 0.01j, 0.008 - 0.003j]), 64)]
     code = ("import hashlib; from szegodet import make_map, grunsky_coefficients; "
-            "mp = make_map(1.3, 0.2 + 0.1j, [0.3, 0.1j, -0.05, 0.02 + 0.02j]); "
-            "print(hashlib.sha256(grunsky_coefficients(mp, 512).a.tobytes()).hexdigest())")
+            f"curves = {curves!r}; "
+            "print(*(hashlib.sha256(grunsky_coefficients(make_map(*c), m).a.tobytes()).hexdigest() "
+            "for c, m in curves))")
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                   capture_output=True, text=True).stdout.strip())
-    mp = make_map(1.3, 0.2 + 0.1j, [0.3, 0.1j, -0.05, 0.02 + 0.02j])
-    here = hashlib.sha256(grunsky_coefficients(mp, 512).a.tobytes()).hexdigest()
+                                   capture_output=True, text=True).stdout.split())
+    here = [hashlib.sha256(grunsky_coefficients(make_map(*c), m).a.tobytes()).hexdigest()
+            for c, m in curves]
     assert outs == [here, here]
 
 
