@@ -1,9 +1,15 @@
 """Szego-type determinant asymptotics on Jordan curves.
 
 Curves enter through exterior-map Laurent data; the library computes
-Grunsky tables, the operators B and K with the singular values and the
-Takagi factorization of B, closed-form asymptotic predictions, direct
-quadrature determinants at finite n, and Monte Carlo beta-ensemble probes.
+Grunsky tables, the operators B and K with the largest singular value and
+the Takagi factorization of B, the Fredholm determinant det(I - B*B),
+the strong Szego prediction for log D_n and the partition function,
+direct quadrature determinants at finite n, dilation energies, and Monte
+Carlo beta-ensemble estimates.
+
+Every export is used by another module of the package, except the API
+kept for the paper's quantities and the curve model that the README lists
+under "Library API".
 """
 
 from .errors import SzegoError
@@ -19,19 +25,14 @@ from .grunsky import (
     OperatorPair,
     SpectralReport,
     TakagiFactor,
-    dilated_table,
     grunsky_coefficients,
-    grunsky_coefficients_sampled,
     operators,
     spectral_report,
     takagi,
 )
 from .symbol import (
     FourierSymbol,
-    GVector,
-    d_vector,
     g_vector,
-    sobolev_half_norm,
     symbol_from_coefficients,
     symbol_from_theta_samples,
     theta_values,
@@ -39,10 +40,8 @@ from .symbol import (
 )
 from .predict import (
     PredictionBreakdown,
-    predict_beta_log,
     predict_log_Dn,
     predict_log_Zn,
-    predict_quotient,
     predict_range,
     suggest_truncation,
     zn_beta_circle,
@@ -51,19 +50,15 @@ from .direct import (
     ConvexityReport,
     DirectResult,
     EnergyCurve,
-    bruteforce_Dn,
     convexity_check,
     finite_energy,
     log_det_Dn,
     log_det_range,
-    quotient_ratio,
 )
 from .mcbeta import (
     BetaEstimate,
     ChainConfig,
     estimate_ratio,
-    merge_estimates,
-    sample_circular_beta,
 )
 
 __version__ = "0.1.0"

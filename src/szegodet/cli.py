@@ -2,8 +2,9 @@
 
 Commands: grunsky, predict, direct, convergence, energy, wp-check, beta-mc.
 Curve and symbol files are JSON; numeric output is CSV or JSON at 17
-significant digits.  Exit codes: 0 success, 2 parse/validation error,
-3 numerical failure inside the library.
+significant digits.  Exit codes: 0 success, 2 parse/validation error or
+an output path that cannot be written, 3 numerical failure inside the
+library.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ FMT = "{:.17g}"
 
 
 class CLIInputError(Exception):
-    """Bad file, flag or schema; maps to exit code 2."""
+    """Bad file, flag, schema or output path; maps to exit code 2."""
 
 
 def _fmt(x) -> str:
@@ -52,11 +53,6 @@ def _json17(doc, indent=0) -> str:
     if isinstance(doc, int):
         return pad + str(doc)
     return pad + json.dumps(doc)
-
-
-def _cpair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _finite(v, where: str) -> float:
@@ -138,8 +134,11 @@ def _emit(text: str, path: str | None):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w") as f:
-            f.write(text)
+        try:
+            with open(path, "w") as f:
+                f.write(text)
+        except OSError as exc:
+            raise CLIInputError(f"cannot write {path}: {exc}") from exc
 
 
 def _positive_int(spec: str) -> int:

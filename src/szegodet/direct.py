@@ -91,7 +91,7 @@ nodes, rounded up to a multiple of 8, and N is doubled; each item on it
 keeps its own two-grid gate and leaves once its two latest grids agree,
 and only the items still on it are evaluated, each extending its own
 factors, on the next grid.  ``log_det_range`` is one map and one item,
-its whole n range (``log_det_Dn`` and ``quotient_ratio`` are ranges); an
+its whole n range (``log_det_Dn`` is a range of one row); an
 explicit N runs its N and 2N grids as one run (N // 2 and N once 2N
 passes N_CAP).  ``finite_energy`` needs log D_n of the zero symbol on the
 level curves phi_r(z) = phi(r z)/r, with Laurent data phi0/r and t_k /
@@ -135,7 +135,6 @@ from .series import (
     ExteriorMap,
     _dilated_coeffs,
     _phi_at,
-    _phi_norm,
     _unit_points,
 )
 from .symbol import FourierSymbol, theta_values
@@ -502,19 +501,6 @@ def log_det_Dn(
     return log_det_range(mp, sym, n, n, N)[0]
 
 
-def quotient_ratio(mp: ExteriorMap, sym: FourierSymbol, n: int):
-    """cap**(-2n-1) D_{n+1}/D_n from one direct evaluation of both.
-
-    For real symbols this is the reciprocal square of the leading
-    orthonormal-polynomial coefficient, and it approaches 2*pi*e^{a0/2}.
-    """
-    b, a = log_det_range(mp, sym, n, n + 1)
-    val = np.exp(a.log_Dn - b.log_Dn - (2 * n + 1) * np.log(mp.cap))
-    if abs(val.imag) <= 1e-12 * max(1.0, abs(val.real)):
-        return float(val.real)
-    return complex(val)
-
-
 def finite_energy(mp: ExteriorMap, n: int, r_grid) -> EnergyCurve:
     """E_n(r) = log Z_n(dilated curve) - n log 2pi - n**2 log cap.
 
@@ -565,41 +551,6 @@ def _energy_ladder(mp: ExteriorMap, r: np.ndarray, n: int) -> np.ndarray:
         return (x[:, -1:] for x in logdets), method
 
     return _refine(evaluate, len(r), _start_N(n))[0]
-
-
-def bruteforce_Dn(mp: ExteriorMap, sym: FourierSymbol, n: int, grid: int = 256):
-    """Andrieff-identity oracle: direct n-fold trapezoidal quadrature.
-
-    Evaluates (1/n!) int prod_{mu != nu} |z_mu - z_nu| prod e^g prod |dz|
-    on the theta grid for n in {1, 2, 3} and returns the log.  The n-fold
-    sum is reorganized through pair matrices so the n = 3 case is a single
-    matrix product, but every grid triple still enters exactly once.
-    """
-    if n not in (1, 2, 3):
-        raise ValueError("bruteforce path only supports n in {1, 2, 3}")
-    if grid < 64:
-        raise ValueError("grid must be >= 64")
-    theta = 2.0 * np.pi * np.arange(grid) / grid
-    z = np.exp(1j * theta)
-    pts = _phi_norm(mp, z, 0)
-    w = np.abs(_phi_norm(mp, z, 1)) * (2.0 * np.pi / grid)
-    g = theta_values(sym, theta)
-    u = w * np.exp(g)
-    if float(np.max(np.abs(u.imag))) <= _REAL_TOL * float(np.max(np.abs(u))):
-        u = u.real
-    if n == 1:
-        total = np.sum(u)
-    else:
-        P = np.abs(pts[:, None] - pts[None, :]) ** 2
-        if n == 2:
-            total = u @ P @ u / 2.0
-        else:
-            Q = (P * u[None, :]) @ P
-            total = u @ (P * Q) @ u / 6.0
-    val = np.log(total + 0j) + n * n * np.log(mp.cap)
-    if abs(val.imag) <= 1e-12:
-        return float(val.real)
-    return complex(val)
 
 
 def convexity_check(curve: EnergyCurve, tol_fd: float = 1e-4) -> ConvexityReport:

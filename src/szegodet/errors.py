@@ -34,14 +34,6 @@ class DilationNotGreaterThanOne(SzegoError):
 
 # Grunsky machinery --------------------------------------------------------
 
-class BranchJumpDetected(SzegoError):
-    """The sampled logarithm jumps by more than pi between grid neighbours."""
-
-
-class AliasingDetected(SzegoError):
-    """Spectral tail of the sampled transform is not negligible."""
-
-
 class NotSymmetric(SzegoError):
     """Input matrix is not (numerically) complex symmetric."""
 
@@ -56,18 +48,10 @@ class BadLength(SzegoError):
     """Sample vector length is not a power of two >= 8."""
 
 
-class TruncationExceedsTable(SzegoError):
-    """Requested truncation exceeds the stored Grunsky table."""
-
-
 # prediction / direct ------------------------------------------------------
 
 class NotPositiveDefinite(SzegoError):
     """I + K is not positive definite (Grunsky norm at or above 1)."""
-
-
-class NonzeroMean(SzegoError):
-    """Symbol must have mean zero (a0 = 0) for this formula."""
 
 
 class NotConverged(SzegoError):

@@ -21,8 +21,9 @@ each entry above the diagonal that a later row reads is such a mirror.
 transpose bit for bit (``_symmetric``), so routines on them read one
 triangle.  ``asym_defect`` checks the rounding by recomputing the last row
 from the transposed recurrence, l a_{kl} = l t_{k+l-1} + sum t_{p+q-1}
-(l-q) a_{k-p,l-q}.  A 2-D FFT of samples of the logarithm on a torus
-|zeta| = |z| = radius is kept as an independent cross-check.
+(l-q) a_{k-p,l-q}.  The independent check of the recurrence, a 2-D FFT
+of samples of the logarithm on a torus |zeta| = |z| = radius, lives with
+the tests (``tests/oracles.py``).
 
 B is the matrix sqrt(k*l) a_{kl}; K is the real symmetric doubling
 
@@ -56,14 +57,12 @@ import numpy as np
 
 from ._linalg import fblas, flapack
 from .errors import (
-    AliasingDetected,
-    BranchJumpDetected,
     DilationNotGreaterThanOne,
     NotPositiveDefinite,
     NotSymmetric,
     SingularValueAtOne,
 )
-from .series import ExteriorMap, _phi_norm, _readonly
+from .series import ExteriorMap, _readonly
 
 _dgemv, _dnrm2, _syrk, _trsm, _zaxpy, _zcopy, _zgemv, _zherk = (
     fblas.dgemv, fblas.dnrm2, fblas.dsyrk, fblas.dtrsm, fblas.zaxpy, fblas.zcopy, fblas.zgemv,
@@ -91,8 +90,7 @@ class GrunskyTable:
 
     ``asym_defect`` is a rounding check: for ``grunsky_coefficients``, the
     largest relative gap between the last row and that row recomputed by
-    the transposed recurrence; for the sampled cross-check table, the
-    relative asymmetry max|a - a^t| / max|a| it had before averaging.
+    the transposed recurrence; 0 unless the builder of the table sets it.
     """
 
     m: int
@@ -120,10 +118,6 @@ class OperatorPair:
 
     def __post_init__(self):
         object.__setattr__(self, "B", _symmetric(_readonly(self.B)))
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[0]
 
     @functools.cached_property
     def K(self) -> np.ndarray:
@@ -426,63 +420,6 @@ def grunsky_coefficients(mp: ExteriorMap, size: int) -> GrunskyTable:
     return GrunskyTable(size, a, _asym_defect(mp.tail, a))
 
 
-def grunsky_coefficients_sampled(
-    mp: ExteriorMap, size: int, radius: float, grid: int | None = None
-) -> GrunskyTable:
-    """Cross-check table from a 2-D DFT of the sampled logarithm.
-
-    Samples log((phi(z1) - phi(z2)) / (z1 - z2)) on z_i = radius * e^{i a},
-    with phi'(z) on the diagonal, and rescales the (k, l) DFT coefficient
-    by radius**(k+l).  Raises if the principal branch jumps between grid
-    neighbours or if the DFT tail band is above 1e-8 of the peak.
-    """
-    if radius <= 1.0:
-        raise ValueError("radius must be > 1")
-    if grid is None:
-        grid = 1 << int(np.ceil(np.log2(max(8 * size, 64))))
-    if grid < 2 * (size + 1):
-        raise ValueError("grid too small to hold the requested table")
-    alpha = 2.0 * np.pi * np.arange(grid) / grid
-    z = radius * np.exp(1j * alpha)
-    phi = _phi_norm(mp, z, 0)
-    num = phi[:, None] - phi[None, :]
-    den = z[:, None] - z[None, :]
-    np.fill_diagonal(num, 1.0)
-    np.fill_diagonal(den, 1.0)
-    F = np.log(num / den)
-    np.fill_diagonal(F, np.log(_phi_norm(mp, z, 1)))
-    jumps = max(
-        float(np.max(np.abs(np.diff(F.imag, axis=0, append=F.imag[:1, :])))),
-        float(np.max(np.abs(np.diff(F.imag, axis=1, append=F.imag[:, :1])))),
-    )
-    if jumps > np.pi:
-        raise BranchJumpDetected(
-            f"imaginary part of the log jumps by {jumps:.3f} > pi on the sampling torus"
-        )
-    C = np.fft.fft2(F) / grid**2
-    peak = float(np.max(np.abs(C)))
-    half = grid // 2
-    band = max(
-        float(np.max(np.abs(C[half - 1:half + 1, :]))),
-        float(np.max(np.abs(C[:, half - 1:half + 1]))),
-    )
-    # an identically small transform (circle-like data) has no tail to alias
-    floor = 64 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(F))))
-    if band > max(1e-8 * peak, floor):
-        raise AliasingDetected(
-            f"tail band {band:.3e} exceeds 1e-8 of peak {peak:.3e}; refine the grid"
-        )
-    k = np.arange(1, size + 1)
-    a = -C[np.ix_((-k) % grid, (-k) % grid)] * radius ** (k[:, None] + k[None, :]).astype(float)
-    # the sampled table is symmetric only to rounding: average it with its
-    # transpose and record how far apart the two were
-    defect = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    scale = max(float(np.max(np.abs(a))) if a.size else 0.0, np.finfo(float).tiny)
-    table = 0.5 * (a + a.T)
-    table.setflags(write=False)  # built here, so GrunskyTable keeps it as is
-    return GrunskyTable(size, table, defect / scale)
-
-
 def _weights(m: int) -> np.ndarray:
     """sqrt(k), k = 1..m: B = a * np.outer(w, w)."""
     return np.sqrt(np.arange(1, m + 1, dtype=float))
@@ -737,11 +674,6 @@ def _dilated(a: np.ndarray, r: float) -> np.ndarray:
         raise DilationNotGreaterThanOne(f"r must be > 1, got {r}")
     k = np.arange(1, len(a) + 1, dtype=float)
     return a * r ** (-(k[:, None] + k[None, :]))
-
-
-def dilated_table(table: GrunskyTable, r: float) -> GrunskyTable:
-    """Table of the dilated curve (``_dilated``)."""
-    return GrunskyTable(table.m, _dilated(table.a, r))
 
 
 # --- table dump: '%.17g' for whole blocks of numbers -------------------------

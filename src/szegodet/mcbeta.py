@@ -9,9 +9,9 @@ is the circular beta-ensemble.  The estimated functional
         + sum_mu g(curve(theta_mu))),      p_k = sum_mu e^{-i k theta_mu},
 
 has expectation D_{n,beta}[e^g] / (Z_{n,beta}(circle) cap**(beta n(n-1)/2 + n)),
-so at beta = 2 it reproduces the direct determinant ratio and at other
-beta it probes the conjectured limit.  Everything here is exploratory at
-beta != 2.
+so at beta = 2 it reproduces the direct determinant ratio.  At other
+beta it estimates the same functional, with no closed form in the
+library to compare against.
 
 The sampler is single-site Metropolis with a product-form acceptance
 rule (see ``_metropolis_kernel``), written in plain Python over Python
@@ -151,13 +151,6 @@ def _run_chain(cfg: ChainConfig):
     return out, float(rate), float(width)
 
 
-def sample_circular_beta(cfg: ChainConfig):
-    """Yield post-burn-in angle configurations, one array per sweep."""
-    out, _, _ = _run_chain(cfg)
-    for row in out:
-        yield row.copy()
-
-
 def _heavy_tailed(w: np.ndarray) -> bool:
     """True when the top 0.1% of weights carries over half of the mean."""
     total = float(np.sum(w))
@@ -246,13 +239,3 @@ def estimate_ratio(
         acceptance_rate=rate,
         ess=float(T / tau),
     )
-
-
-def merge_estimates(estimates) -> tuple[float, float]:
-    """Inverse-variance pooling of independent chain estimates."""
-    est = list(estimates)
-    if not est:
-        raise ValueError("nothing to merge")
-    w = np.array([1.0 / e.std_error**2 for e in est])
-    vals = np.array([e.mean_log for e in est])
-    return float(np.sum(w * vals) / np.sum(w)), float(1.0 / np.sqrt(np.sum(w)))

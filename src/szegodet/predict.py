@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import flapack
-from .errors import NonzeroMean
 from .grunsky import (
-    GrunskyTable,
     _cholesky,
     _doubling_tables,
     _kappa,
@@ -33,12 +31,11 @@ from .grunsky import (
     delta_m_tail,
 )
 from .series import ExteriorMap
-from .symbol import FourierSymbol, d_vector, g_vector, zero_symbol
+from .symbol import FourierSymbol, g_vector, zero_symbol
 
 log = logging.getLogger(__name__)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-_MEAN_TOL = 1e-12
 
 M_AUTO_CAP = 512
 M_AUTO_TOL = 1e-9
@@ -120,7 +117,7 @@ def _rung(a: np.ndarray, sym: FourierSymbol, lead: tuple | None = None):
     """
     m0 = _lead_size(len(a)) if lead is not None else 0
     cho = _cholesky(a[m0:], lead[1] if m0 else None, _weights(len(a)))
-    quad = _solve_form(cho, g_vector(sym, len(a)).entries)
+    quad = _solve_form(cho, g_vector(sym, len(a)))
     return a, cho, quad, -float(np.sum(np.log(np.diag(cho[0])))) + 0.0
 
 
@@ -263,41 +260,6 @@ def predict_log_Dn(
 def predict_log_Zn(mp: ExteriorMap, n: int, m: int | None = None) -> PredictionBreakdown:
     """Partition-function asymptotics: the zero-symbol prediction."""
     return predict_log_Dn(mp, zero_symbol(), n, m)
-
-
-def predict_quotient(mp: ExteriorMap, sym: FourierSymbol):
-    """Limit of cap**(-2n-1) D_{n+1}/D_n, namely 2*pi*exp(a0/2)."""
-    val = 2.0 * np.pi * np.exp(complex(sym.a0) / 2.0)
-    if abs(val.imag) <= 1e-15 * abs(val.real):
-        return float(val.real)
-    return complex(val)
-
-
-def predict_beta_log(
-    mp: ExteriorMap,
-    sym: FourierSymbol,
-    n: int,
-    beta: float,
-    m: int | None = None,
-) -> complex:
-    """Conjectured beta-ensemble limit in log scale (experimental).
-
-    Returns -0.5 log det(I+K) + (2/beta) gb^t (I+K)^{-1} gb with
-    gb = (beta/2 - 1) d + g; the value does not depend on n.  Callers
-    compare at finite n by adding log Z_{n,beta}(circle) and
-    (beta n (n-1)/2 + n) log cap.  Requires a mean-zero symbol.  Both
-    terms use the one Cholesky factor of the table ``predict_log_Dn`` uses.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be finite and > 0, got {beta}")
-    if abs(complex(sym.a0)) > _MEAN_TOL:
-        raise NonzeroMean(f"conjecture requires a0 = 0, got {sym.a0!r}")
-    a, cho, _, half = _ladder(mp, sym, m)
-    g = g_vector(sym, len(a)).entries
-    d = d_vector(GrunskyTable(len(a), a), len(a)).entries
-    return half + (2.0 / beta) * _solve_form(cho, (beta / 2.0 - 1.0) * d + g)
 
 
 def zn_beta_circle(n: int, beta: float) -> float:

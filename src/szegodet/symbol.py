@@ -1,4 +1,4 @@
-"""Fourier data of the symbol g on the curve and the derived column vectors.
+"""Fourier data of the symbol g on the curve and its column vector g_vector.
 
 The symbol is stored in the theta domain, as the cosine/sine series of the
 composition of g with the boundary parametrization:
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLength, TruncationExceedsTable
-from .grunsky import GrunskyTable
+from .errors import BadLength
 from .series import _readonly
 
 
@@ -87,25 +86,9 @@ def theta_values(sym: FourierSymbol, theta) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class GVector:
-    """Column of length 2m: block (sqrt(k) a_k / 2) then (sqrt(k) b_k / 2)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = _readonly(np.atleast_1d(self.entries))
-        if len(e) % 2 != 0:
-            raise ValueError("entries must have even length")
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def m(self) -> int:
-        return len(self.entries) // 2
-
-
-def g_vector(sym: FourierSymbol, m: int) -> GVector:
-    """Vector data of the symbol at truncation m (a0 excluded).
+def g_vector(sym: FourierSymbol, m: int) -> np.ndarray:
+    """Vector data of the symbol at truncation m (a0 excluded): length 2m,
+    the block (sqrt(k) a_k / 2) then the block (sqrt(k) b_k / 2).
 
     Coefficients beyond the stored truncation count as zero; zero
     extension is exact for the stored data.
@@ -116,27 +99,4 @@ def g_vector(sym: FourierSymbol, m: int) -> GVector:
     a[:k] = sym.a[:k]
     b[:k] = sym.b[:k]
     half_rk = 0.5 * np.sqrt(np.arange(1, m + 1, dtype=float))
-    return GVector(np.concatenate([half_rk * a, half_rk * b]))
-
-
-def d_vector(table: GrunskyTable, m: int) -> GVector:
-    """Curvature-type vector from the expansion of log phi'.
-
-    Entry k of the first block is sqrt(k)/2 * Re(sum_{j<k} a_{j,k-j}) and
-    the second block takes the imaginary part; the k = 1 entries vanish
-    because log phi' has no z**-1 term.
-    """
-    if m > table.m:
-        raise TruncationExceedsTable(f"m={m} exceeds table size {table.m}")
-    s = np.zeros(m, dtype=complex)
-    for k in range(2, m + 1):
-        j = np.arange(1, k)
-        s[k - 1] = np.sum(table.a[j - 1, k - j - 1])
-    half_rk = 0.5 * np.sqrt(np.arange(1, m + 1, dtype=float))
-    return GVector(np.concatenate([half_rk * s.real, half_rk * s.imag]))
-
-
-def sobolev_half_norm(sym: FourierSymbol) -> float:
-    """sum_k k (|a_k|^2 + |b_k|^2) over the stored truncation."""
-    k = np.arange(1, sym.K_max + 1, dtype=float)
-    return float(np.sum(k * (np.abs(sym.a) ** 2 + np.abs(sym.b) ** 2)))
+    return np.concatenate([half_rk * a, half_rk * b])

@@ -14,12 +14,10 @@ import numpy as np
 
 from szegodet import (
     ChainConfig,
-    bruteforce_Dn,
     convexity_check,
     estimate_ratio,
     finite_energy,
     grunsky_coefficients,
-    grunsky_coefficients_sampled,
     log_det_Dn,
     make_map,
     operators,
@@ -34,6 +32,7 @@ from szegodet.grunsky import _k_matrix
 from szegodet.symbol import theta_values
 
 from conftest import q_energy_limit
+from oracles import bruteforce_Dn, grunsky_coefficients_sampled
 from test_grunsky import random_symmetric_contraction, rotated, rotated_symbol
 
 

@@ -363,7 +363,8 @@ def test_wp_check_checks_one_pair(capsys, curve_file, monkeypatch, tmp_path):
 
     rows = out.strip().split("\n")[1:]
     assert [r.split(",")[1] for r in rows] == [
-        hs(grunsky.dilated_table(table, float(r.split(",")[0]))) for r in rows]
+        hs(grunsky.GrunskyTable(16, grunsky._dilated(table.a, float(r.split(",")[0]))))
+        for r in rows]
     doc = json.loads(rep.read_text())
     assert "{:.17g}".format(doc["hs_norm_sq_limit_estimate"]) == hs(table2)
     assert doc["hs_tail_growth_m_to_2m"] == float(hs(table2)) - float(hs(table))
@@ -602,6 +603,22 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == "numerical failure: out of memory: Unable to allocate 4.00 GiB for an array\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["predict", "--n", "4", "--m", "8"], "--out"), (["grunsky", "--m", "4"], "--table-out"),
+        (["grunsky", "--m", "4"], "--report-out"), (["wp-check", "--m", "4"], "--report-out"),
+        (["energy", "--n", "2", "--r", "1.5,2"], "--report-out"),
+        (["convergence", "--n", "2..3", "--m", "8"], "--svg"),
+        (["energy", "--n", "2", "--r", "1.5,2"], "--svg"),
+    ])
+    @pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
+    def test_unwritable_output_path(self, capsys, curve_file, tmp_path, argv, flag, where):
+        # a path that cannot be opened for writing is bad input, not a crash
+        target = tmp_path / "missing" / "x.out" if where == "missing_dir" else tmp_path
+        code, _, err = run(capsys, *argv[:1], "--curve", curve_file("q.json"), *argv[1:],
+                           flag, str(target))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {target}: ")
 
 
 def test_shared_parser_keeps_no_state(capsys, curve_file, symbol_file):

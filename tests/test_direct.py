@@ -3,7 +3,6 @@ import pytest
 from scipy.special import iv
 
 from szegodet import (
-    bruteforce_Dn,
     convexity_check,
     curve_samples,
     finite_energy,
@@ -12,7 +11,6 @@ from szegodet import (
     make_map,
     predict_log_Dn,
     predict_range,
-    quotient_ratio,
     symbol_from_coefficients,
     zero_symbol,
 )
@@ -21,6 +19,7 @@ from szegodet.errors import DilationNotGreaterThanOne, GridTooCoarse, SzegoError
 from szegodet.series import _phi_norm
 from szegodet.symbol import theta_values
 
+from oracles import bruteforce_Dn
 from test_grunsky import rotated, rotated_symbol
 
 
@@ -261,6 +260,12 @@ class TestConvergenceToPrediction:
         above = [r for r in residuals if r > floor]
         assert all(b < a for a, b in zip(above, above[1:]))
         assert residuals[-1] <= 1e-10
+
+
+def quotient_ratio(mp, sym, n):
+    """cap**(-2n-1) D_{n+1}/D_n from two rows of one range; tends to 2 pi e^{a0/2}."""
+    b, a = log_det_range(mp, sym, n, n + 1)
+    return complex(np.exp(a.log_Dn - b.log_Dn - (2 * n + 1) * np.log(mp.cap)))
 
 
 class TestQuotient:
@@ -823,7 +828,7 @@ class TestOneEvaluator:
         for call, n_hi in (
             (lambda: log_det_Dn(qcurve, sym, 6), 6),
             (lambda: log_det_range(qcurve, sym, 4, 30), 30),
-            (lambda: quotient_ratio(qcurve, sym, 7), 8),
+            (lambda: log_det_range(qcurve, sym, 7, 8), 8),
             (lambda: finite_energy(qcurve, 5, [1.5, 3.0]), 5),
         ):
             grids.clear()

@@ -3,21 +3,14 @@ import pytest
 import scipy.integrate
 
 from szegodet import (
-    BetaEstimate,
     ChainConfig,
     estimate_ratio,
     log_det_Dn,
-    merge_estimates,
-    sample_circular_beta,
     suggest_truncation,
     zero_symbol,
 )
 from szegodet.mcbeta import _run_chain
 from szegodet.predict import LOG_2PI
-
-
-def chain_array(cfg):
-    return np.array(list(sample_circular_beta(cfg)))
 
 
 def log_form_chain(cfg):
@@ -80,7 +73,7 @@ class TestChainConfig:
 class TestSampler:
     def test_single_angle_uniform(self):
         cfg = ChainConfig(n=1, beta=2.0, steps=20000, burn_in=1000, seed=5)
-        th = chain_array(cfg)[:, 0]
+        th = _run_chain(cfg)[0][:, 0]
         # uniform stationary law: the circular mean vanishes
         z = np.mean(np.exp(1j * th))
         assert abs(z) <= 3.0 / np.sqrt(len(th) / 50.0)
@@ -94,7 +87,7 @@ class TestSampler:
         )
         assert val == pytest.approx(3.0, abs=1e-10)
         cfg = ChainConfig(n=2, beta=2.0, steps=120000, burn_in=5000, seed=9)
-        th = chain_array(cfg)
+        th = _run_chain(cfg)[0]
         stat = np.abs(np.exp(1j * th[:, 0]) - np.exp(1j * th[:, 1])) ** 2
         # generous 3 sigma band with an autocorrelation allowance
         sigma = np.std(stat) / np.sqrt(len(stat) / 50.0)
@@ -115,8 +108,8 @@ class TestSampler:
 
     def test_determinism(self):
         cfg = ChainConfig(n=3, beta=1.5, steps=2000, burn_in=100, seed=42)
-        a = chain_array(cfg)
-        b = chain_array(cfg)
+        a = _run_chain(cfg)[0]
+        b = _run_chain(cfg)[0]
         assert np.array_equal(a, b)
 
 
@@ -186,13 +179,3 @@ def test_heavy_tail_detection():
     assert not _heavy_tailed(w)
     w[0] = 1e7  # one sample carries essentially the whole mean
     assert _heavy_tailed(w)
-
-
-def test_merge_estimates():
-    a = BetaEstimate(1.0, 0.1, 0.5, 100.0)
-    b = BetaEstimate(2.0, 0.1, 0.5, 100.0)
-    mean, se = merge_estimates([a, b])
-    assert mean == pytest.approx(1.5)
-    assert se == pytest.approx(0.1 / np.sqrt(2))
-    with pytest.raises(ValueError):
-        merge_estimates([])

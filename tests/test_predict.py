@@ -10,18 +10,15 @@ from szegodet import (
     log_det_Dn,
     make_map,
     operators,
-    predict_beta_log,
     predict_log_Dn,
     predict_log_Zn,
-    predict_quotient,
     spectral_report,
     suggest_truncation,
     symbol_from_coefficients,
-    zero_symbol,
     zn_beta_circle,
 )
 from szegodet import predict as predict_module
-from szegodet.errors import NonzeroMean, NotPositiveDefinite, SingularValueAtOne
+from szegodet.errors import NotPositiveDefinite, SingularValueAtOne
 from szegodet.grunsky import _cholesky
 from szegodet.predict import LOG_2PI, _clearance, _solve_form
 from szegodet.series import _unchecked_map
@@ -55,21 +52,21 @@ class TestQuadraticForm:
         pair = operators(grunsky_coefficients(circle, 4))
         rng = np.random.default_rng(1)
         v = g_vector(symbol_from_coefficients(0.0, rng.standard_normal(4), rng.standard_normal(4)), 4)
-        assert _solve_form(_cholesky(pair.B), v.entries) == pytest.approx(np.sum(v.entries**2))
+        assert _solve_form(_cholesky(pair.B), v) == pytest.approx(np.sum(v**2))
 
     def test_q_diagonal_a_block(self, qcurve):
         # K is diagonal for the q-curve: the a-block solves against 1 + q**k,
         # so a_1 = 1 gives (1/2)**2 / (1 + q) = 1/6
         pair = operators(grunsky_coefficients(qcurve, 8))
         v = g_vector(symbol_from_coefficients(0.0, [1.0]), 8)
-        assert _solve_form(_cholesky(pair.B), v.entries) == pytest.approx(1.0 / 6.0, abs=1e-14)
+        assert _solve_form(_cholesky(pair.B), v) == pytest.approx(1.0 / 6.0, abs=1e-14)
 
     def test_q_diagonal_b_block(self, qcurve):
         # b-block diagonal entry is 1 - q: (1/2)**2 / (1 - 0.5) = 1/2.
         # (The oracle value is forced by the diagonal solve.)
         pair = operators(grunsky_coefficients(qcurve, 8))
         v = g_vector(symbol_from_coefficients(0.0, [], [1.0]), 8)
-        assert _solve_form(_cholesky(pair.B), v.entries) == pytest.approx(0.5, abs=1e-14)
+        assert _solve_form(_cholesky(pair.B), v) == pytest.approx(0.5, abs=1e-14)
 
     def test_not_positive_definite(self):
         from szegodet.grunsky import GrunskyTable
@@ -82,7 +79,7 @@ class TestQuadraticForm:
         pair = operators(grunsky_coefficients(qcurve, 8))
         v = g_vector(symbol_from_coefficients(0.0, [1.0]), 4)
         with pytest.raises(ValueError):
-            _solve_form(_cholesky(pair.B), v.entries)
+            _solve_form(_cholesky(pair.B), v)
 
 
 class TestPredictLogDn:
@@ -352,48 +349,6 @@ class TestInvariances:
         assert b.term_halflogdet == base.term_halflogdet
 
 
-class TestQuotient:
-    def test_circle(self, circle, zero_sym):
-        assert predict_quotient(circle, zero_sym) == pytest.approx(2 * np.pi)
-
-    def test_constant_symbol(self, qcurve):
-        sym = symbol_from_coefficients(2.0)  # g = c = 1, a0 = 2c
-        assert predict_quotient(qcurve, sym) == pytest.approx(2 * np.pi * np.e)
-
-    def test_mean_zero(self, qcurve):
-        sym = symbol_from_coefficients(0.0, [1.0])
-        assert predict_quotient(qcurve, sym) == pytest.approx(2 * np.pi)
-
-
-class TestBeta:
-    def test_beta_two_reduces(self, qcurve):
-        sym = symbol_from_coefficients(0.0, [1.0])
-        v = predict_beta_log(qcurve, sym, 10, 2.0)
-        b = predict_log_Dn(qcurve, sym, 10)
-        assert abs(v - (b.term_quadform + b.term_halflogdet)) <= 1e-12
-
-    def test_circle_beta_four(self, circle):
-        # K = 0 and d = 0: value is (2/beta) t**2 with t = a_1/2 = 0.5
-        v = predict_beta_log(circle, symbol_from_coefficients(0.0, [1.0]), 5, 4.0)
-        assert v == pytest.approx(0.125)
-
-    def test_q_beta_four_diagonal_oracle(self, qcurve):
-        m = 32
-        table = grunsky_coefficients(qcurve, m)
-        from szegodet import d_vector
-
-        d = d_vector(table, m).entries.real
-        k = np.arange(1, m + 1, dtype=float)
-        quad = np.sum(d[:m] ** 2 / (1 + 0.5**k)) + np.sum(d[m:] ** 2 / (1 - 0.5**k))
-        expect = q_energy_limit(0.5) + 0.5 * quad
-        v = predict_beta_log(qcurve, zero_symbol(), 4, 4.0, m)
-        assert v.real == pytest.approx(expect, abs=1e-9)
-
-    def test_nonzero_mean_rejected(self, qcurve):
-        with pytest.raises(NonzeroMean):
-            predict_beta_log(qcurve, symbol_from_coefficients(1.0), 4, 4.0)
-
-
 class TestZnBetaCircle:
     def test_beta_two_collapses(self):
         assert zn_beta_circle(3, 2.0) == pytest.approx(3 * LOG_2PI)
@@ -406,8 +361,6 @@ class TestZnBetaCircle:
         assert zn_beta_circle(1, 7.25) == pytest.approx(LOG_2PI)
 
     @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_beta_rejected(self, qcurve, beta):
+    def test_bad_beta_rejected(self, beta):
         with pytest.raises(ValueError):
             zn_beta_circle(3, beta)
-        with pytest.raises(ValueError):
-            predict_beta_log(qcurve, zero_symbol(), 3, beta)
