@@ -141,6 +141,20 @@ def _emit(text: str, path: str | None):
             raise CLIInputError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_outputs(args) -> None:
+    """``CLIInputError`` before any work for an output path that is a
+    directory or whose directory is missing or not writable; nothing is
+    created or truncated here (``_emit`` reports a write that fails)."""
+    for name in ("out", "table_out", "report_out", "svg"):
+        path = getattr(args, name, None)
+        folder = os.path.dirname(path or "") or "."
+        if path in (None, "-") or (os.path.isdir(folder) and os.access(folder, os.W_OK)
+                                   and not os.path.isdir(path)):
+            continue
+        why = "it is a directory" if os.path.isdir(path) else f"{folder} is no writable directory"
+        raise CLIInputError(f"cannot write {path}: {why}")
+
+
 def _positive_int(spec: str) -> int:
     """argparse type for --n and a fixed --m: an integer >= 1."""
     n = int(spec)
@@ -231,15 +245,11 @@ def _cmd_grunsky(args) -> int:
     return 0
 
 
-def _breakdown_json(b) -> str:
-    return _json17(b.to_json_dict())
-
-
 def _cmd_predict(args) -> int:
     mp = load_curve(args.curve)
     sym = load_symbol(args.symbol)
     b = predict.predict_log_Dn(mp, sym, args.n, args.m)
-    _emit(_breakdown_json(b), args.out)
+    _emit(_json17(b.to_json_dict()), args.out)
     return 0
 
 
@@ -471,6 +481,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_outputs(args)
         return args.fn(args)
     except CLIInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

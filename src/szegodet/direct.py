@@ -89,17 +89,18 @@ blocks of at most ``_STACK_ENTRIES`` entries, so its memory does not
 grow with the number of maps.  ``_refine`` starts at N = 2 n_hi + 64
 nodes, rounded up to a multiple of 8, and N is doubled; each item on it
 keeps its own two-grid gate and leaves once its two latest grids agree,
-and only the items still on it are evaluated, each extending its own
-factors, on the next grid.  ``log_det_range`` is one map and one item,
-its whole n range (``log_det_Dn`` is a range of one row); an
-explicit N runs its N and 2N grids as one run (N // 2 and N once 2N
-passes N_CAP).  ``finite_energy`` needs log D_n of the zero symbol on the
-level curves phi_r(z) = phi(r z)/r, with Laurent data phi0/r and t_k /
-r**(k+1) (``series._dilated_coeffs``, which ``dilate_map`` uses too):
-one map and one item per r, so every r settles on the grid its own
-``log_det_Dn`` call would.  Its r run in ladders of as many r as have
-n-by-n factors within ``_STACK_ENTRIES``, so the factors held from grid
-to grid do not grow with the number of r either.
+and only the items still on it are evaluated on the next grid, each
+extending its own factors, held by ``_refine`` from run to run.
+``log_det_range`` is one map and one item, its whole n range
+(``log_det_Dn`` is a range of one row); an explicit N runs its N and 2N
+grids as one run (N // 2 and N once 2N passes N_CAP).  ``finite_energy``
+needs log D_n of the zero symbol on the level curves phi_r(z) =
+phi(r z)/r, with Laurent data phi0/r and t_k / r**(k+1)
+(``series._dilated_coeffs``, which ``dilate_map`` uses too): one map and
+one item per r, so every r settles on the grid its own ``log_det_Dn``
+call would.  Its r run in ladders of as many r as have n-by-n factors
+within ``_STACK_ENTRIES``, so the factors held from grid to grid do not
+grow with the number of r either.
 
 Up to degree n_hi the Gram entries are trigonometric polynomials of
 degree about 2 n_hi times an analytic weight whose Fourier tail decays
@@ -389,23 +390,29 @@ def _start_N(n: int) -> int:
 def _refine(evaluate, count: int, start: int):
     """The automatic N ladder for ``count`` items, each gated on its own.
 
-    ``evaluate(idx, sizes)`` gives the rows of the items idx on each grid
-    of the run ``sizes``, in order, and the method.  The first run is the
-    ladder's first two grids, start and 2 start; each later run is the one
-    grid of twice the last one's nodes.  An item settles when every entry
-    of its row agrees to REFINE_TOL on its two latest grids.  A NaN row
-    ends its item with ZeroDeterminant, N past N_CAP with NotConverged;
-    the error raised is that of the first failing item, once every item
-    before it has settled, and no later grid of its run is read.  Returns
-    the settled rows and the N and method of the last grid.
+    ``evaluate(idx, sizes, prev)`` gives the rows of the items idx on each
+    grid of the run ``sizes``, in order, the method, and the factors of
+    the last grid: a tuple of arrays, or None, over the items idx.  prev
+    is None on the first run, then the factors of the run before, cut to
+    the items still on the ladder once one has left.  The first run is
+    the ladder's first two grids, start and 2 start; each later run is
+    the one grid of twice the last one's nodes.  An item settles when
+    every entry of its row agrees to REFINE_TOL on its two latest grids.
+    A NaN row ends its item with ZeroDeterminant, N past N_CAP with
+    NotConverged; the error raised is that of the first failing item, once
+    every item before it has settled, and no later grid of its run is
+    read.  Returns the settled rows and the N and method of the last grid.
     """
     errors: dict[int, Exception] = {}  # index of an item -> the error ending its ladder
-    live = np.arange(count)  # items still on the ladder
-    prev = np.nan
+    live = held = np.arange(count)  # items still on the ladder; those factors belong to
+    factors, prev = None, np.nan
     sizes = (start, 2 * start)
     while True:
-        run, method = evaluate(live, sizes)
-        held = live  # the items the run's rows belong to
+        if len(live) < len(held):  # the items that left drop their factors
+            at = np.searchsorted(held, live)
+            factors = tuple(None if f is None else f[at] for f in factors)
+        run, method, factors = evaluate(live, sizes, factors)
+        held = live
         for size, cur in zip(sizes, run):
             if len(live) < len(held):
                 cur = cur[np.searchsorted(held, live)]
@@ -459,15 +466,8 @@ def log_det_range(
         logdets, method, factors = _grid_prefix(*stack, [g[:: M // s] for s in sizes], n_hi, prev)
         return (x[:, n_lo - 1 :] for x in logdets), method, factors
 
-    if N is None:
-        factors = None  # of the latest grid
-
-        def evaluate(_, sizes):  # the whole range is one item
-            nonlocal factors
-            rows, method, factors = run(sizes, factors)
-            return rows, method
-
-        vals, N, method = _refine(evaluate, 1, _start_N(n_hi))
+    if N is None:  # the whole range is one item
+        vals, N, method = _refine(lambda _, sizes, prev: run(sizes, prev), 1, _start_N(n_hi))
         agree = np.ones(len(ns), dtype=bool)
     else:
         if N < 4 * n_hi:
@@ -538,17 +538,11 @@ def finite_energy(mp: ExteriorMap, n: int, r_grid) -> EnergyCurve:
 def _energy_ladder(mp: ExteriorMap, r: np.ndarray, n: int) -> np.ndarray:
     """log D_n of the zero symbol on the level curve of each r: one
     ``_refine`` ladder, one item per r."""
-    factors, held = None, None  # of the latest grid, and the items they belong to
-
-    def evaluate(live, sizes):
-        nonlocal factors, held
-        if factors is not None and len(live) < len(held):  # the items that left drop theirs
-            factors = factors[0][np.searchsorted(held, live)], None  # g = 0: no C
+    def evaluate(live, sizes, prev):
         logdets, method, factors = _grid_prefix(
-            *_dilated_coeffs(mp, r[live]), [np.zeros(N) for N in sizes], n, factors
+            *_dilated_coeffs(mp, r[live]), [np.zeros(N) for N in sizes], n, prev
         )
-        held = live
-        return (x[:, -1:] for x in logdets), method
+        return (x[:, -1:] for x in logdets), method, factors
 
     return _refine(evaluate, len(r), _start_N(n))[0]
 

@@ -139,12 +139,6 @@ def _symmetric(a: np.ndarray) -> np.ndarray:
 _DENSE_MAX = 64
 
 
-def _lead_size(m: int) -> int:
-    """Table size of the leading factor that the factor of table size m
-    extends: m // 2 above ``_DENSE_MAX``, 0 (one dense potrf) at or below."""
-    return m // 2 if m > _DENSE_MAX else 0
-
-
 def _cholesky(B: np.ndarray, lead: tuple | None = None,
               weights: np.ndarray | None = None) -> tuple:
     """Cholesky factor of I + K as ``(c, lower)``, the form ``potrs`` takes:
@@ -155,66 +149,51 @@ def _cholesky(B: np.ndarray, lead: tuple | None = None,
     ``B[k].view(float)`` and ``(-1j * B[k]).view(float)``, plus I.  So
     I + K_m is the leading block of I + K_2m, and the factor of table
     size m is the leading block of that of 2m.  c is Fortran-ordered,
-    the factor in its upper triangle.  B must be symmetric; only its
-    rows past the lead's are read, so B is all of B without a lead and
-    B[m // 2:] with one.  With weights (``_weights``), B holds those rows
-    of a table array instead, and the entries of the operator are formed
-    where they are used, with the bits of ``_operator``.
+    the factor in its upper triangle.  B is the whole symmetric m x m
+    operator; with weights (``_weights``) it is the table array instead,
+    and the entries of the operator are formed where they are used, with
+    the bits of ``_operator``.
 
     The factor is a function of the table sizes alone.  At or below
     ``_DENSE_MAX`` it is one dense ``potrf``.  Above, it is the factor of
-    table size m // 2, the given lead or one computed here in the same
-    buffer (``_leading``), extended by its new columns (``_extend``): an
-    m ladder that passes each rung's factor to the next ends with the
-    bits of one call at its last size.  A block of new columns is solved
-    from its envelope on, the first earlier row that B couples to it,
-    read off the exact zeros of B (the Grunsky wedge of a polynomial
-    tail); one that B couples to no earlier row splits in halves
-    (``_factor``), so the ellipse's diagonal B is factored in 128 x 128
-    blocks.  Above the envelope c is 0; below the diagonal it is not
-    read and, outside the dense blocks, not set.  Raises
-    ``NotPositiveDefinite`` when ``potrf`` meets a nonpositive pivot.
+    table size m // 2, the given lead (``ValueError`` unless it has that
+    size) or one computed here in the same buffer (``_factor``), extended
+    by its new columns (``_extend``): an m ladder that passes each rung's
+    factor to the next (``_rungs``) ends with the bits of one call at its
+    last size.  A block of new columns is solved from its envelope on,
+    the first earlier row that B couples to it, read off the exact zeros
+    of B (the Grunsky wedge of a polynomial tail); one that B couples to
+    no earlier row splits in halves (``_factor``), so the ellipse's
+    diagonal B is factored in 128 x 128 blocks.  Above the envelope c is
+    0; below the diagonal it is not read and, outside the dense blocks,
+    not set.  Raises ``NotPositiveDefinite`` when ``potrf`` meets a
+    nonpositive pivot.
     """
-    m = B.shape[1]
-    m0 = _lead_size(m)
-    if lead is None:
-        if len(B) != m:
-            raise ValueError("without a lead, B must be square")
-        if not m0:
-            return _potrf_checked(_block(B, weights, 0, 0, m)), False
-    elif not m0 or len(lead[0]) != 2 * m0 or len(B) != m - m0:
+    m = len(B)
+    m0 = m // 2 if m > _DENSE_MAX else 0
+    if lead is not None and (not m0 or len(lead[0]) != 2 * m0):
         raise ValueError(f"the factor of table size {m} extends the one of size {m0}")
+    if not m0:
+        return _potrf_checked(_block(B, weights, 0, m)), False
     c = np.empty((2 * m, 2 * m), order="F")
     if lead is None:
-        _leading(c, B, weights, m)
+        _factor(c, B, weights, 0, m)
     else:
         c[:2 * m0, :2 * m0] = lead[0]
-        _extend(c, B, weights, m0, 0, m0, m)
+        _extend(c, B, weights, 0, m0, m)
     return c, False
 
 
-def _leading(c: np.ndarray, B: np.ndarray, weights: np.ndarray | None, m: int) -> None:
-    """Factor into c the leading block of table size m of I + K from B,
-    by the steps, and so with the bits, of ``_cholesky`` at size m."""
-    m0 = _lead_size(m)
-    if not m0:
-        c[:2 * m, :2 * m] = _potrf_checked(_block(B, weights, 0, 0, m))
-        return
-    _leading(c, B, weights, m0)
-    _extend(c, B[m0:], weights, m0, 0, m0, m)
-
-
-def _operator_rows(B: np.ndarray, weights: np.ndarray | None, m0: int, lo: int, hi: int,
-                   s: int, e: int) -> np.ndarray:
-    """Rows lo..hi-1, columns s..e-1 of B, from the rows of B (or, with
-    weights, of the table array) from m0 on."""
-    b = B[lo - m0:hi - m0, s:e]
+def _operator_rows(B: np.ndarray, weights: np.ndarray | None, lo: int, hi: int, s: int,
+                   e: int) -> np.ndarray:
+    """Rows lo..hi-1, columns s..e-1 of the operator: B, or B times the weights."""
+    b = B[lo:hi, s:e]
     return b if weights is None else b * np.outer(weights[lo:hi], weights[s:e])
 
 
-def _block(B: np.ndarray, weights: np.ndarray | None, m0: int, lo: int, hi: int) -> np.ndarray:
+def _block(B: np.ndarray, weights: np.ndarray | None, lo: int, hi: int) -> np.ndarray:
     """The diagonal block of I + K of row pairs lo..hi-1, Fortran-ordered."""
-    b = _operator_rows(B, weights, m0, lo, hi, lo, hi)
+    b = _operator_rows(B, weights, lo, hi, lo, hi)
     n = 2 * (hi - lo)
     rows = np.empty((n, n))
     rows[0::2] = b.view(float)
@@ -223,21 +202,21 @@ def _block(B: np.ndarray, weights: np.ndarray | None, m0: int, lo: int, hi: int)
     return rows.T  # the block is symmetric: its rows are its columns
 
 
-def _factor(c: np.ndarray, B: np.ndarray, weights: np.ndarray | None, m0: int, lo: int,
-            hi: int) -> None:
+def _factor(c: np.ndarray, B: np.ndarray, weights: np.ndarray | None, lo: int, hi: int) -> None:
     """Factor into c the diagonal block of row pairs lo..hi-1, which no
     earlier row is coupled to: one ``potrf`` at or below ``_DENSE_MAX``
-    pairs, else its first half, then the second extended over it."""
+    pairs, else its first half, then the second extended over it.  At
+    lo = 0 these are the steps of ``_cholesky`` at table size hi."""
     if hi - lo > _DENSE_MAX:
         mid = lo + (hi - lo) // 2
-        _factor(c, B, weights, m0, lo, mid)
-        _extend(c, B, weights, m0, lo, mid, hi)
+        _factor(c, B, weights, lo, mid)
+        _extend(c, B, weights, lo, mid, hi)
         return
-    c[2 * lo:2 * hi, 2 * lo:2 * hi] = _potrf_checked(_block(B, weights, m0, lo, hi))
+    c[2 * lo:2 * hi, 2 * lo:2 * hi] = _potrf_checked(_block(B, weights, lo, hi))
 
 
-def _extend(c: np.ndarray, B: np.ndarray, weights: np.ndarray | None, m0: int, lo: int,
-            mid: int, hi: int) -> None:
+def _extend(c: np.ndarray, B: np.ndarray, weights: np.ndarray | None, lo: int, mid: int,
+            hi: int) -> None:
     """Factor into c the columns of row pairs mid..hi-1, given the factor
     of pairs lo..mid-1 in c, no coupling to rows before lo, and zeros in
     those rows of the new columns.
@@ -250,15 +229,15 @@ def _extend(c: np.ndarray, B: np.ndarray, weights: np.ndarray | None, m0: int, l
     factored by one ``potrf``.  With no coupling, the new block is
     factored on its own (``_factor``).
     """
-    hit = np.flatnonzero((B[mid - m0:hi - m0, lo:mid].view(float) != 0).any(axis=0))
+    hit = np.flatnonzero((B[mid:hi, lo:mid].view(float) != 0).any(axis=0))
     if not hit.size:
         c[2 * lo:2 * mid, 2 * mid:2 * hi] = 0.0
-        _factor(c, B, weights, m0, mid, hi)
+        _factor(c, B, weights, mid, hi)
         return
     s = lo + int(hit[0]) // 2
     c[2 * lo:2 * s, 2 * mid:2 * hi] = 0.0
     # zt.T, Fortran-ordered, is the panel's transpose: new rows by old columns
-    bt = _operator_rows(B, weights, m0, mid, hi, s, mid).T
+    bt = _operator_rows(B, weights, mid, hi, s, mid).T
     zt = np.empty((2 * (mid - s), 2 * (hi - mid)))
     z4 = zt.reshape(mid - s, 2, hi - mid, 2)
     z4[:, 0, :, 0] = bt.real
@@ -267,7 +246,7 @@ def _extend(c: np.ndarray, B: np.ndarray, weights: np.ndarray | None, m0: int, l
     np.negative(bt.real, out=z4[:, 1, :, 1])
     q, r, e = 2 * s, 2 * mid, 2 * hi  # in rows
     z = _trsm(1.0, c[q:r, q:r], zt.T, side=1, overwrite_b=1)
-    d = _syrk(-1.0, z, beta=1.0, c=_block(B, weights, m0, mid, hi), overwrite_c=1)
+    d = _syrk(-1.0, z, beta=1.0, c=_block(B, weights, mid, hi), overwrite_c=1)
     c[q:r, r:e] = z.T
     c[r:e, r:e] = _potrf_checked(d)
 
@@ -395,17 +374,6 @@ def _asym_defect(tail: np.ndarray, a: np.ndarray) -> float:
     return float(np.max(np.abs(again[nz] - row[nz]) / np.abs(row[nz]), initial=0.0))
 
 
-def _doubling_tables(tail: np.ndarray, size: int):
-    """Table arrays of size, 2 size, 4 size, ..., each grown from the one
-    before by its new rows only, so each entry is computed once and every
-    array has the bits of ``grunsky_coefficients`` at its size."""
-    a = np.zeros((0, 0), dtype=complex)
-    while True:
-        a = _grow(tail, a, size)
-        yield a
-        size *= 2
-
-
 def grunsky_coefficients(mp: ExteriorMap, size: int) -> GrunskyTable:
     """Table a_{kl}, 1 <= k,l <= size, by the exact recurrence.
 
@@ -432,6 +400,19 @@ def _operator(a: np.ndarray) -> np.ndarray:
     B = a * np.outer(k, k)
     B.setflags(write=False)
     return B
+
+
+def _rungs(tail: np.ndarray, size: int):
+    """(a, cho) of table size, 2 size, 4 size, ...: the table array, grown
+    by its new rows only, and the factor of its I + K, extending the one
+    before where ``_cholesky`` does; each rung has the bits of
+    ``grunsky_coefficients`` and of ``_cholesky`` of its operator."""
+    a, cho = np.zeros((0, 0), dtype=complex), None
+    while True:
+        a = _grow(tail, a, size)
+        cho = _cholesky(a, cho if size > _DENSE_MAX else None, _weights(size))
+        yield a, cho
+        size *= 2
 
 
 def operators(table: GrunskyTable) -> OperatorPair:

@@ -21,15 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import flapack
-from .grunsky import (
-    _cholesky,
-    _doubling_tables,
-    _kappa,
-    _lead_size,
-    _operator,
-    _weights,
-    delta_m_tail,
-)
+from .grunsky import _kappa, _operator, _rungs, delta_m_tail
 from .series import ExteriorMap
 from .symbol import FourierSymbol, g_vector, zero_symbol
 
@@ -70,22 +62,6 @@ class PredictionBreakdown:
             "total_log": c(self.total_log),
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "PredictionBreakdown":
-        def c(v):
-            return complex(v[0], v[1])
-
-        return cls(
-            n=int(doc["n"]),
-            m_used=int(doc["m_used"]),
-            term_cap=float(doc["term_cap"]),
-            term_2pi=float(doc["term_2pi"]),
-            term_a0=c(doc["term_a0"]),
-            term_quadform=c(doc["term_quadform"]),
-            term_halflogdet=float(doc["term_halflogdet"]),
-            total_log=c(doc["total_log"]),
-        )
-
 
 def _solve_form(cho: tuple, v: np.ndarray) -> complex:
     """v^t (I+K)^{-1} v from the Cholesky factor of I + K: Re v and Im v
@@ -107,16 +83,9 @@ def _solve_form(cho: tuple, v: np.ndarray) -> complex:
     return complex(float(vr @ xr - vi @ xi), float(vr @ xi + vi @ xr))
 
 
-def _rung(a: np.ndarray, sym: FourierSymbol, lead: tuple | None = None):
-    """(a, cho, quad, half) of a table array, with half = -0.5 log det(I+K)
-    read off the diagonal of the Cholesky factor.
-
-    B is not formed: ``_cholesky`` forms its entries inside the envelope
-    of the factor.  With lead, the rung before, the factor extends the
-    lead's where ``_cholesky`` would (above table size 64).
-    """
-    m0 = _lead_size(len(a)) if lead is not None else 0
-    cho = _cholesky(a[m0:], lead[1] if m0 else None, _weights(len(a)))
+def _rung(a: np.ndarray, cho: tuple, sym: FourierSymbol):
+    """(a, cho, quad, half) of a rung of ``grunsky._rungs``: quad the symbol's
+    form against the factor, half = -0.5 log det(I+K) off its diagonal."""
     quad = _solve_form(cho, g_vector(sym, len(a)))
     return a, cho, quad, -float(np.sum(np.log(np.diag(cho[0])))) + 0.0
 
@@ -153,14 +122,14 @@ def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
     """``_rung`` at a fixed m, or at the first doubling m = 8, 16, ..., 512
     where quad and half both move by less than 1e-9.
 
-    The tables come from ``_doubling_tables``: each rung computes only its
-    new rows.  Each rung's Cholesky factor of I + K extends the one of
-    the rung before from table size 128 on (``_rung``), so the ladder
-    computes one factor, each row once, and ends with the bits of a
-    fixed m at its last size.  A rung is the array of ``_grow``,
-    symmetric by construction: no rung pays the check of ``GrunskyTable``
-    or ``OperatorPair``, and B is formed only for the guard and the log
-    line below.
+    The rungs come from ``grunsky._rungs``: each computes only its new
+    table rows, and its Cholesky factor of I + K extends the one of the
+    rung before from table size 128 on, so the ladder computes one
+    factor, each row once, and ends with the bits of a fixed m at its
+    last size.  A rung's table is the array of ``_grow``, symmetric by
+    construction: no rung pays the check of ``GrunskyTable`` or
+    ``OperatorPair``, and B is formed only for the guard and the log line
+    below.
 
     Only the accepted rung is checked for a singular value of B at 1: B_m
     is the leading block of B_2m, so the largest one cannot fall as m grows.
@@ -173,13 +142,13 @@ def _ladder(mp: ExteriorMap, sym: FourierSymbol, m: int | None):
     from the same call and changes nothing else.
     """
     size = 8 if m is None else m
-    tables = _doubling_tables(mp.tail, size)
-    rung = _rung(next(tables), sym)
+    rungs = _rungs(mp.tail, size)
+    rung = _rung(*next(rungs), sym)
     gaps = (float("nan"), float("nan"))
     settled = False
     while m is None and not settled and size < M_AUTO_CAP:
         size *= 2
-        prev, rung = rung, _rung(next(tables), sym, rung)
+        prev, rung = rung, _rung(*next(rungs), sym)
         gaps = (abs(rung[2] - prev[2]), abs(rung[3] - prev[3]))
         settled = all(gap < M_AUTO_TOL for gap in gaps)
     a, cho, quad, half = rung

@@ -59,17 +59,15 @@ class TestPredict:
         assert total == pytest.approx(doc["total_log"][0], abs=1e-12)
 
     def test_round_trip_into_type(self, capsys, curve_file, symbol_file):
-        # the emitted JSON re-parses into the producing value unchanged
+        # the emitted JSON carries every value of the producing breakdown unchanged
         from szegodet import predict_log_Dn
         from szegodet.cli import load_curve, load_symbol
-        from szegodet.predict import PredictionBreakdown
 
         path = curve_file("q.json")
         code, out, _ = run(capsys, "predict", "--curve", path,
                            "--symbol", symbol_file, "--n", "12")
-        parsed = PredictionBreakdown.from_json_dict(json.loads(out))
         direct = predict_log_Dn(load_curve(path), load_symbol(symbol_file), 12)
-        assert parsed == direct
+        assert json.loads(out) == direct.to_json_dict()
 
     def test_theta_samples_symbol(self, capsys, curve_file, tmp_path):
         theta = 2 * np.pi * np.arange(16) / 16
@@ -619,6 +617,24 @@ class TestExitCodes:
                            flag, str(target))
         assert code == 2
         assert err.startswith(f"error: cannot write {target}: ")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["grunsky", "--m", "2", "--table-out", "kept.txt"], "--report-out"),
+        (["energy", "--n", "2", "--r", "1.5,2", "--out", "kept.txt"], "--svg"),
+    ])
+    def test_unwritable_output_path_before_any_work(self, capsys, curve_file, tmp_path,
+                                                    monkeypatch, argv, flag):
+        # every output path is checked before the command runs: nothing is
+        # printed, and no other output file is created or truncated
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kept.txt").write_text("kept")
+        target = tmp_path / "missing" / "x.out"
+        code, out, err = run(capsys, *argv[:1], "--curve", curve_file("q.json"), *argv[1:],
+                             flag, str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert (tmp_path / "kept.txt").read_text() == "kept"
 
 
 def test_shared_parser_keeps_no_state(capsys, curve_file, symbol_file):

@@ -844,6 +844,33 @@ class TestOneEvaluator:
         assert firsts == [True, False]
         assert stray == []
 
+    def test_refine_hands_each_run_the_factors_of_its_items(self):
+        # item i is off by 1/N below settle[i] nodes: items 0, 1, 2 settle
+        # on the grids of 128, 512 and 2048 nodes
+        from szegodet.direct import _refine
+
+        settle = np.array([64, 256, 1024])
+        runs = []  # per run: the items, its grids, prev and the factors returned
+
+        def evaluate(idx, sizes, prev):
+            factors = (100.0 * len(runs) + idx, None)  # one factor per item
+            runs.append((idx.tolist(), sizes, prev, factors))
+            return ([np.where(N < settle[idx], 1.0 / N, 0.0)[:, None] for N in sizes],
+                    "qr_positive", factors)
+
+        rows, N, method = _refine(evaluate, 3, 64)
+        assert N == 2048 and method == "qr_positive" and not rows.any()
+        assert [(idx, sizes) for idx, sizes, _, _ in runs] == [
+            ([0, 1, 2], (64, 128)), ([1, 2], (256,)), ([1, 2], (512,)), ([2], (1024,)),
+            ([2], (2048,))]
+        assert runs[0][2] is None
+        for (held, _, _, returned), (idx, _, prev, _) in zip(runs, runs[1:]):
+            if idx == held:  # no item has left: the very factors of the last run
+                assert prev is returned
+            else:
+                at = np.searchsorted(held, idx)
+                assert np.array_equal(prev[0], returned[0][at]) and prev[1] is None
+
 
 def _phase_prefix_reference(C):
     """log det C_j, j = 1..n, by the unblocked rank-1 elimination loop."""

@@ -615,15 +615,36 @@ def test_table_bitwise_symmetric_m512(request, curve):
 
 @pytest.mark.parametrize("curve", ["wobbly", "slow"])
 def test_ladder_growth_to_512_equals_one_build(request, curve):
-    from szegodet.grunsky import _doubling_tables
+    from szegodet.grunsky import _rungs
 
     mp = request.getfixturevalue(curve)
-    tables = _doubling_tables(mp.tail, 8)
+    tables = (a for a, _ in _rungs(mp.tail, 8))
     a = next(tables)
     while len(a) < 512:
         assert a.tobytes() == a.T.copy().tobytes()
         a = next(tables)
     assert a.tobytes() == grunsky_coefficients(mp, 512).a.tobytes()
+
+
+@pytest.mark.parametrize("curve", ["wobbly", "slow", "q093"])
+def test_rungs_give_the_table_and_factor_of_one_size(request, curve):
+    # a rung is the table of grunsky_coefficients and the factor of
+    # _cholesky of its operator, bit for bit, whether it starts a ladder
+    # (m = 64, 128, 512) or is reached from m = 8
+    from szegodet.grunsky import _cholesky, _rungs
+
+    mp = make_map(1.0, 0.0, [0.93]) if curve == "q093" else request.getfixturevalue(curve)
+    ladder = _rungs(mp.tail, 8)
+    for m in (64, 128, 512):
+        table = grunsky_coefficients(mp, m)
+        c = np.triu(_cholesky(operators(table).B)[0])
+        reached = next(ladder)
+        while len(reached[0]) < m:
+            reached = next(ladder)
+        for a, (cho, lower) in (next(_rungs(mp.tail, m)), reached):
+            assert not lower
+            assert a.tobytes() == table.a.tobytes()
+            assert np.triu(cho).tobytes() == c.tobytes()
 
 
 # tails of degree 1..6 whose rows k <= d**2 take shortened zaxpy runs of
@@ -840,7 +861,7 @@ def test_cholesky_lead_must_be_half_the_size(wobbly):
 
     B = operators(grunsky_coefficients(wobbly, 256)).B
     with pytest.raises(ValueError):
-        _cholesky(B[100:], _cholesky(B[:100, :100]))
+        _cholesky(B, _cholesky(B[:100, :100]))
 
 
 def test_suggest_truncation(qcurve, circle):
