@@ -364,6 +364,7 @@ def _cmd_beta_mc(args) -> int:
             n=args.n, beta=args.beta, steps=args.steps, burn_in=args.burn_in,
             proposal_width=args.width, seed=args.seed,
         )
+        mcbeta._require_real_symbol(sym)
     except ValueError as exc:
         raise CLIInputError(str(exc)) from exc
     est = mcbeta.estimate_ratio(mp, sym, cfg, args.m)

@@ -15,7 +15,10 @@ library to compare against.
 
 The sampler is single-site Metropolis with a product-form acceptance
 rule (see ``_metropolis_kernel``), written in plain Python over Python
-floats with ``math.cos``; no JIT compiler is used or needed.
+floats with ``math.cos``; no JIT compiler is used or needed.  The
+estimator (``estimate_ratio``) takes every per-sample term from a single
+pass over the powers of e^{-i theta} of each block of kept sweeps, and
+accepts real-valued symbols only, checked before the chain runs.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from .errors import HeavyTailWarning
 from .grunsky import grunsky_coefficients
 from .predict import _ladder
-from .series import ExteriorMap, _phi_norm
+from .series import ExteriorMap
 from .symbol import FourierSymbol, theta_values, zero_symbol
 
 _TUNE_BLOCK = 128
@@ -81,28 +84,31 @@ def _metropolis_kernel(theta, beta, width0, burn_in, u_prop, u_acc, out):
     factors lie in [0, 4] and their product is n**2 for equally spaced
     angles, so num and den stay far from float64 overflow and underflow.
 
-    Plain Python floats and ``math.cos``: the random draws are read
-    ``_ROW_BLOCK`` sweeps at a time, and kept sweeps are written into
-    ``out`` block by block.  Returns (post-burn-in acceptance, width).
+    Plain Python floats and ``math.cos``: each site carries the tuple of
+    the other sites, taken in increasing order, the random draws are read
+    ``_ROW_BLOCK`` sweeps at a time, and the kept sweeps of a block are
+    gathered in one flat list and written into ``out`` at once.  Returns
+    (post-burn-in acceptance, width).
     """
     steps, n = u_prop.shape
     th = theta.tolist()
     cos = math.cos
     pi = math.pi
     two_pi = 2.0 * math.pi
-    sites = range(n)
+    others = [(mu, tuple(nu for nu in range(n) if nu != mu)) for mu in range(n)]
+    flat = out.reshape(-1)
     width = width0
     block_acc = 0
     post_acc = 0
-    kept = 0
+    pos = 0
     for start in range(0, steps, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, steps)
         jumps = (2.0 * u_prop[start:stop] - 1.0).tolist()
         bars = ((1.0 - u_acc[start:stop]) ** (2.0 / beta)).tolist()
-        rows = []
+        kept = []
         for t, jump, bar in zip(range(start, stop), jumps, bars):
             n_acc = 0
-            for mu in sites:
+            for mu, rest in others:
                 cur = th[mu]
                 prop = cur + width * jump[mu]
                 if prop >= pi:
@@ -111,11 +117,10 @@ def _metropolis_kernel(theta, beta, width0, burn_in, u_prop, u_acc, out):
                     prop += two_pi
                 num = 1.0
                 den = 1.0
-                for nu in sites:
-                    if nu != mu:
-                        other = th[nu]
-                        num *= 2.0 - 2.0 * cos(prop - other)
-                        den *= 2.0 - 2.0 * cos(cur - other)
+                for nu in rest:
+                    other = th[nu]
+                    num *= 2.0 - 2.0 * cos(prop - other)
+                    den *= 2.0 - 2.0 * cos(cur - other)
                 if num > 0.0 and den * bar[mu] < num:
                     th[mu] = prop
                     n_acc += 1
@@ -131,11 +136,11 @@ def _metropolis_kernel(theta, beta, width0, burn_in, u_prop, u_acc, out):
                     block_acc = 0
             else:
                 post_acc += n_acc
-                rows.append(th[:])
-        if rows:
-            out[kept:kept + len(rows)] = rows
-            kept += len(rows)
-    return post_acc / (kept * n), width
+                kept += th
+        if kept:
+            flat[pos:pos + len(kept)] = kept
+            pos += len(kept)
+    return post_acc / pos, width
 
 
 def _run_chain(cfg: ChainConfig):
@@ -156,7 +161,8 @@ def _heavy_tailed(w: np.ndarray) -> bool:
     total = float(np.sum(w))
     if not total > 0:
         return False
-    top = np.sort(w)[::-1][: max(1, len(w) // 1000)]
+    cut = len(w) - max(1, len(w) // 1000)
+    top = np.partition(w, cut)[cut:]
     return float(np.sum(top)) > 0.5 * total
 
 
@@ -182,6 +188,16 @@ def _autocorr_time(x: np.ndarray) -> tuple[float, float]:
     return tau, se
 
 
+def _require_real_symbol(sym: FourierSymbol) -> None:
+    """ValueError unless g is real: |Im g| <= 1e-12 max(1, max |g|) on a
+    grid of 8 K_max + 8 equally spaced angles, enough points to see any
+    imaginary part of a trigonometric polynomial of degree K_max."""
+    N = 8 * sym.K_max + 8
+    gv = theta_values(sym, 2.0 * np.pi * np.arange(N) / N)
+    if float(np.max(np.abs(gv.imag))) > 1e-12 * max(1.0, float(np.max(np.abs(gv)))):
+        raise ValueError("Monte Carlo probe supports real-valued symbols only")
+
+
 def estimate_ratio(
     mp: ExteriorMap, sym: FourierSymbol, cfg: ChainConfig, m: int | None = None
 ) -> BetaEstimate:
@@ -189,38 +205,70 @@ def estimate_ratio(
 
     Reports log of the weight mean, a delta-method standard error, the
     effective sample size from the weight autocorrelation, and the
-    post-burn-in acceptance rate.  A mean-zero symbol is recommended and
-    a heavy-tail warning fires when the top 0.1% of weights carry more
-    than half of the mean.  With m = None the table is the accepted rung
-    of the zero-symbol m ladder (see ``suggest_truncation``).
+    post-burn-in acceptance rate.  The symbol must be real-valued
+    (``_require_real_symbol``, checked before the chain runs).  A
+    mean-zero symbol is recommended and a heavy-tail warning fires when
+    the top 0.1% of weights carry more than half of the mean.  With
+    m = None the table is the accepted rung of the zero-symbol m ladder
+    (see ``suggest_truncation``).
+
+    Every per-sample term comes from one pass over the powers w**k,
+    w = e^{-i theta}, of each block of ``_COL_BLOCK`` kept sweeps: the
+    power sums p_k = sum_mu w_mu**k, the symbol term
+    sum_mu Re g = n Re a0 / 2 + sum_k (Re a_k Re p_k - Re b_k Im p_k),
+    and at beta != 2 log|phi'(e^{i theta})| with
+    phi'(e^{i theta}) = 1 - sum_k k t_k w**(k+1).  With a = A + i A_i and
+    p = x + i y, the quadratic form is
+    Re(p^t a p) = (x - y)^t A (x + y) - 2 x^t A_i y, two real products.
+    Only p_1..p_m are stored; higher powers are used and dropped.
     """
     a = grunsky_coefficients(mp, m).a if m is not None else _ladder(mp, zero_symbol(), None)[0]
     m = len(a)
     if abs(complex(sym.a0)) > 1e-12:
         warnings.warn("symbol has nonzero mean; consider subtracting a0/2", stacklevel=2)
+    _require_real_symbol(sym)
     thetas, rate, _ = _run_chain(cfg)
     T = len(thetas)
-    # power sums in an (m, block) layout, each p_k one contiguous row, built
-    # over _COL_BLOCK samples at a time so memory stays O(m * _COL_BLOCK)
-    quad = np.empty(T)
+    A = np.ascontiguousarray(a.real)
+    A_i = np.ascontiguousarray(a.imag)
+    K = sym.K_max
+    g_cos = sym.a.real
+    g_sin = sym.b.real
+    g_mean = 0.5 * cfg.n * complex(sym.a0).real
+    # phi' = 1 + sum_j d_j w**(j+1), d_j = -j t_j; only needed at beta != 2
+    d = -np.arange(1, len(mp.tail) + 1) * mp.tail if cfg.beta != 2.0 else np.zeros(0)
+    top = max(m, K, len(d) + 1)
+    expo = np.empty(T)
+    P = np.empty((m, _COL_BLOCK), dtype=complex)
+    p = np.empty(_COL_BLOCK, dtype=complex)
     for c0 in range(0, T, _COL_BLOCK):
-        z = np.exp(-1j * np.ascontiguousarray(thetas[c0:c0 + _COL_BLOCK].T))
-        cur = z.copy()
-        P = np.empty((m, z.shape[1]), dtype=complex)
-        for k in range(m):
-            np.sum(cur, axis=0, out=P[k])
-            cur *= z
-        Q = a.T @ P
-        Q *= P
-        quad[c0:c0 + _COL_BLOCK] = np.sum(Q, axis=0).real
-    gv = theta_values(sym, thetas)
-    if float(np.max(np.abs(gv.imag))) > 1e-12 * max(1.0, float(np.max(np.abs(gv)))):
-        raise ValueError("Monte Carlo probe supports real-valued symbols only")
-    expo = -0.5 * cfg.beta * quad + np.sum(gv.real, axis=1)
-    if cfg.beta != 2.0:
-        zb = np.exp(1j * thetas)
-        logphip = np.sum(np.log(np.abs(_phi_norm(mp, zb, 1))), axis=1)
-        expo += (1.0 - 0.5 * cfg.beta) * logphip
+        w = np.exp(-1j * np.ascontiguousarray(thetas[c0:c0 + _COL_BLOCK].T))
+        B = w.shape[1]
+        Pb = P[:, :B]
+        pk = p[:B]
+        g_sum = np.full(B, g_mean)
+        dphi = np.ones_like(w) if len(d) else None
+        cur = w.copy()
+        for k in range(1, top + 1):
+            if k > 1:
+                cur *= w
+            if k <= m or k <= K:
+                s = Pb[k - 1] if k <= m else pk
+                np.sum(cur, axis=0, out=s)
+                if k <= K:
+                    g_sum += g_cos[k - 1] * s.real
+                    g_sum -= g_sin[k - 1] * s.imag
+            if 2 <= k <= len(d) + 1:
+                dphi += d[k - 2] * cur
+        x = Pb.real
+        y = Pb.imag
+        quad = np.einsum("kj,kj->j", x - y, A @ (x + y))
+        quad -= 2.0 * np.einsum("kj,kj->j", x, A_i @ y)
+        block = expo[c0:c0 + B]
+        np.multiply(quad, -0.5 * cfg.beta, out=block)
+        block += g_sum
+        if dphi is not None:
+            block += (1.0 - 0.5 * cfg.beta) * np.sum(np.log(np.abs(dphi)), axis=0)
     # weights relative to the largest: the log mean is shift + log(mean),
     # and the error, ESS and tail test do not depend on the common scale
     shift = float(np.max(expo))

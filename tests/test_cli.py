@@ -477,6 +477,17 @@ class TestExitCodes:
         assert code == 2
         assert "failure" not in err
 
+    def test_complex_symbol_is_bad_input(self, capsys, curve_file, tmp_path):
+        # rejected before the chain: a long chain would run first otherwise
+        path = curve_file("q.json")
+        sym = tmp_path / "complex.json"
+        sym.write_text(json.dumps({"a0": [0.0, 0.0], "a": [[0.1, 0.2]], "b": []}))
+        code, out, err = run(capsys, "beta-mc", "--curve", path, "--symbol", str(sym),
+                             "--n", "3", "--m", "8", "--steps", "200000", "--burn-in", "100")
+        assert code == 2
+        assert out == ""
+        assert err == "error: Monte Carlo probe supports real-valued symbols only\n"
+
     @pytest.mark.parametrize("argv", [["energy", "--n", "2"], ["wp-check", "--m", "8"]])
     @pytest.mark.parametrize("spec", [
         "1.05,1e400", "1.05,inf", "1.1:inf:5", "0.9,2", "2,1.5", "1.1:2:1",

@@ -5,12 +5,18 @@ import scipy.integrate
 from szegodet import (
     ChainConfig,
     estimate_ratio,
+    grunsky_coefficients,
     log_det_Dn,
     suggest_truncation,
+    symbol_from_coefficients,
+    symbol_from_theta_samples,
     zero_symbol,
 )
-from szegodet.mcbeta import _run_chain
+from szegodet import mcbeta
+from szegodet.mcbeta import _autocorr_time, _run_chain
 from szegodet.predict import LOG_2PI
+from szegodet.series import _phi_norm
+from szegodet.symbol import theta_values
 
 
 def log_form_chain(cfg):
@@ -58,6 +64,33 @@ def log_form_chain(cfg):
     return out, post_acc / out.size, width
 
 
+def three_pass_estimate(mp, sym, cfg, m):
+    """Reference estimator: the kept angles of the same chain, post-processed
+    in three separate passes: power sums p_k and the complex product
+    a^t P, the symbol by ``theta_values`` on every angle, and
+    log|phi'| by ``_phi_norm`` at beta != 2."""
+    a = grunsky_coefficients(mp, m).a
+    thetas, rate, _ = _run_chain(cfg)
+    T = len(thetas)
+    z = np.exp(-1j * thetas.T)
+    P = np.empty((m, T), dtype=complex)
+    cur = z.copy()
+    for k in range(m):
+        P[k] = np.sum(cur, axis=0)
+        cur *= z
+    quad = np.sum((a.T @ P) * P, axis=0).real
+    gv = theta_values(sym, thetas)
+    expo = -0.5 * cfg.beta * quad + np.sum(gv.real, axis=1)
+    if cfg.beta != 2.0:
+        logphip = np.sum(np.log(np.abs(_phi_norm(mp, np.exp(1j * thetas), 1))), axis=1)
+        expo += (1.0 - 0.5 * cfg.beta) * logphip
+    shift = float(np.max(expo))
+    w = np.exp(expo - shift)
+    mean = float(np.mean(w))
+    tau, se_mean = _autocorr_time(w)
+    return shift + float(np.log(mean)), se_mean / mean, rate, T / tau
+
+
 class TestChainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -93,7 +126,8 @@ class TestSampler:
         sigma = np.std(stat) / np.sqrt(len(stat) / 50.0)
         assert abs(np.mean(stat) - val) <= 3 * sigma
 
-    @pytest.mark.parametrize("n, beta", [(1, 2.0), (3, 1.5), (5, 4.0)])
+    @pytest.mark.parametrize("n, beta", [(1, 2.0), (3, 1.5), (5, 4.0),
+                                         (2, 2.0), (4, 2.0), (4, 4.0)])
     def test_kernel_matches_log_form_rule(self, n, beta):
         # the product-form kernel must run the same Markov chain as the
         # log-form rule: same kept angles, acceptance rate and tuned width
@@ -170,6 +204,51 @@ class TestEstimate:
         assert est.std_error == pytest.approx(ref.std_error, rel=1e-9)
         assert est.ess == pytest.approx(ref.ess, rel=1e-9)
         assert est.acceptance_rate == ref.acceptance_rate
+
+
+class TestSinglePassEstimator:
+    # a symbol shorter than the table, and one with a_40 != 0 past m = 8
+    SYMBOLS = {
+        "short": symbol_from_coefficients(0.0, [0.2, -0.1], [0.15]),
+        "long": symbol_from_coefficients(0.0, [0.1] + [0.0] * 38 + [0.05], [0.0, 0.1]),
+    }
+
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("sym_name", ["short", "long"])
+    @pytest.mark.parametrize("curve_name", ["qcurve", "wobbly"])
+    @pytest.mark.parametrize("m", [8, 32])
+    @pytest.mark.parametrize("beta", [1.5, 2.0, 4.0])
+    def test_matches_three_passes(self, request, beta, m, curve_name, sym_name, n):
+        # qcurve is the q = 0.5 ellipse (real table); wobbly's degree-4
+        # complex tail gives a complex table and phi' terms w^2 .. w^5;
+        # 5000 kept sweeps span two blocks of power sums
+        mp = request.getfixturevalue(curve_name)
+        sym = self.SYMBOLS[sym_name]
+        cfg = ChainConfig(n=n, beta=beta, steps=5500, burn_in=500, seed=13)
+        est = estimate_ratio(mp, sym, cfg, m=m)
+        mean_log, std_error, rate, ess = three_pass_estimate(mp, sym, cfg, m)
+        assert abs(est.mean_log - mean_log) <= 1e-12 * max(1.0, abs(mean_log))
+        assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0)
+        assert est.ess == pytest.approx(ess, rel=1e-12, abs=0)
+        assert est.acceptance_rate == rate
+
+
+class TestRealSymbolRule:
+    def test_complex_symbol_rejected_before_the_chain(self, qcurve, monkeypatch):
+        def no_chain(cfg):
+            raise AssertionError("the chain ran")
+
+        monkeypatch.setattr(mcbeta, "_run_chain", no_chain)
+        cfg = ChainConfig(n=3, beta=2.0, steps=200000, burn_in=100, seed=1)
+        with pytest.raises(ValueError, match="real-valued symbols only"):
+            estimate_ratio(qcurve, symbol_from_coefficients(0.0, [0.1 + 0.2j]), cfg, m=8)
+
+    def test_theta_samples_of_a_real_function_run(self, qcurve):
+        theta = 2 * np.pi * np.arange(16) / 16
+        sym = symbol_from_theta_samples(0.3 * np.cos(theta) - 0.2 * np.sin(2 * theta))
+        assert np.max(np.abs(sym.a.imag)) + np.max(np.abs(sym.b.imag)) > 0  # rounding only
+        cfg = ChainConfig(n=3, beta=2.0, steps=2000, burn_in=200, seed=4)
+        assert np.isfinite(estimate_ratio(qcurve, sym, cfg, m=8).mean_log)
 
 
 def test_heavy_tail_detection():

@@ -70,3 +70,16 @@ def test_every_test_reference_names_a_test():
     refs = [ref for text in texts for ref in REFERENCE.findall(text)]
     assert refs  # the README names tests, so the check has something to check
     assert [f"{m}.py::{p}" for m, p in refs if not resolves(m, p.split("::"))] == []
+
+
+def test_recorded_run_figures_match_the_committed_run():
+    # the README quotes criterion 9's time and the suite's time from the
+    # committed run logs; refreshing a log without the README fails here
+    quoted = re.search(r"recorded run took ([\d.]+) s for criterion 9 and (\d+) s\s+for the"
+                       r"\s+whole suite", README)
+    assert quoted
+    summary = (ROOT / "acceptance_summary.txt").read_text()
+    crit9 = float(re.search(r"ACCEPTANCE 09 .*; ([\d.]+)s / <60s\)", summary).group(1))
+    last = (ROOT / "test_output.txt").read_text().strip().splitlines()[-1]
+    suite = float(re.search(r" in ([\d.]+)s", last).group(1))
+    assert quoted.groups() == (f"{crit9:.1f}", f"{suite:.0f}")
