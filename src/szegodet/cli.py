@@ -5,6 +5,14 @@ Curve and symbol files are JSON; numeric output is CSV or JSON at 17
 significant digits.  Exit codes: 0 success, 2 parse/validation error or
 an output path that cannot be written, 3 numerical failure inside the
 library.
+
+``main`` pins both OpenBLAS thread pools, numpy's and scipy's, to one
+thread before any work (``_blas_thread_setters``).  Most LAPACK calls of
+the library are small and run slower with a second thread (``convergence
+--n 8..200`` with a complex symbol: 50-79 ms pinned, 144-165 ms with both
+threads, on a 2-vCPU virtual machine), and some threaded routines (QR,
+complex products, Cholesky) round differently at two threads; pinned,
+the output has the same bytes at any ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -447,9 +455,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser of this process; parse_args keeps no state between calls."""
-    return build_parser()
+def _shared_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser of this process, and each command's own parser by its
+    name (the choices of its subparsers action); parse_args keeps no state
+    between calls."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one pass.
+
+    The top-level pass only hands everything after a known command to
+    that command's parser, so that parser reads it directly.  Arguments
+    it does not know are reported as the top-level pass reports them,
+    under the top-level prog.  No argument, an unknown command and a
+    top-level option (``--help``) take the top-level parser itself.
+    """
+    parser, commands = _shared_parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 @functools.cache
@@ -478,7 +510,7 @@ def main(argv=None) -> int:
     for set_threads in _blas_thread_setters():
         set_threads(1)
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

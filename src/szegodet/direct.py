@@ -240,9 +240,13 @@ def _diag_prefix(diag: np.ndarray) -> np.ndarray:
     """
     r = np.abs(diag)
     bad = ~((r > 0) & np.isfinite(r)).all(axis=-1)
-    r[bad] = 1.0
-    logdets = 2.0 * np.cumsum(np.log(r), axis=-1)
-    logdets[bad] = np.nan
+    failed = bad.any()
+    if failed:
+        r[bad] = 1.0
+    logdets = np.log(r).cumsum(axis=-1)
+    logdets *= 2.0
+    if failed:
+        logdets[bad] = np.nan
     return logdets
 
 
@@ -308,7 +312,9 @@ def _grid_prefix(phi0, tail, gs, n: int, prev=None):
     R = np.zeros((k, n, n), dtype=complex).swapaxes(-1, -2)  # each R[i] Fortran-ordered
     if prev is None:
         g = gs[0]
-        phase = float(np.max(np.abs(g.imag))) > _REAL_TOL * max(1.0, float(np.max(np.abs(g))))
+        im = float(np.abs(g.imag).max())
+        # the threshold is at least _REAL_TOL, so max |g| is needed only above it
+        phase = im > _REAL_TOL and im > _REAL_TOL * max(1.0, float(np.abs(g).max()))
         C = np.empty((k, n, n), dtype=complex) if phase else None
     else:
         R[:] = prev[0]
@@ -337,7 +343,7 @@ def _grid_prefix(phi0, tail, gs, n: int, prev=None):
                     np.exp(1j * x.imag) if phase else None, e)
             # sqrt(2pi/N) goes onto each |R_jj| before its log: added afterwards
             # as j log(2pi/N), it would cancel most of the sum (R_jj grows like sqrt(N))
-            diag = np.diagonal(R[maps], axis1=-2, axis2=-1) * np.sqrt(2.0 * np.pi / len(g))
+            diag = R[maps].diagonal(0, -2, -1) * np.sqrt(2.0 * np.pi / len(g))
             out = logdets[i][maps]
             out[:] = _diag_prefix(diag)
             if phase:
@@ -419,12 +425,15 @@ def _refine(evaluate, count: int, start: int):
             if size == start:
                 rows = np.empty((count, cur.shape[1]), dtype=complex)
             done = np.abs(cur - prev).max(axis=1) <= REFINE_TOL
-            rows[live[done]] = cur[done]
             lost = np.isnan(cur[:, 0])  # a failed grid leaves the whole row NaN
-            if lost.any():
-                errors.update(dict.fromkeys(live[lost].tolist(), ZeroDeterminant(_NO_SUPPORT)))
-            keep = ~(done | lost)
-            live, prev = live[keep], cur[keep]
+            gone = done | lost
+            if gone.any():
+                rows[live[done]] = cur[done]
+                if lost.any():
+                    errors.update(dict.fromkeys(live[lost].tolist(), ZeroDeterminant(_NO_SUPPORT)))
+                keep = ~gone
+                live, cur = live[keep], cur[keep]
+            prev = cur
             if len(live) and size > start and 2 * size > N_CAP:
                 capped = NotConverged(f"no convergence up to N = {N_CAP}")
                 errors.update(dict.fromkeys(live.tolist(), capped))
@@ -482,10 +491,8 @@ def log_det_range(
         if np.isnan(vals + vals2).any():  # either grid failed
             raise ZeroDeterminant(_NO_SUPPORT)
         agree = np.abs(vals2[0] - vals[0]) <= REFINE_TOL
-    return [
-        DirectResult(int(n), N, complex(v + c), method, bool(a))
-        for n, v, c, a in zip(ns, vals[0], cap_terms, agree)
-    ]
+    return [DirectResult(n, N, v, method, a)
+            for n, v, a in zip(ns.tolist(), (vals[0] + cap_terms).tolist(), agree.tolist())]
 
 
 def log_det_Dn(

@@ -58,6 +58,10 @@ class NotConverged(SzegoError):
     """Grid doubling hit its cap without meeting the refinement tolerance."""
 
 
+class NotFinite(SzegoError):
+    """A term of the prediction overflowed (inf) or is undefined (NaN)."""
+
+
 class ZeroDeterminant(SzegoError):
     """Determinant vanished; its logarithm has no meaningful branch."""
 

@@ -40,9 +40,13 @@ spectral report takes log det(I - B*B) from H = B^H B (one ``zherk``)
 and one complex Cholesky factor of I - H, and checks it against the
 real Cholesky factor of I + K through the determinant identity.  Its
 kappa_hat, the largest singular value of B, is the largest eigenvalue of
-K, from Lanczos on the real-linear map v -> B conj(v) from m = 100 on and
-from the dense eigenvalues of H below that; ``_kappa`` is the one routine
-that computes it, for the report and for the guard of the m ladder.  The
+K, from Lanczos on the real-linear map v -> B conj(v) from m = 100 on (K
+acting on (Re v, Im v): one complex matrix-vector product a step, a few
+dozen steps, converged to rounding), and from the dense eigenvalues of H
+(LAPACK ``heevr``) below that, where they are cheaper, and wherever m/2
+Lanczos steps do not converge because the top singular values cluster
+too tightly; ``_kappa`` is the one routine that computes it, for the
+report and for the guard of the m ladder.  The
 Takagi factorization B = U Lambda U^t comes from one complex SVD of B; it
 is a standalone routine that no report path calls.
 """
@@ -188,7 +192,7 @@ def _operator_rows(B: np.ndarray, weights: np.ndarray | None, lo: int, hi: int, 
                    e: int) -> np.ndarray:
     """Rows lo..hi-1, columns s..e-1 of the operator: B, or B times the weights."""
     b = B[lo:hi, s:e]
-    return b if weights is None else b * np.outer(weights[lo:hi], weights[s:e])
+    return b if weights is None else b * (weights[lo:hi, None] * weights[s:e])
 
 
 def _block(B: np.ndarray, weights: np.ndarray | None, lo: int, hi: int) -> np.ndarray:
@@ -303,7 +307,8 @@ def _grow(tail: np.ndarray, a: np.ndarray, size: int) -> np.ndarray:
 
     Every row is BLAS work on the flat table, addressed by offset (no
     slice view, no temporary): one ``zcopy`` of t_{k+lo-1..2k-1} into
-    columns lo..k, one ``zaxpy`` per (p, q) with p, q < k over columns
+    columns lo..k, cut to the t_j with j <= d (none past row d), one
+    ``zaxpy`` per (p, q) with p, q < k over columns
     max(lo, q+1)..k, and one ``zcopy`` of stride size that mirrors columns
     lo..k-1, if any, into column k.  The kernel may round c a + row with
     fused multiply-adds where NumPy rounds the product and the sum apart,
@@ -317,19 +322,24 @@ def _grow(tail: np.ndarray, a: np.ndarray, size: int) -> np.ndarray:
     out = np.zeros((size, size), dtype=complex)
     lead = len(a)
     out[:lead, :lead] = a
-    nonzero = np.flatnonzero(tail) + 1
-    if nonzero.size:
-        d = int(nonzero[-1])
-        t = np.zeros(max(2 * size, d + 1), dtype=complex)  # t[j] is t_j
-        t[1:d + 1] = tail[:d]
+    values = tail.tolist()
+    nonzero = [j for j, tj in enumerate(values, 1) if tj]
+    if nonzero:
+        d = nonzero[-1]
+        t = np.zeros(d + 1, dtype=complex)  # t[j] is t_j
+        t[1:] = tail[:d]
         # (t_{p+q-1}, p, q, flat distance from a_{k-p,l-q} to a_{kl})
-        pairs = [(complex(t[j]), p, j + 1 - p, p * size + j + 1 - p)
-                 for j in nonzero.tolist() for p in range(1, j + 1)]
+        pairs = [(values[j - 1], p, j + 1 - p, p * size + j + 1 - p)
+                 for j in nonzero for p in range(1, j + 1)]
         flat = out.reshape(-1)  # a view: the BLAS calls write into the table in place
         for k in range(lead + 1, size + 1):
             lo = -(-k // d)
             at = (k - 1) * size - 1  # flat index of (k, l) is at + l
-            _zcopy(t, flat, k - lo + 1, k + lo - 1, 1, at + lo)
+            # t_{k+lo-1..2k-1} into columns lo..k, of which only t_j, j <= d,
+            # are not the zeros the row already holds
+            run = min(k - lo + 1, d + 2 - k - lo)
+            if run > 0:
+                _zcopy(t, flat, run, k + lo - 1, 1, at + lo)
             for tj, p, q, back in pairs:
                 if p < k and q < k:
                     # row k, columns start..k, += c a_{k-p, start-q..k-q}
@@ -612,8 +622,9 @@ def spectral_report(pair: OperatorPair) -> SpectralReport:
     """Determinant, energy and truncation diagnostics for one table.
 
     H = B^H B comes from one ``zherk``.  kappa_hat comes from ``_kappa``
-    (Lanczos on K from m = 100 on, the dense eigenvalues of H below), which
-    raises ``SingularValueAtOne`` first.  log det(I - B*B), and the energy
+    (Lanczos on K from m = 100 on, the dense eigenvalues of H below and
+    where m/2 Lanczos steps do not converge), which raises
+    ``SingularValueAtOne`` first.  log det(I - B*B), and the energy
     from it, comes from the complex Cholesky factor of I - H, and
     log det(I+K) from the diagonal of the real Cholesky factor of I + K.
     The two factorizations are independent LAPACK routines on different

@@ -14,18 +14,22 @@ factor of the rung before by its new columns (``grunsky._cholesky``).
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import flapack
+from ._linalg import fblas, flapack
+from .errors import NotFinite
 from .grunsky import _kappa, _operator, _rungs, delta_m_tail
 from .series import ExteriorMap
 from .symbol import FourierSymbol, g_vector, zero_symbol
 
 log = logging.getLogger(__name__)
+
+_ddot = fblas.ddot
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -73,21 +77,30 @@ def _solve_form(cho: tuple, v: np.ndarray) -> complex:
         raise ValueError(f"vector of length {len(v)} against a {len(c)} x {len(c)} factor")
     if not len(v):
         return 0j
-    w = v.reshape(2, -1).T  # rows (x_k, y_k)
-    rhs = np.array([w.real, w.imag]).reshape(2, -1)
+    # (block, k, part) to (part, k, block): the rows Re v and Im v, interleaved
+    rhs = v.view(float).reshape(2, -1, 2).transpose(2, 1, 0).reshape(2, -1)
     x, info = flapack.dpotrs(c, rhs.T, lower=lower)
     if info < 0:
         raise ValueError(f"potrs: illegal value in argument {-info}")
-    # contiguous rows, so the dot products round as on one-column solves
-    (vr, vi), (xr, xi) = rhs, x.T
-    return complex(float(vr @ xr - vi @ xi), float(vr @ xi + vi @ xr))
+    # contiguous rows, so the dot products round as on one-column solves;
+    # BLAS ddot raises no floating-point warning, so a form that overflows
+    # is reported by the caller's check alone
+    vr, vi = rhs
+    xr, xi = x.T
+    return complex(_ddot(vr, xr) - _ddot(vi, xi), _ddot(vr, xi) + _ddot(vi, xr))
 
 
 def _rung(a: np.ndarray, cho: tuple, sym: FourierSymbol):
     """(a, cho, quad, half) of a rung of ``grunsky._rungs``: quad the symbol's
-    form against the factor, half = -0.5 log det(I+K) off its diagonal."""
+    form against the factor, half = -0.5 log det(I+K) off its diagonal.
+    ``NotFinite`` when either is not finite, as for a symbol whose
+    coefficients overflow the form."""
     quad = _solve_form(cho, g_vector(sym, len(a)))
-    return a, cho, quad, -float(np.sum(np.log(np.diag(cho[0])))) + 0.0
+    half = -float(np.log(cho[0].diagonal()).sum()) + 0.0
+    if not (cmath.isfinite(quad) and math.isfinite(half)):
+        raise NotFinite(f"at m = {len(a)} the quadratic form is {quad} and "
+                        f"-0.5 log det(I+K) is {half}; both must be finite")
+    return a, cho, quad, half
 
 
 def _clearance(n: int) -> float:
@@ -216,7 +229,8 @@ def predict_log_Dn(
     less than 1e-9, or up to 512 with a logged warning.  Symbol coefficients
     beyond the stored truncation count as zero, so the ladder works for
     short symbols too.  A failed Cholesky factor of I + K raises
-    ``NotPositiveDefinite``; a singular value of B within 1e-10 of 1 raises
+    ``NotPositiveDefinite``, a rung whose quadratic form or half log det is
+    not finite raises ``NotFinite``; a singular value of B within 1e-10 of 1 raises
     ``SingularValueAtOne``.  That check computes the largest singular value
     of B (``grunsky._kappa``, no SVD) only when -0.5 log det(I+K) reaches
     ``_clearance``, about 11; the ``--m auto`` log line computes it too

@@ -13,6 +13,9 @@ exact unit-modulus points ``exp(i*theta_j)``.
 
 from __future__ import annotations
 
+import cmath
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,8 @@ from .errors import (
 UNIVALENCE_GRID = 4096
 SELF_INTERSECT_TOL = 1e-9
 _DOMAIN_SLACK = 1e-12
+_STEP = 2.0 * math.pi / UNIVALENCE_GRID  # angle between neighbouring grid points
+_SIN_HALF_STEP = float(np.sin(_STEP / 2.0))
 
 
 def _readonly(arr, dtype=complex) -> np.ndarray:
@@ -199,15 +204,18 @@ def _tail_certifies(tail: np.ndarray) -> bool:
     at least (1 - s) 2 sin(h/2) - M2 h**2 / 4 apart, h = 2 pi / 4096 and
     M2 = 1 + s + sum k(k+1)|t_k| (proof in ``make_map``); this returns
     whether that gap exceeds ``SELF_INTERSECT_TOL`` plus the rounding
-    allowance ``_rounding_allowance``.
+    allowance ``_rounding_allowance``.  The sums run over Python floats,
+    term by term; a |t_k| or a sum past the float range is not certified.
     """
-    k = np.arange(1, len(tail) + 1, dtype=float)
-    a = np.abs(tail)
-    with np.errstate(over="ignore"):  # a huge tail gives s = inf: not certified
-        s = float(np.sum(k * a))
-        m2 = 1.0 + s + float(np.sum(k * (k + 1.0) * a))
-    h = 2.0 * np.pi / UNIVALENCE_GRID
-    gap = (1.0 - s) * 2.0 * np.sin(h / 2.0) - m2 * h * h / 4.0
+    s = m2 = 0.0
+    try:
+        for k, t in enumerate(tail.tolist(), 1):
+            a = abs(t)
+            s += k * a
+            m2 += k * (k + 1.0) * a
+    except OverflowError:  # abs of a complex past the float range
+        return False
+    gap = (1.0 - s) * 2.0 * _SIN_HALF_STEP - (1.0 + s + m2) * _STEP * _STEP / 4.0
     return gap > SELF_INTERSECT_TOL + _rounding_allowance(len(tail))
 
 
@@ -221,7 +229,7 @@ def _rounding_allowance(degree: int) -> float:
     ``_segments_cross`` add about 16 eps; 64 (degree + 4) eps covers both
     with room to spare.
     """
-    return 64.0 * (degree + 4) * np.finfo(float).eps
+    return 64.0 * (degree + 4) * sys.float_info.epsilon
 
 
 def _sampled_checks(tail: np.ndarray) -> None:
@@ -299,7 +307,8 @@ def make_map(cap: float, phi0: complex, tail) -> ExteriorMap:
     only those whose boxes overlap.
     """
     tail = np.atleast_1d(np.asarray(tail, dtype=complex))
-    if not (np.isfinite(cap) and np.isfinite(phi0) and np.isfinite(tail).all()):
+    if not (math.isfinite(cap) and cmath.isfinite(phi0)
+            and all(map(cmath.isfinite, tail.reshape(-1).tolist()))):
         raise ValueError("cap, phi0 and tail must be finite")
     if not (cap > 0):
         raise NonPositiveCapacity(f"cap must be > 0, got {cap}")

@@ -40,18 +40,20 @@ class FourierSymbol:
 
 
 def zero_symbol() -> FourierSymbol:
-    return FourierSymbol(0.0, np.zeros(1, dtype=complex), np.zeros(1, dtype=complex))
+    return symbol_from_coefficients(0.0)
 
 
 def symbol_from_coefficients(a0, a=(), b=()) -> FourierSymbol:
     """Build a symbol from explicit coefficient lists, the shorter one zero padded."""
-    a = np.atleast_1d(np.asarray(a, dtype=complex)) if len(np.atleast_1d(a)) else np.zeros(0, complex)
-    b = np.atleast_1d(np.asarray(b, dtype=complex)) if len(np.atleast_1d(b)) else np.zeros(0, complex)
+    a = np.atleast_1d(np.asarray(a, dtype=complex))
+    b = np.atleast_1d(np.asarray(b, dtype=complex))
     K = max(len(a), len(b), 1)
     aa = np.zeros(K, dtype=complex)
     bb = np.zeros(K, dtype=complex)
     aa[: len(a)] = a
     bb[: len(b)] = b
+    aa.setflags(write=False)  # so that FourierSymbol keeps them as they are
+    bb.setflags(write=False)
     return FourierSymbol(complex(a0), aa, bb)
 
 
@@ -77,12 +79,14 @@ def theta_values(sym: FourierSymbol, theta) -> np.ndarray:
     """Synthesize g(curve(theta)) from the stored Fourier data."""
     th = np.asarray(theta, dtype=float)
     z = np.exp(1j * th)
-    out = np.full(th.shape, sym.a0 / 2.0, dtype=complex)
-    zk = np.ones_like(z)
-    for k in range(1, sym.K_max + 1):
+    out = np.empty(th.shape, dtype=complex)
+    out.fill(sym.a0 / 2.0)
+    zk = np.empty_like(z)
+    zk.fill(1.0)
+    for a, b in zip(sym.a.tolist(), sym.b.tolist()):
         zk *= z
-        out += sym.a[k - 1] * zk.real
-        out += sym.b[k - 1] * zk.imag
+        out += a * zk.real
+        out += b * zk.imag
     return out
 
 
@@ -94,9 +98,8 @@ def g_vector(sym: FourierSymbol, m: int) -> np.ndarray:
     extension is exact for the stored data.
     """
     k = min(m, sym.K_max)
-    a = np.zeros(m, dtype=complex)
-    b = np.zeros(m, dtype=complex)
-    a[:k] = sym.a[:k]
-    b[:k] = sym.b[:k]
-    half_rk = 0.5 * np.sqrt(np.arange(1, m + 1, dtype=float))
-    return np.concatenate([half_rk * a, half_rk * b])
+    half_rk = 0.5 * np.sqrt(np.arange(1, k + 1, dtype=float))
+    out = np.zeros(2 * m, dtype=complex)
+    out[:k] = half_rk * sym.a[:k]
+    out[m:m + k] = half_rk * sym.b[:k]
+    return out

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from szegodet import grunsky
+from szegodet import cli, grunsky
 from szegodet.cli import build_parser, load_curve, main
 from szegodet.predict import LOG_2PI
 
@@ -599,6 +599,20 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["m_used"] == 16
 
+    @pytest.mark.parametrize("m", ["auto", "8", "3"])
+    def test_overflowing_symbol(self, capsys, curve_file, tmp_path, m):
+        # a_1 = 1e308 overflows the quadratic form: the first rung (m = 8 on
+        # the ladder) reports it in one line instead of printing inf
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"a0": [0, 0], "a": [[1e308, 0]]}))
+        code, out, err = run(capsys, "predict", "--curve", curve_file("q.json"),
+                             "--symbol", str(p), "--n", "5", "--m", m)
+        assert code == 3
+        assert out == ""
+        first = "8" if m == "auto" else m
+        assert err.startswith(f"numerical failure: at m = {first} the quadratic form is (inf+0j)")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command", [["grunsky"], ["predict", "--n", "5"]])
     def test_out_of_memory(self, capsys, curve_file, monkeypatch, command):
         # an explicit m too large for the machine: numpy raises MemoryError
@@ -663,6 +677,46 @@ def test_shared_parser_keeps_no_state(capsys, curve_file, symbol_file):
     assert args.fn(args) == 0
     assert out == capsys.readouterr().out
     assert out != with_symbol
+
+
+def _one_pass_cases(path, symbol):
+    """{case: (argv, exit code)} for the one-pass parse of ``main``."""
+    return {
+        "grunsky": (["grunsky", "--curve", path, "--m", "4"], 0),
+        "predict": (["predict", "--curve", path, "--symbol", symbol, "--n", "5", "--m", "8"], 0),
+        "direct": (["direct", "--curve", path, "--n", "3", "--m", "8"], 0),
+        "convergence": (["convergence", "--curve", path, "--n", "3..4", "--m", "8"], 0),
+        "energy": (["energy", "--curve", path, "--n", "2", "--r", "1.2:2:5"], 0),
+        "wp-check": (["wp-check", "--curve", path, "--m", "4"], 0),
+        "beta-mc": (["beta-mc", "--curve", path, "--n", "2", "--steps", "300", "--burn-in", "30",
+                     "--m", "8"], 0),
+        "no arguments": ([], 2),
+        "unknown command": (["frobnicate", "--curve", path], 2),
+        "top-level --help": (["--help"], 0),
+        "top-level -h": (["-h"], 0),
+        "option before the command": (["--curve", path, "predict", "--n", "3"], 2),
+        "subcommand --help": (["predict", "--help"], 0),
+        "subcommand abbreviated --help": (["energy", "--he"], 0),
+        "bad value": (["grunsky", "--curve", path, "--m", "sixteen"], 2),
+        "missing option": (["grunsky", "--curve", path], 2),
+        "unrecognized argument": (["predict", "--curve", path, "--n", "3", "--bogus", "1"], 2),
+        "extra positionals": (["direct", "--curve", path, "--n", "3", "extra", "more"], 2),
+        "after --": (["wp-check", "--curve", path, "--m", "4", "--", "--n"], 2),
+    }
+
+
+@pytest.mark.parametrize("case", list(_one_pass_cases("", "")))
+def test_one_pass_parse_matches_two_passes(capsys, monkeypatch, curve_file, symbol_file,
+                                           case):
+    # main hands argv to the command's own parser; the top-level parse_args
+    # of build_parser() must give the same exit code, stdout and stderr
+    argv, code = _one_pass_cases(curve_file("q.json"), symbol_file)[case]
+    monkeypatch.setenv("COLUMNS", "100")  # one usage layout for both runs
+    one = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", lambda args: build_parser().parse_args(args))
+    assert run(capsys, *argv) == one
+    assert one[0] == code
+    assert one[1] or one[2]  # something was printed
 
 
 # A fresh interpreter: imports szegodet.cli, runs every command through

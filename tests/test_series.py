@@ -176,6 +176,65 @@ class TestCertifiedTail:
         assert 600 <= certified <= 1000
 
 
+def _numpy_certifies(tail):
+    """The certificate of ``_tail_certifies`` by NumPy sums, the reference
+    for its sums over Python floats."""
+    k = np.arange(1, len(tail) + 1, dtype=float)
+    a = np.abs(tail)
+    with np.errstate(over="ignore"):  # a huge tail gives s = inf: not certified
+        s = float(np.sum(k * a))
+        m2 = 1.0 + s + float(np.sum(k * (k + 1.0) * a))
+    h = 2.0 * np.pi / UNIVALENCE_GRID
+    gap = (1.0 - s) * 2.0 * np.sin(h / 2.0) - m2 * h * h / 4.0
+    return gap > SELF_INTERSECT_TOL + _rounding_allowance(len(tail))
+
+
+class TestScalarCertificate:
+    def test_matches_the_numpy_sums(self):
+        # seeded tails of degree 1-64: s drawn in [0, 1.05], s a relative
+        # 1e-9 below and above the bound where the gap meets its threshold,
+        # and coefficients near 1e308, where s overflows
+        rng = np.random.default_rng(34)
+        h = 2.0 * np.pi / UNIVALENCE_GRID
+        c1, c2 = 2.0 * np.sin(h / 2.0), h * h / 4.0
+        verdicts = []
+        for degree in range(1, 65):
+            k = np.arange(1, degree + 1)
+            for draw in range(12):
+                w = rng.dirichlet(np.full(degree, 0.5)) * np.exp(2j * np.pi * rng.random(degree))
+                unit = w / k  # sum k|unit_k| = 1
+                m = float(np.sum(k * (k + 1) * np.abs(unit)))
+                bound = (c1 - c2 - SELF_INTERSECT_TOL - _rounding_allowance(degree)) / (
+                    c1 + (1.0 + m) * c2)
+                if draw < 4:
+                    tail = rng.uniform(0.0, 1.05) * unit
+                elif draw < 8:
+                    tail = bound * (1.0 + (-1e-9 if draw % 2 else 1e-9)) * unit
+                    assert _tail_certifies(tail) == bool(draw % 2), (degree, draw)
+                else:
+                    tail = 10.0 ** rng.uniform(306.0, 308.0, degree) * w / np.abs(w)
+                    assert not _tail_certifies(tail)
+                assert _tail_certifies(tail) == _numpy_certifies(tail), (degree, draw)
+                verdicts.append(_tail_certifies(tail))
+        assert 64 * 2 <= sum(verdicts) <= 64 * 6
+
+    @pytest.mark.parametrize("fixture", ["circle", "qcurve", "wobbly", "slow", "pairing"])
+    def test_fixtures_keep_their_verdict(self, request, fixture):
+        mp = request.getfixturevalue(fixture)
+        assert _tail_certifies(mp.tail) and _numpy_certifies(mp.tail)
+        assert _verdict(mp.cap, mp.phi0, mp.tail) == "ok"
+
+    @pytest.mark.parametrize("q, verdict", [
+        (0.5, "ok"), (0.99, "ok"),
+        (1.05, ("CurveSelfIntersects", "sampled curve is negatively oriented")),
+        (1.5, ("CurveSelfIntersects", "sampled curve is negatively oriented")),
+    ])
+    def test_ellipses_keep_their_verdict(self, q, verdict):
+        tail = np.array([q], dtype=complex)
+        assert _tail_certifies(tail) == _numpy_certifies(tail) == (q < 1)
+        assert _verdict(1.0, 0.0, tail) == verdict
+
+
 def _all_pairs_intersect(pts, tol):
     """Every pair of non-adjacent segments through the same segment test."""
     N = len(pts)
